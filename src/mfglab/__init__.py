@@ -32,6 +32,7 @@ from .hjb import (
     ControlSet,
     PhaseGrid,
     ValueField,
+    acceleration_controls,
     gradient_v,
     gradient_x,
     solve_hjb_acceleration,
@@ -39,16 +40,11 @@ from .hjb import (
     solve_hjb_mfg_control,
 )
 from .measures import (
-    GridDensity,
     MeasureFlow,
     ParticleEnsemble,
     W1Result,
     gaussian_ensemble,
     lattice_ensemble,
-    marginal_x,
-    pushforward,
-    second_moment,
-    smoothed_density,
     wasserstein1_1d,
     wasserstein1_joint,
 )

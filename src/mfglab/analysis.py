@@ -17,12 +17,20 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInputError, MFGLabError
-from .hjb import ControlSet, PhaseGrid, ValueField, gradient_x, interp_slice_x
+from .hjb import (
+    ControlSet,
+    PhaseGrid,
+    ValueField,
+    acceleration_controls,
+    gradient_x,
+    interp_slice_x,
+)
 from .measures import (
     MeasureFlow,
     ParticleEnsemble,
     W1Result,
     _w1_quantile,
+    sup_w1_marginal,
     wasserstein1_joint,
 )
 from .mfg import MFGSolution, solve_eps_system, solve_limit_classical, solve_mfg_of_control
@@ -49,7 +57,6 @@ class SweepPlan:
     """Eps ladder plus the probe geometry shared by every comparison."""
 
     eps_ladder: tuple = (0.5, 0.2, 0.1, 0.05, 0.02, 0.01)
-    probes: tuple = ()
     box_radius: float = 2.0
     accel_delta: float = 0.1  # lower time cutoff of the acceleration-energy audit
 
@@ -167,7 +174,7 @@ def audit_estimates(
     energies = np.trapezoid(flow.velocities**2, flow.times, axis=0)
     cor42 = float(np.min(q1 * (1.0 + v0**2) - energies))
 
-    q2 = float(np.sqrt(np.sum(flow.weights * q1 * (1.0 + v0**2))))
+    q2 = holder_constant(spec, g, T, flow.ensemble(0))
     cor43 = _pairwise_holder_margin(flow.marginal_flow(), q2)
 
     # gradient bound away from the box boundary (one-sided stencils there)
@@ -215,21 +222,7 @@ def sup_marginal_gap(a: MeasureFlow, b: MeasureFlow) -> float:
     """sup over shared time nodes of d1 between position marginals."""
     if a.n_times != b.n_times or not np.allclose(a.times, b.times):
         raise InvalidInputError("flows must share the time grid")
-    if (
-        a.n_particles == b.n_particles
-        and np.allclose(a.weights, 1.0 / a.n_particles)
-        and np.allclose(b.weights, 1.0 / b.n_particles)
-    ):
-        da = np.abs(np.sort(a.positions, axis=1) - np.sort(b.positions, axis=1))
-        return float(np.max(np.mean(da, axis=1)))
-    return float(
-        np.max(
-            [
-                _w1_quantile(a.positions[k], a.weights, b.positions[k], b.weights)
-                for k in range(a.n_times)
-            ]
-        )
-    )
+    return sup_w1_marginal(a, b)
 
 
 def compare_joint_reconstruction(
@@ -305,9 +298,7 @@ class ConvergenceReport:
             cells = []
             for col in REPORT_COLUMNS:
                 val = row[col]
-                if isinstance(val, (bool, np.bool_)):
-                    cells.append(str(int(val)))
-                elif isinstance(val, (int, np.integer)):
+                if isinstance(val, (bool, np.bool_, int, np.integer)):
                     cells.append(str(int(val)))
                 else:
                     cells.append("%.17g" % float(val))
@@ -340,25 +331,29 @@ def run_sweep(
 ) -> ConvergenceReport:
     """Solve the limit system once, then every eps rung, and assemble the report.
 
+    The limit solves use the velocity axis of the grid as their controls. Each
+    eps rung uses ``acceleration_controls(grid, eps, controls)``, so ``controls``
+    is the base acceleration set (default [-8, 8] with 41 points).
     Non-converged or failed rungs are flagged (converged = 0, NaN columns) and
     the sweep continues.
     """
     if variant == "classical":
-        limit = solve_limit_classical(
-            spec, g, grid, mu0, controls, damping, tol_fp, max_iter, substeps
-        )
+        solve_limit = solve_limit_classical
     elif variant == "control":
-        limit = solve_mfg_of_control(
-            spec, g, grid, mu0, controls, damping, tol_fp, max_iter, substeps
-        )
+        solve_limit = solve_mfg_of_control
     else:
         raise InvalidInputError(f"unknown sweep variant {variant!r}")
+    limit = solve_limit(
+        spec, g, grid, mu0,
+        damping=damping, tol_fp=tol_fp, max_iter=max_iter, substeps=substeps,
+    )
 
     rows = []
     for eps in plan.eps_ladder:
         try:
             sol = solve_eps_system(
                 spec, g, grid, mu0, eps,
+                controls=acceleration_controls(grid, eps, controls),
                 damping=damping, tol_fp=tol_fp, max_iter=max_iter,
                 dt_inner_factor=dt_inner_factor,
             )

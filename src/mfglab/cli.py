@@ -15,6 +15,7 @@ import click
 from . import analysis, io
 from .config import RunConfig
 from .errors import MFGLabError
+from .hjb import acceleration_controls
 from .mfg import solve_eps_system, solve_limit_classical, solve_mfg_of_control
 from .model import audit_assumptions
 from .trajectory import eval_cost, minimize_direct, solve_el_bvp
@@ -46,13 +47,9 @@ def _build(ctx):
 @click.option("--config", "config_path", type=click.Path(), default=None, help="JSON run config.")
 @click.option("--out", "out_dir", type=click.Path(), default="out", help="Output directory.")
 @click.option("--seed", type=int, default=None, help="Seed override for sampled measures.")
-@click.option("--threads", type=int, default=None, help="BLAS/OpenMP thread cap.")
 @click.pass_context
-def main(ctx, config_path, out_dir, seed, threads):
+def main(ctx, config_path, out_dir, seed):
     """Solver laboratory for acceleration-penalized mean field games."""
-    if threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(threads)
     ctx.ensure_object(dict)
     ctx.obj.update(config_path=config_path, out_dir=out_dir, seed=seed)
 
@@ -66,14 +63,11 @@ def cmd_solve_eps(ctx, eps):
         click.echo("eps must be positive; use solve-limit for the eps = 0 system", err=True)
         sys.exit(EXIT_CONFIG)
     cfg, spec, g, grid, controls, mu0 = _build(ctx)
-    # widen the control box for small eps: layer accelerations scale as 1/sqrt(eps)
-    a_cap = max(controls.a_max, 0.75 * grid.R_v / eps**0.5)
-    controls = type(controls).symmetric(a_cap, controls.values.size)
     s = cfg.solver
     try:
         sol = solve_eps_system(
             spec, g, grid, mu0, eps,
-            controls=controls,
+            controls=acceleration_controls(grid, eps, controls),
             damping=float(s["damping"]),
             tol_fp=float(s["tol_fp"]),
             max_iter=int(s["max_iter"]),
@@ -99,7 +93,6 @@ def cmd_solve_limit(ctx, kind):
     try:
         sol = solver(
             spec, g, grid, mu0,
-            controls=None,
             damping=float(s["damping"]),
             tol_fp=float(s["tol_fp"]),
             max_iter=int(s["max_iter"]),

@@ -20,8 +20,6 @@ DEFAULTS = {
         "kappa_c": 0.0,
         "sigma": 0.3,
         "M0": 60.0,
-        "theta_bound": 1.0,
-        "coupling": "marginal",
         "terminal": "zero",
         "terminal_amplitude": 1.0,
     },
@@ -141,8 +139,6 @@ class RunConfig:
             kappa_c=float(m["kappa_c"]),
             sigma=float(m["sigma"]),
             M0=float(m["M0"]),
-            theta_bound=float(m["theta_bound"]),
-            coupling=m["coupling"],
         )
 
     def build_terminal(self) -> TerminalCost:

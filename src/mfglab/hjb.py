@@ -119,6 +119,19 @@ class ValueField:
         return float(self.values[k, i])
 
 
+def acceleration_controls(
+    grid: PhaseGrid, eps: float, base: ControlSet | None = None
+) -> ControlSet:
+    """Acceleration set for one eps: the base box (default [-8, 8] with 41 points)
+    widened to 0.75 R_v / sqrt(eps), keeping the base point count.
+
+    The braking layer uses accelerations of order |v - b| / sqrt(eps), so a
+    fixed control box would throttle the layer at small eps.
+    """
+    a_max, n = (8.0, 41) if base is None else (base.a_max, base.values.size)
+    return ControlSet.symmetric(max(a_max, 0.75 * grid.R_v / np.sqrt(eps)), n)
+
+
 def _stencil_1d(q, nodes):
     """Clamped linear-interpolation stencil: base index, fraction, outward excess."""
     h = nodes[1] - nodes[0]
@@ -130,7 +143,7 @@ def _stencil_1d(q, nodes):
 
 
 def _coupling_slice(spec: LagrangianSpec, x, m_flow: MeasureFlow | None, k: int):
-    if m_flow is None or spec.coupling_kind == "none" or spec.coupling_strength == 0.0:
+    if m_flow is None or not spec.is_coupled:
         return np.zeros_like(x)
     return spec.coupling_value(x, m_flow.marginal(k))
 
@@ -157,9 +170,7 @@ def solve_hjb_acceleration(
     if eps <= 0:
         raise InvalidInputError("eps must be positive; use a limit solver for eps = 0")
     if controls is None:
-        # the braking layer uses accelerations of order |v - b| / sqrt(eps), so
-        # a fixed control box would throttle the layer at small eps
-        controls = ControlSet.symmetric(max(8.0, 0.75 * grid.R_v / np.sqrt(eps)), 41)
+        controls = acceleration_controls(grid, eps)
     x, v, t = grid.x, grid.v, grid.t
     dt = grid.dt
     if dt * controls.a_max > 10.0 * max(grid.dx, grid.dv):
@@ -214,27 +225,31 @@ def solve_hjb_acceleration(
     return ValueField(u, grid, eps)
 
 
-def _solve_hjb_in_x(grid, g, terminal_m, controls, control_running, separable_running, pen_rate):
-    """Shared backward sweep in x with velocity controls.
+def _solve_hjb_x(grid, spec, m_flow, g, controls):
+    """Backward sweep on (t, x) with velocity controls b (default: the v axis).
 
-    control_running: (n_b,) cost per unit time for each control.
-    separable_running(k): (n_x,) control-independent cost per unit time at t_k.
-    pen_rate: per-unit-excess boundary penalty, above the value's x-Lipschitz bound.
+    Each node minimizes dt (kinetic(b) + potential(x) + coupling(x, m_t))
+    + Interp u(t+dt, x+dt b); foot points outside the box pay a per-unit-excess
+    penalty above the value's x-Lipschitz bound.
     """
+    if controls is None:
+        controls = ControlSet(grid.v.copy())
     x, t = grid.x, grid.t
     dt = grid.dt
-    n_x, n_t = x.size, t.size
+    n_t = t.size
     b = controls.values
     ix0, fx, ex = _stencil_1d(x[None, :] + dt * b[:, None], x)  # (n_b, n_x)
-    const = dt * control_running[:, None] + pen_rate * ex
+    pen_rate = spec.M0 * (1.0 + grid.T) * (1.0 + grid.R_v**2) + g.dg_bound
+    const = dt * spec.kinetic(b)[:, None] + pen_rate * ex
 
-    u = np.empty((n_t, n_x))
+    u = np.empty((n_t, x.size))
+    terminal_m = None if m_flow is None else m_flow.marginal(n_t - 1)
     u[-1] = np.asarray(g.g(x, terminal_m), dtype=float)
     for k in range(n_t - 2, -1, -1):
         un = u[k + 1]
         cand = (1.0 - fx) * un[ix0] + fx * un[ix0 + 1] + const
-        u[k] = cand.min(axis=0) + dt * separable_running(k)
-    return u
+        u[k] = cand.min(axis=0) + dt * (spec.potential(x) + _coupling_slice(spec, x, m_flow, k))
+    return ValueField(u, grid, 0.0)
 
 
 def solve_hjb_limit_classical(
@@ -245,21 +260,7 @@ def solve_hjb_limit_classical(
     controls: ControlSet | None = None,
 ) -> ValueField:
     """Limit value function on (t, x): minimize dt L0(x, b, m_t) + Interp u(t+dt, x+dt b)."""
-    if m_flow is not None and m_flow.velocities is not None:
-        m_flow = m_flow.marginal_flow()
-    if controls is None:
-        controls = ControlSet(grid.v.copy())
-    x = grid.x
-    terminal_m = None if m_flow is None else m_flow.marginal(grid.t.size - 1)
-
-    def separable(k):
-        return spec.potential(x) + _coupling_slice(spec, x, m_flow, k)
-
-    pen_rate = spec.M0 * (1.0 + grid.T) * (1.0 + grid.R_v**2) + g.dg_bound
-    u = _solve_hjb_in_x(
-        grid, g, terminal_m, controls, spec.kinetic(controls.values), separable, pen_rate
-    )
-    return ValueField(u, grid, 0.0)
+    return _solve_hjb_x(grid, spec, m_flow, g, controls)
 
 
 def solve_hjb_mfg_control(
@@ -269,22 +270,14 @@ def solve_hjb_mfg_control(
     g: TerminalCost,
     controls: ControlSet | None = None,
 ) -> ValueField:
-    """Limit value function of the state-control formulation: running cost b^2/2 + L0(x, mu_t)."""
+    """Limit value function of the state-control formulation: running cost b^2/2 + L0(x, mu_t).
+
+    With the quadratic kinetic term this is the classical-limit sweep, coupled
+    through the position marginal of mu_t.
+    """
     if not spec.is_quadratic_kinetic:
         raise UnsupportedModelError("the state-control limit requires the quadratic kinetic term")
-    if controls is None:
-        controls = ControlSet(grid.v.copy())
-    x = grid.x
-    terminal_m = None if mu_flow is None else mu_flow.marginal(grid.t.size - 1)
-
-    def separable(k):
-        return spec.potential(x) + _coupling_slice(spec, x, mu_flow, k)
-
-    pen_rate = spec.M0 * (1.0 + grid.T) * (1.0 + grid.R_v**2) + g.dg_bound
-    u = _solve_hjb_in_x(
-        grid, g, terminal_m, controls, 0.5 * controls.values**2, separable, pen_rate
-    )
-    return ValueField(u, grid, 0.0)
+    return _solve_hjb_x(grid, spec, mu_flow, g, controls)
 
 
 def gradient_v(field: ValueField) -> np.ndarray:

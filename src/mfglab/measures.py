@@ -1,4 +1,4 @@
-"""Particle measures on the line and on phase space, push-forward, and W1 distances.
+"""Particle measures on the line and on phase space, and W1 distances.
 
 Probability measures are represented by weighted particles: the time-indexed
 measure flow produced by the solvers is the image of the initial ensemble under
@@ -7,13 +7,13 @@ a characteristic flow, which particles realize without numerical diffusion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
 
-from .errors import InvalidInputError, TransportError
+from .errors import InvalidInputError
 
 _WEIGHT_TOL = 1e-12
 
@@ -67,42 +67,6 @@ class ParticleEnsemble:
 
     def uniform_weights(self) -> bool:
         return bool(np.allclose(self.weights, 1.0 / self.size, atol=_WEIGHT_TOL, rtol=0))
-
-
-def marginal_x(mu: ParticleEnsemble) -> ParticleEnsemble:
-    """Project a phase-space ensemble onto its position coordinate."""
-    return ParticleEnsemble(mu.positions, None, mu.weights)
-
-
-def pushforward(mu: ParticleEnsemble, mapping: Callable) -> ParticleEnsemble:
-    """Image measure: apply ``mapping`` to every particle, keeping the weights.
-
-    ``mapping`` takes (x, v) -> (x', v') for joint ensembles and x -> x' for
-    velocity-free ones.
-    """
-    if mu.is_joint:
-        out = mapping(mu.positions, mu.velocities)
-        if not isinstance(out, tuple):
-            raise InvalidInputError("mapping on a joint ensemble must return (x', v')")
-        new_x, new_v = (np.broadcast_to(np.asarray(c, dtype=float), mu.positions.shape) for c in out)
-    else:
-        new_x = np.broadcast_to(np.asarray(mapping(mu.positions), dtype=float), mu.positions.shape)
-        new_v = None
-    bad = ~np.isfinite(new_x)
-    if new_v is not None:
-        bad |= ~np.isfinite(new_v)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise TransportError(f"mapping produced a non-finite image for particle {i}", particle=i)
-    return ParticleEnsemble(np.array(new_x), None if new_v is None else np.array(new_v), mu.weights)
-
-
-def second_moment(mu: ParticleEnsemble) -> float:
-    """Weighted sum of |x|^2 + |v|^2 over the ensemble."""
-    s = float(np.sum(mu.weights * mu.positions**2))
-    if mu.is_joint:
-        s += float(np.sum(mu.weights * mu.velocities**2))
-    return s
 
 
 @dataclass(frozen=True)
@@ -181,6 +145,20 @@ def _w1_quantile(xa, wa, xb, wb):
     qa = xa[np.searchsorted(np.cumsum(wa), mids, side="left").clip(0, xa.size - 1)]
     qb = xb[np.searchsorted(np.cumsum(wb), mids, side="left").clip(0, xb.size - 1)]
     return float(np.sum(seg * np.abs(qa - qb)))
+
+
+def sup_w1_marginal(a: MeasureFlow, b: MeasureFlow) -> float:
+    """sup over time rows of W1 between the position marginals of two flows.
+
+    Equal-count uniform flows pair their sorted rows; others go through the
+    quantile formula row by row.
+    """
+    n = a.n_particles
+    if n == b.n_particles and np.allclose(a.weights, 1.0 / n) and np.allclose(b.weights, 1.0 / n):
+        da = np.abs(np.sort(a.positions, axis=1) - np.sort(b.positions, axis=1))
+        return float(np.max(np.mean(da, axis=1)))
+    rows = zip(a.positions, b.positions)
+    return float(np.max([_w1_quantile(xa, a.weights, xb, b.weights) for xa, xb in rows]))
 
 
 class W1Result(NamedTuple):
@@ -283,40 +261,6 @@ def kernel_smooth_dxx(x, positions, weights, sigma):
     x = np.asarray(x, dtype=float)
     r = x[..., None] - positions
     return np.sum(weights * gaussian_kernel(r, sigma) * ((r / sigma**2) ** 2 - 1.0 / sigma**2), axis=-1)
-
-
-@dataclass(frozen=True)
-class GridDensity:
-    """Nonnegative density sampled on a grid, unit mass under the trapezoid rule."""
-
-    x: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        x = _as_1d(self.x, "x")
-        vals = _as_1d(self.values, "values")
-        if vals.shape != x.shape:
-            raise InvalidInputError("grid and density must have equal length")
-        if np.any(vals < 0):
-            raise InvalidInputError("density must be nonnegative")
-        mass = np.trapezoid(vals, x)
-        if abs(mass - 1.0) > 1e-10:
-            raise InvalidInputError(f"density mass {mass} is not 1 within 1e-10")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "values", vals)
-
-    def __call__(self, xq):
-        return np.interp(xq, self.x, self.values)
-
-
-def smoothed_density(m: ParticleEnsemble, sigma: float, grid: np.ndarray) -> GridDensity:
-    """Gaussian kernel density estimate of a marginal ensemble, renormalized."""
-    if sigma <= 0:
-        raise InvalidInputError("sigma must be positive")
-    grid = _as_1d(grid, "grid")
-    vals = kernel_smooth(grid, m.positions, m.weights, sigma)
-    mass = np.trapezoid(vals, grid)
-    return GridDensity(grid, vals / mass)
 
 
 def lattice_ensemble(n: int, box=((-1.0, 1.0), (-1.0, 1.0))) -> ParticleEnsemble:

@@ -17,6 +17,7 @@ from .hjb import (
     ControlSet,
     PhaseGrid,
     ValueField,
+    gradient_v,
     gradient_x,
     interp_slice_x,
     interp_slice_xv,
@@ -24,7 +25,7 @@ from .hjb import (
     solve_hjb_limit_classical,
     solve_hjb_mfg_control,
 )
-from .measures import MeasureFlow, ParticleEnsemble, wasserstein1_1d
+from .measures import MeasureFlow, ParticleEnsemble, sup_w1_marginal
 from .model import LagrangianSpec, TerminalCost, optimal_velocity_field
 
 
@@ -72,10 +73,8 @@ def transport_eps(
     """
     if eps <= 0:
         raise InvalidInputError("eps must be positive")
-    if not field.is_phase:
-        raise InvalidInputError("transport_eps needs a (t, x, v) value field")
     grid = field.grid
-    dv_field = np.gradient(field.values, grid.dv, axis=2)
+    dv_field = gradient_v(field)
     t = grid.t
     dt = grid.dt
     n_sub = max(1, int(np.ceil(dt / min(dt, eps / dt_inner_factor))))
@@ -96,25 +95,23 @@ def transport_eps(
 
 
 def transport_along_velocity(
-    m0_positions: np.ndarray,
-    weights: np.ndarray,
+    mu0: ParticleEnsemble,
     field: ValueField,
     spec: LagrangianSpec,
     substeps: int = 4,
-):
-    """Push marginal particles along the optimizing velocity b(t, x) of a limit field.
+) -> MeasureFlow:
+    """Push the positions of mu0 along the optimizing velocity b(t, x) of a limit field.
 
-    Returns (positions, velocities) arrays of shape (n_times, n_particles) where
-    velocities[k, i] = b(t_k, x_i(t_k)).
+    The returned flow carries velocities[k, i] = b(t_k, x_i(t_k)).
     """
     grid = field.grid
     b_field = optimal_velocity_field(spec, gradient_x(field))  # (n_t, n_x)
     t = grid.t
     dt = grid.dt
     dti = dt / substeps
-    X = np.empty((t.size, m0_positions.size))
+    X = np.empty((t.size, mu0.size))
     B = np.empty_like(X)
-    X[0] = m0_positions
+    X[0] = mu0.positions
     B[0] = interp_slice_x(b_field[0], grid, X[0])
     for k in range(t.size - 1):
         xc = X[k].copy()
@@ -123,27 +120,43 @@ def transport_along_velocity(
         _check_box(xc, None, grid, t[k + 1])
         X[k + 1] = xc
         B[k + 1] = interp_slice_x(b_field[k + 1], grid, xc)
-    return X, B
+    return MeasureFlow(t, X, B, mu0.weights)
 
 
-def _sup_t_marginal_gap(Xa, Xb, weights):
-    """sup over time nodes of W1 between the marginal ensembles of two path arrays."""
-    n = Xa.shape[1]
-    if np.allclose(weights, 1.0 / n):
-        return float(np.max(np.mean(np.abs(np.sort(Xa, axis=1) - np.sort(Xb, axis=1)), axis=1)))
-    gaps = [
-        wasserstein1_1d(
-            ParticleEnsemble(Xa[k], None, weights), ParticleEnsemble(Xb[k], None, weights)
-        )
-        for k in range(Xa.shape[0])
-    ]
-    return float(np.max(gaps))
-
-
-def _sup_t_paired_joint_gap(Xa, Va, Xb, Vb, weights):
+def _paired_joint_gap(a: MeasureFlow, b: MeasureFlow) -> float:
     """Paired-transport upper bound on sup_t d1 for joint flows sharing particles."""
-    per_t = np.sum(weights * (np.abs(Xa - Xb) + np.abs(Va - Vb)), axis=1)
+    dist = np.abs(a.positions - b.positions) + np.abs(a.velocities - b.velocities)
+    per_t = np.sum(a.weights * dist, axis=1)
     return float(np.max(per_t))
+
+
+def _picard(spec, solve_value, transport, gap, init_flow, damping, tol_fp, max_iter, kind):
+    """Damped Picard iteration shared by every driver.
+
+    solve_value(flow) gives the value field against a measure flow (None when
+    the model is decoupled, which closes in one pass), transport(u) the flow it
+    induces, gap(new, old) the fixed-point distance, and init_flow() the first
+    iterate. Mixing is a convex combination of particle paths sharing the
+    initial ensemble.
+    """
+    if not spec.is_coupled:
+        u = solve_value(None)
+        return MFGSolution(u, transport(u), 1, 0.0, (0.0,), True, kind)
+    flow = init_flow()
+    history = []
+    for it in range(1, max_iter + 1):
+        u = solve_value(flow)
+        new = transport(u)
+        X = (1.0 - damping) * flow.positions + damping * new.positions
+        V = None
+        if flow.velocities is not None:
+            V = (1.0 - damping) * flow.velocities + damping * new.velocities
+        mixed = MeasureFlow(flow.times, X, V, flow.weights)
+        history.append(gap(mixed, flow))
+        flow = mixed
+        if history[-1] < tol_fp:
+            return MFGSolution(u, flow, it, history[-1], tuple(history), True, kind)
+    return MFGSolution(u, flow, max_iter, history[-1], tuple(history), False, kind)
 
 
 def solve_eps_system(
@@ -161,25 +174,14 @@ def solve_eps_system(
     """Damped Picard iteration for the penalized system."""
     if eps <= 0:
         raise InvalidInputError("eps must be positive")
-    decoupled = spec.coupling_kind == "none" or spec.coupling_strength == 0.0
-    if decoupled:
-        u = solve_hjb_acceleration(grid, spec, None, g, eps, controls)
-        flow = transport_eps(mu0, u, eps, dt_inner_factor)
-        return MFGSolution(u, flow, 1, 0.0, (0.0,), True, "eps_system")
-    flow = free_transport_flow(mu0, grid)
-    history = []
-    u = None
-    for it in range(1, max_iter + 1):
-        u = solve_hjb_acceleration(grid, spec, flow, g, eps, controls)
-        new = transport_eps(mu0, u, eps, dt_inner_factor)
-        Xm = (1.0 - damping) * flow.positions + damping * new.positions
-        Vm = (1.0 - damping) * flow.velocities + damping * new.velocities
-        gap = _sup_t_marginal_gap(Xm, flow.positions, mu0.weights)
-        flow = MeasureFlow(grid.t, Xm, Vm, mu0.weights)
-        history.append(gap)
-        if gap < tol_fp:
-            return MFGSolution(u, flow, it, gap, tuple(history), True, "eps_system")
-    return MFGSolution(u, flow, max_iter, history[-1], tuple(history), False, "eps_system")
+    return _picard(
+        spec,
+        lambda flow: solve_hjb_acceleration(grid, spec, flow, g, eps, controls),
+        lambda u: transport_eps(mu0, u, eps, dt_inner_factor),
+        sup_w1_marginal,
+        lambda: free_transport_flow(mu0, grid),
+        damping, tol_fp, max_iter, "eps_system",
+    )
 
 
 def solve_limit_classical(
@@ -195,27 +197,19 @@ def solve_limit_classical(
 ) -> MFGSolution:
     """Classical limit system: value on (t, x), marginal particles transported
     along the optimizing velocity."""
-    m0_pos = mu0.positions
-    decoupled = spec.coupling_kind == "none" or spec.coupling_strength == 0.0
-    if decoupled:
-        u = solve_hjb_limit_classical(grid, spec, None, g, controls)
-        X, _ = transport_along_velocity(m0_pos, mu0.weights, u, spec, substeps)
-        flow = MeasureFlow(grid.t, X, None, mu0.weights)
-        return MFGSolution(u, flow, 1, 0.0, (0.0,), True, "classical_limit")
-    X = np.broadcast_to(m0_pos, (grid.t.size, m0_pos.size)).copy()
-    flow = MeasureFlow(grid.t, X, None, mu0.weights)
-    history = []
-    u = None
-    for it in range(1, max_iter + 1):
-        u = solve_hjb_limit_classical(grid, spec, flow, g, controls)
-        Xn, _ = transport_along_velocity(m0_pos, mu0.weights, u, spec, substeps)
-        Xm = (1.0 - damping) * flow.positions + damping * Xn
-        gap = _sup_t_marginal_gap(Xm, flow.positions, mu0.weights)
-        flow = MeasureFlow(grid.t, Xm, None, mu0.weights)
-        history.append(gap)
-        if gap < tol_fp:
-            return MFGSolution(u, flow, it, gap, tuple(history), True, "classical_limit")
-    return MFGSolution(u, flow, max_iter, history[-1], tuple(history), False, "classical_limit")
+
+    def init_flow():
+        X = np.broadcast_to(mu0.positions, (grid.t.size, mu0.size)).copy()
+        return MeasureFlow(grid.t, X, None, mu0.weights)
+
+    return _picard(
+        spec,
+        lambda flow: solve_hjb_limit_classical(grid, spec, flow, g, controls),
+        lambda u: transport_along_velocity(mu0, u, spec, substeps).marginal_flow(),
+        sup_w1_marginal,
+        init_flow,
+        damping, tol_fp, max_iter, "classical_limit",
+    )
 
 
 def solve_mfg_of_control(
@@ -238,26 +232,16 @@ def solve_mfg_of_control(
         raise UnsupportedModelError("the state-control limit requires the quadratic kinetic term")
 
     def reconstruct(u):
-        X, B = transport_along_velocity(mu0.positions, mu0.weights, u, spec, substeps)
-        V = B.copy()
-        V[0] = mu0.velocities  # initial condition takes precedence over reconstruction
-        return MeasureFlow(grid.t, X, V, mu0.weights)
+        flow = transport_along_velocity(mu0, u, spec, substeps)
+        # the initial condition takes precedence over the reconstruction
+        flow.velocities[0] = mu0.velocities
+        return flow
 
-    decoupled = spec.coupling_kind == "none" or spec.coupling_strength == 0.0
-    if decoupled:
-        u = solve_hjb_mfg_control(grid, spec, None, g, controls)
-        return MFGSolution(u, reconstruct(u), 1, 0.0, (0.0,), True, "mfg_of_control")
-    flow = free_transport_flow(mu0, grid)
-    history = []
-    u = None
-    for it in range(1, max_iter + 1):
-        u = solve_hjb_mfg_control(grid, spec, flow, g, controls)
-        new = reconstruct(u)
-        Xm = (1.0 - damping) * flow.positions + damping * new.positions
-        Vm = (1.0 - damping) * flow.velocities + damping * new.velocities
-        gap = _sup_t_paired_joint_gap(Xm, Vm, flow.positions, flow.velocities, mu0.weights)
-        flow = MeasureFlow(grid.t, Xm, Vm, mu0.weights)
-        history.append(gap)
-        if gap < tol_fp:
-            return MFGSolution(u, flow, it, gap, tuple(history), True, "mfg_of_control")
-    return MFGSolution(u, flow, max_iter, history[-1], tuple(history), False, "mfg_of_control")
+    return _picard(
+        spec,
+        lambda flow: solve_hjb_mfg_control(grid, spec, flow, g, controls),
+        reconstruct,
+        _paired_joint_gap,
+        lambda: free_transport_flow(mu0, grid),
+        damping, tol_fp, max_iter, "mfg_of_control",
+    )

@@ -12,7 +12,7 @@ audit is what gives the downstream a-priori bounds their constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -36,49 +36,41 @@ class LagrangianSpec:
     potential: Callable
     potential_d: Callable
     potential_dd: Callable
-    coupling_kind: str = "none"  # none | marginal | joint
     coupling_strength: float = 0.0
     coupling_sigma: float = 0.3
     M0: float = 60.0
-    theta_bound: float = 1.0
     kinetic_name: str = "quadratic"
 
     def __post_init__(self):
-        if self.coupling_kind not in ("none", "marginal", "joint"):
-            raise InvalidInputError(f"unknown coupling kind {self.coupling_kind!r}")
-        if self.coupling_strength < 0 or self.M0 <= 0 or self.theta_bound < 0:
-            raise InvalidInputError("coupling_strength, M0, theta_bound must be admissible")
+        if self.coupling_strength < 0 or self.M0 <= 0:
+            raise InvalidInputError("coupling_strength, M0 must be admissible")
 
     @property
     def is_quadratic_kinetic(self) -> bool:
         return self.kinetic_name == "quadratic"
 
+    @property
+    def is_coupled(self) -> bool:
+        """Whether the running cost depends on the measure (the position marginal)."""
+        return self.coupling_strength > 0
+
     # -- coupling -------------------------------------------------------------
 
-    def _coupling_particles(self, m):
-        if m is None:
-            return None
-        if isinstance(m, ParticleEnsemble):
-            return m.positions, m.weights
-        raise InvalidInputError("measure handle must be a ParticleEnsemble or None")
+    def _coupling(self, kernel, x, m):
+        if not self.is_coupled or m is None:
+            return np.zeros_like(np.asarray(x, dtype=float))
+        if not isinstance(m, ParticleEnsemble):
+            raise InvalidInputError("measure handle must be a ParticleEnsemble or None")
+        return self.coupling_strength * kernel(x, m.positions, m.weights, self.coupling_sigma)
 
     def coupling_value(self, x, m):
-        if self.coupling_kind == "none" or self.coupling_strength == 0.0 or m is None:
-            return np.zeros_like(np.asarray(x, dtype=float))
-        pos, w = self._coupling_particles(m)
-        return self.coupling_strength * measures.kernel_smooth(x, pos, w, self.coupling_sigma)
+        return self._coupling(measures.kernel_smooth, x, m)
 
     def coupling_dx(self, x, m):
-        if self.coupling_kind == "none" or self.coupling_strength == 0.0 or m is None:
-            return np.zeros_like(np.asarray(x, dtype=float))
-        pos, w = self._coupling_particles(m)
-        return self.coupling_strength * measures.kernel_smooth_dx(x, pos, w, self.coupling_sigma)
+        return self._coupling(measures.kernel_smooth_dx, x, m)
 
     def coupling_dxx(self, x, m):
-        if self.coupling_kind == "none" or self.coupling_strength == 0.0 or m is None:
-            return np.zeros_like(np.asarray(x, dtype=float))
-        pos, w = self._coupling_particles(m)
-        return self.coupling_strength * measures.kernel_smooth_dxx(x, pos, w, self.coupling_sigma)
+        return self._coupling(measures.kernel_smooth_dxx, x, m)
 
 
 @dataclass(frozen=True)
@@ -89,11 +81,7 @@ class TerminalCost:
     dg: Callable
     dg_bound: float = 0.0
     g_inf: float = 0.0
-    measure_lipschitz: float = 0.0
     dgg: Callable | None = None
-
-    def measure_modulus(self, r):
-        return self.measure_lipschitz * np.asarray(r, dtype=float)
 
     def second_derivative(self, x, m=None):
         if self.dgg is not None:
@@ -142,27 +130,19 @@ def legendre_transform(spec: LagrangianSpec, x, p, m=None, v_max=None) -> Hamilt
     for _ in range(LEGENDRE_NEWTON_MAXITER):
         f = spec.kinetic_d(v) + p
         if abs(f) < LEGENDRE_NEWTON_TOL:
-            break
+            h0 = float(-p * v - eval_L0(spec, x, v, m))
+            return HamiltonianEval(h0, float(v))
         fp = spec.kinetic_dd(v)
         if fp <= 0:
             break
         v = v - f / fp
         if abs(spec.kinetic_d(v) + p) < best_res:
             best_v, best_res = v, abs(spec.kinetic_d(v) + p)
-    else:
-        raise NumericalError(
-            f"Legendre Newton refinement stalled at residual {best_res:.3e}",
-            best=HamiltonianEval(float(-p * best_v - eval_L0(spec, x, best_v, m)), best_v),
-            residual=best_res,
-        )
-    if abs(spec.kinetic_d(v) + p) >= LEGENDRE_NEWTON_TOL:
-        raise NumericalError(
-            f"Legendre Newton refinement stalled at residual {best_res:.3e}",
-            best=HamiltonianEval(float(-p * best_v - eval_L0(spec, x, best_v, m)), best_v),
-            residual=best_res,
-        )
-    h0 = float(-p * v - eval_L0(spec, x, v, m))
-    return HamiltonianEval(h0, float(v))
+    raise NumericalError(
+        f"Legendre Newton refinement stalled at residual {best_res:.3e}",
+        best=HamiltonianEval(float(-p * best_v - eval_L0(spec, x, best_v, m)), best_v),
+        residual=best_res,
+    )
 
 
 def optimal_velocity_field(spec: LagrangianSpec, u_grad_x, m=None):
@@ -234,57 +214,41 @@ def make_lagrangian(
     kappa_c: float = 0.0,
     sigma: float = 0.3,
     M0: float = 60.0,
-    theta_bound: float = 1.0,
-    coupling: str = "marginal",
 ) -> LagrangianSpec:
     """Built-in Lagrangian catalog; user models enter through parameters only."""
-    kind = coupling if kappa_c > 0 else "none"
-    if name == "quadratic":
-        return LagrangianSpec(
-            kinetic=lambda v: 0.5 * v**2,
-            kinetic_d=lambda v: np.asarray(v, dtype=float),
-            kinetic_dd=lambda v: np.ones_like(np.asarray(v, dtype=float)),
-            potential=lambda x: kappa_pot * 0.5 * x**2,
-            potential_d=lambda x: kappa_pot * np.asarray(x, dtype=float),
-            potential_dd=lambda x: kappa_pot * np.ones_like(np.asarray(x, dtype=float)),
-            coupling_kind=kind,
-            coupling_strength=kappa_c,
-            coupling_sigma=sigma,
-            M0=M0,
-            theta_bound=theta_bound,
-            kinetic_name="quadratic",
-        )
-    if name == "quartic":
-        return LagrangianSpec(
-            kinetic=lambda v: 0.25 * v**4 + 0.5 * v**2,
-            kinetic_d=lambda v: v**3 + v,
-            kinetic_dd=lambda v: 3.0 * v**2 + 1.0,
-            potential=lambda x: kappa_pot * 0.5 * x**2,
-            potential_d=lambda x: kappa_pot * np.asarray(x, dtype=float),
-            potential_dd=lambda x: kappa_pot * np.ones_like(np.asarray(x, dtype=float)),
-            coupling_kind=kind,
-            coupling_strength=kappa_c,
-            coupling_sigma=sigma,
-            M0=M0,
-            theta_bound=theta_bound,
-            kinetic_name="quartic",
-        )
-    if name == "cosine":
-        return LagrangianSpec(
-            kinetic=lambda v: 0.5 * v**2,
-            kinetic_d=lambda v: np.asarray(v, dtype=float),
-            kinetic_dd=lambda v: np.ones_like(np.asarray(v, dtype=float)),
-            potential=lambda x: kappa_pot * (1.0 + np.cos(x)),
-            potential_d=lambda x: -kappa_pot * np.sin(x),
-            potential_dd=lambda x: -kappa_pot * np.cos(x),
-            coupling_kind=kind,
-            coupling_strength=kappa_c,
-            coupling_sigma=sigma,
-            M0=M0,
-            theta_bound=theta_bound,
-            kinetic_name="quadratic",
-        )
-    raise UnsupportedModelError(f"unknown catalog model {name!r}")
+    quadratic = dict(
+        kinetic=lambda v: 0.5 * v**2,
+        kinetic_d=lambda v: np.asarray(v, dtype=float),
+        kinetic_dd=lambda v: np.ones_like(np.asarray(v, dtype=float)),
+        kinetic_name="quadratic",
+    )
+    quartic = dict(
+        kinetic=lambda v: 0.25 * v**4 + 0.5 * v**2,
+        kinetic_d=lambda v: v**3 + v,
+        kinetic_dd=lambda v: 3.0 * v**2 + 1.0,
+        kinetic_name="quartic",
+    )
+    harmonic = dict(
+        potential=lambda x: kappa_pot * 0.5 * x**2,
+        potential_d=lambda x: kappa_pot * np.asarray(x, dtype=float),
+        potential_dd=lambda x: kappa_pot * np.ones_like(np.asarray(x, dtype=float)),
+    )
+    cosine = dict(
+        potential=lambda x: kappa_pot * (1.0 + np.cos(x)),
+        potential_d=lambda x: -kappa_pot * np.sin(x),
+        potential_dd=lambda x: -kappa_pot * np.cos(x),
+    )
+    catalog = {
+        "quadratic": (quadratic, harmonic),
+        "quartic": (quartic, harmonic),
+        "cosine": (quadratic, cosine),
+    }
+    if name not in catalog:
+        raise UnsupportedModelError(f"unknown catalog model {name!r}")
+    kinetic, potential = catalog[name]
+    return LagrangianSpec(
+        **kinetic, **potential, coupling_strength=kappa_c, coupling_sigma=sigma, M0=M0
+    )
 
 
 def make_terminal(name: str = "zero", amplitude: float = 1.0) -> TerminalCost:

@@ -8,7 +8,7 @@ optima cross-validate each other to optimizer tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -108,20 +108,17 @@ def _flow_index_map(m_flow: MeasureFlow | None, t_samples: np.ndarray):
     return np.argmin(np.abs(m_flow.times[None, :] - t_samples[:, None]), axis=1)
 
 
-def _coupling_terms(spec, m_flow, idx_map, x_samples, want_dx=False):
-    """Coupling value (and optionally its x-derivative) sample-wise, with the
-    measure looked up at the nearest flow time."""
-    val = np.zeros_like(x_samples)
-    dval = np.zeros_like(x_samples) if want_dx else None
-    if m_flow is None or spec.coupling_kind == "none" or spec.coupling_strength == 0.0:
-        return val, dval
+def _coupling_samples(spec, m_flow, idx_map, x_samples, order=0):
+    """Coupling value (order 0) or its first or second x-derivative sample-wise,
+    with the measure looked up at the nearest flow time."""
+    out = np.zeros_like(x_samples)
+    if m_flow is None or not spec.is_coupled:
+        return out
+    coupling = (spec.coupling_value, spec.coupling_dx, spec.coupling_dxx)[order]
     for k in np.unique(idx_map):
         sel = idx_map == k
-        m_k = m_flow.marginal(int(k))
-        val[sel] = spec.coupling_value(x_samples[sel], m_k)
-        if want_dx:
-            dval[sel] = spec.coupling_dx(x_samples[sel], m_k)
-    return val, dval
+        out[sel] = coupling(x_samples[sel], m_flow.marginal(int(k)))
+    return out
 
 
 def _terminal_measure(m_flow):
@@ -139,7 +136,7 @@ def eval_cost(
     vel = gamma.velocity
     acc = gamma.acceleration
     idx = _flow_index_map(m_flow, gamma.t)
-    coup, _ = _coupling_terms(spec, m_flow, idx, gamma.x)
+    coup = _coupling_samples(spec, m_flow, idx, gamma.x)
     running = 0.5 * eps * acc**2 + spec.kinetic(vel) + spec.potential(gamma.x) + coup
     return float(np.trapezoid(running, gamma.t) + g.g(gamma.x[-1], _terminal_measure(m_flow)))
 
@@ -205,9 +202,9 @@ def minimize_direct(
     def objective(z):
         gam = curve_of(z)
         vel = D1 @ gam
-        coup, coup_dx = _coupling_terms(spec, m_flow, idx, gam, want_dx=True)
+        coup = _coupling_samples(spec, m_flow, idx, gam)
         running = spec.kinetic(vel) + spec.potential(gam) + coup
-        dLdx = spec.potential_d(gam) + (coup_dx if coup_dx is not None else 0.0)
+        dLdx = spec.potential_d(gam) + _coupling_samples(spec, m_flow, idx, gam, 1)
         dLdv = spec.kinetic_d(vel)
         grad = h * (D1.T @ (w * dLdv) + w * dLdx)
         if eps > 0:
@@ -232,8 +229,7 @@ def minimize_direct(
     def grad_gamma_of(gam):
         # stationarity in the curve variables, matching the BVP residual scale
         vel = D1 @ gam
-        coup, coup_dx = _coupling_terms(spec, m_flow, idx, gam, want_dx=True)
-        dLdx = spec.potential_d(gam) + (coup_dx if coup_dx is not None else 0.0)
+        dLdx = spec.potential_d(gam) + _coupling_samples(spec, m_flow, idx, gam, 1)
         grad = h * (D1.T @ (w * spec.kinetic_d(vel)) + w * dLdx)
         if eps > 0:
             grad = grad + h * eps * (D2.T @ (w * (D2 @ gam)))
@@ -241,7 +237,7 @@ def minimize_direct(
 
     def hess_free(gam):
         vel = D1 @ gam
-        curv = spec.potential_dd(gam) + _coupling_dxx_samples(spec, m_flow, idx, gam)
+        curv = spec.potential_dd(gam) + _coupling_samples(spec, m_flow, idx, gam, 2)
         H = h * (D1.T @ sp.diags(w * spec.kinetic_dd(vel)) @ D1 + sp.diags(w * curv))
         if eps > 0:
             H = H + h * eps * (D2.T @ W @ D2)
@@ -275,7 +271,7 @@ def minimize_direct(
 
     grad_norm = float(np.max(np.abs(G[free])) / h)
     curve = Curve(t, gam)
-    coup, _ = _coupling_terms(spec, m_flow, idx, gam)
+    coup = _coupling_samples(spec, m_flow, idx, gam)
     running = spec.kinetic(D1 @ gam) + spec.potential(gam) + coup
     if eps > 0:
         running = running + 0.5 * eps * (D2 @ gam) ** 2
@@ -331,12 +327,11 @@ def solve_el_bvp(
     gam[0], gam[1] = x, x + h * v
 
     def grad_full(gam):
-        coup, coup_dx = _coupling_terms(spec, mu_flow, idx, gam, want_dx=True)
-        dLdx = spec.potential_d(gam) + (coup_dx if coup_dx is not None else 0.0)
+        dLdx = spec.potential_d(gam) + _coupling_samples(spec, mu_flow, idx, gam, 1)
         return K @ gam + h * (w * dLdx) + e_last * float(g.dg(gam[-1], m_T))
 
     def hess_free(gam):
-        curv = spec.potential_dd(gam) + _coupling_dxx_samples(spec, mu_flow, idx, gam)
+        curv = spec.potential_dd(gam) + _coupling_samples(spec, mu_flow, idx, gam, 2)
         H = K + sp.diags(h * w * curv)
         H = H + sp.csr_matrix(
             ([float(g.second_derivative(gam[-1], m_T))], ([M - 1], [M - 1])), shape=(M, M)
@@ -389,16 +384,6 @@ def solve_el_bvp(
     )
 
 
-def _coupling_dxx_samples(spec, mu_flow, idx_map, x_samples):
-    out = np.zeros_like(x_samples)
-    if mu_flow is None or spec.coupling_kind == "none" or spec.coupling_strength == 0.0:
-        return out
-    for k in np.unique(idx_map):
-        sel = idx_map == k
-        out[sel] = spec.coupling_dxx(x_samples[sel], mu_flow.marginal(int(k)))
-    return out
-
-
 def connecting_curve(x: float, v0: float, v1: float, eps: float, M: int = 101) -> Curve:
     """Cubic returning to x on [0, sqrt(eps)] that swaps velocity v0 for v1."""
     if eps <= 0:
@@ -428,8 +413,7 @@ def el_residual(gamma: Curve, eps: float, spec: LagrangianSpec, mu_flow, g: Term
     D1 = d1_matrix(M, h)
     D2 = d2_matrix(M, h)
     idx = _flow_index_map(mu_flow, gamma.t)
-    coup, coup_dx = _coupling_terms(spec, mu_flow, idx, gamma.x, want_dx=True)
-    dLdx = spec.potential_d(gamma.x) + (coup_dx if coup_dx is not None else 0.0)
+    dLdx = spec.potential_d(gamma.x) + _coupling_samples(spec, mu_flow, idx, gamma.x, 1)
     dLdv = spec.kinetic_d(D1 @ gamma.x)
     G = h * (eps * (D2.T @ (w * (D2 @ gamma.x))) + D1.T @ (w * dLdv) + w * dLdx)
     G[-1] += float(g.dg(gamma.x[-1], _terminal_measure(mu_flow)))

@@ -5,9 +5,30 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from mfglab import (
+    RunConfig,
+    acceleration_controls,
+    run_sweep,
+    solve_eps_system,
+    solve_limit_classical,
+    solve_mfg_of_control,
+    sup_marginal_gap,
+    sup_value_gap,
+)
 from mfglab.cli import main
+from mfglab.io import value_csv
 
 SMALL_CFG = {
+    "grid": {"N_x": 41, "N_v": 31, "N_t": 51, "N_a": 21},
+    "measure": {"kind": "gaussian", "n": 64, "seed": 3},
+    "solver": {"max_iter": 40},
+    "sweep": {"eps_ladder": [0.5, 0.2, 0.1]},
+}
+
+
+# the configuration of the criterion-9 acceptance test
+CRITERION_9_CFG = {
+    "model": {"kappa_c": 0.5},
     "grid": {"N_x": 41, "N_v": 31, "N_t": 51, "N_a": 21},
     "measure": {"kind": "gaussian", "n": 64, "seed": 3},
     "solver": {"max_iter": 40},
@@ -155,3 +176,52 @@ def test_bad_config_rejected(runner, tmp_path):
     res = runner.invoke(main, ["--config", str(cfg), "audit"])
     assert res.exit_code == 2
     assert "config error" in res.output
+
+
+@pytest.mark.parametrize("variant", ["classical", "control"])
+def test_cli_matches_api(runner, tmp_path, variant):
+    """sweep and solve-eps give the API's bytes, and the sweep's rungs agree with them."""
+    data = json.loads(json.dumps(CRITERION_9_CFG))
+    data["sweep"]["variant"] = variant
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    cfg = RunConfig.from_dict(data)
+    spec, g, grid = cfg.build_spec(), cfg.build_terminal(), cfg.build_grid()
+    mu0, plan, s = cfg.build_mu0(seed=11), cfg.build_plan(), cfg.solver
+    solver = dict(damping=float(s["damping"]), tol_fp=float(s["tol_fp"]), max_iter=int(s["max_iter"]))
+
+    out = tmp_path / "sweep"
+    res = runner.invoke(main, ["--config", str(path), "--out", str(out), "--seed", "11", "sweep"])
+    assert res.exit_code == 0, res.output
+    report = run_sweep(
+        plan, spec, g, grid, mu0,
+        variant=variant,
+        controls=cfg.build_controls(),
+        substeps=int(s["substeps"]),
+        dt_inner_factor=float(s["dt_inner_factor"]),
+        **solver,
+    )
+    assert (out / "report.csv").read_text() == report.to_csv()
+    assert (out / "rates.json").read_text() == report.rates_json()
+
+    out = tmp_path / "eps"
+    res = runner.invoke(
+        main, ["--config", str(path), "--out", str(out), "--seed", "11", "solve-eps", "--eps", "0.2"]
+    )
+    assert res.exit_code == 0, res.output
+    sol = solve_eps_system(
+        spec, g, grid, mu0, 0.2,
+        controls=acceleration_controls(grid, 0.2, cfg.build_controls()),
+        dt_inner_factor=float(s["dt_inner_factor"]),
+        **solver,
+    )
+    assert (out / "value.csv").read_text() == value_csv(sol.value)
+
+    # the sweep's eps = 0.2 rung is that solve, compared with the solve-limit answer
+    solve_limit = solve_limit_classical if variant == "classical" else solve_mfg_of_control
+    limit = solve_limit(spec, g, grid, mu0, substeps=int(s["substeps"]), **solver)
+    row = report.rows[plan.eps_ladder.index(0.2)]
+    assert row["sup_u_gap"] == sup_value_gap(sol.value, limit.value, plan.box_radius)
+    assert row["sup_d1_marginal"] == sup_marginal_gap(
+        sol.flow.marginal_flow(), limit.flow.marginal_flow()
+    )

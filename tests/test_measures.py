@@ -1,16 +1,10 @@
-"""Particle ensembles, push-forward, kernel densities, and W1 distances."""
+"""Particle ensembles, kernel smoothing, and W1 distances."""
 
 import numpy as np
 import pytest
 
 from mfglab import (
-    GridDensity,
     InvalidInputError,
-    TransportError,
-    marginal_x,
-    pushforward,
-    second_moment,
-    smoothed_density,
     wasserstein1_1d,
     wasserstein1_joint,
 )
@@ -32,43 +26,6 @@ def test_ensemble_validation():
         ParticleEnsemble(np.array([0.0, 1.0]), weights=np.array([0.5, 0.6]))
     with pytest.raises(InvalidInputError):
         ParticleEnsemble(np.array([0.0, 1.0]), np.array([0.0]))
-
-
-def test_marginal_projection():
-    mu = ParticleEnsemble(np.array([1.0]), np.array([9.0]))
-    m = marginal_x(mu)
-    assert not m.is_joint
-    assert m.positions[0] == 1.0 and m.weights[0] == 1.0
-
-
-def test_marginal_preserves_weights_and_moments():
-    mu = ParticleEnsemble(
-        np.array([0.5, -1.0]), np.array([2.0, 3.0]), np.array([0.3, 0.7])
-    )
-    m = marginal_x(mu)
-    assert np.allclose(m.weights, [0.3, 0.7])
-    assert second_moment(m) == pytest.approx(0.3 * 0.25 + 0.7 * 1.0)
-
-
-def test_pushforward_identity_and_shift():
-    mu = ParticleEnsemble(np.array([0.0]))
-    assert pushforward(mu, lambda x: x).positions[0] == 0.0
-    assert pushforward(mu, lambda x: x + 1.0).positions[0] == 1.0
-
-
-def test_pushforward_phase_map():
-    mu = ParticleEnsemble(np.array([1.0, -2.0]), np.array([0.5, 1.0]))
-    out = pushforward(mu, lambda x, v: (x + v, v))
-    assert np.allclose(out.positions, [1.5, -1.0])
-    assert np.allclose(out.velocities, [0.5, 1.0])
-    assert np.allclose(out.weights, mu.weights)
-
-
-def test_pushforward_nonfinite_names_particle():
-    mu = ParticleEnsemble(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
-    with pytest.raises(TransportError) as err:
-        pushforward(mu, lambda x, v: (np.where(x > 0.5, np.inf, x), v))
-    assert err.value.particle == 1
 
 
 def test_w1_1d_examples():
@@ -169,25 +126,6 @@ def test_duality_lower_bound():
         assert gap <= wasserstein1_1d(a, b) + 1e-10
 
 
-def test_second_moment_examples():
-    assert second_moment(_delta(0.0, 0.0)) == 0.0
-    assert second_moment(_delta(1.0, 2.0)) == pytest.approx(5.0)
-    mu = ParticleEnsemble(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    assert second_moment(mu) == pytest.approx(1.0)
-
-
-def test_second_moment_affine_consistency():
-    rng = np.random.default_rng(11)
-    mu = ParticleEnsemble(rng.normal(size=30), rng.normal(size=30))
-    out = pushforward(mu, lambda x, v: (2.0 * x + 1.0, v))
-    w = mu.weights
-    expected = float(
-        np.sum(w * (2.0 * mu.positions + 1.0) ** 2) + np.sum(w * mu.velocities**2)
-    )
-    assert second_moment(out) == pytest.approx(expected, rel=1e-13)
-    assert out.weights.sum() == pytest.approx(1.0, abs=1e-15)
-
-
 def test_smoothed_density_kernel_value():
     m = ParticleEnsemble(np.array([0.0]))
     assert kernel_smooth(0.0, m.positions, m.weights, 1.0) == pytest.approx(
@@ -195,32 +133,11 @@ def test_smoothed_density_kernel_value():
     )
 
 
-def test_smoothed_density_symmetry_and_mass():
-    m = ParticleEnsemble(np.array([-1.0, 1.0]))
-    grid = np.linspace(-6.0, 6.0, 601)
-    dens = smoothed_density(m, 0.5, grid)
-    assert np.allclose(dens.values, dens.values[::-1], atol=1e-12)
-    assert np.trapezoid(dens.values, grid) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_smoothed_density_monte_carlo():
     rng = np.random.default_rng(12)
     m = ParticleEnsemble(rng.normal(size=1000))
     grid = np.linspace(-5.0, 5.0, 1001)
-    dens = smoothed_density(m, 0.3, grid)
+    dens = kernel_smooth(grid, m.positions, m.weights, 0.3)
     truth = np.exp(-0.5 * grid**2) / np.sqrt(2.0 * np.pi)
-    l1 = np.trapezoid(np.abs(dens.values - truth), grid)
+    l1 = np.trapezoid(np.abs(dens - truth), grid)
     assert l1 < 0.1
-
-
-def test_smoothed_density_requires_positive_sigma():
-    with pytest.raises(InvalidInputError):
-        smoothed_density(_delta(0.0), 0.0, np.linspace(-1, 1, 11))
-
-
-def test_grid_density_validation():
-    x = np.linspace(0.0, 1.0, 11)
-    with pytest.raises(InvalidInputError):
-        GridDensity(x, -np.ones(11))
-    with pytest.raises(InvalidInputError):
-        GridDensity(x, np.ones(11) * 2.0)

@@ -20,8 +20,8 @@ from mfglab import (
     wasserstein1_joint,
 )
 from mfglab.hjb import solve_hjb_acceleration
-from mfglab.measures import ParticleEnsemble
-from mfglab.mfg import _sup_t_marginal_gap, free_transport_flow
+from mfglab.measures import ParticleEnsemble, sup_w1_marginal
+from mfglab.mfg import free_transport_flow
 
 from oracles import lq_limit_feedback, lq_limit_path
 
@@ -91,7 +91,7 @@ def test_coupled_system_fixed_point_certificate():
     # one extra full iteration moves the flow by < 2 tol
     u2 = solve_hjb_acceleration(SMALL, spec, sol.flow, ZERO_G, 0.1)
     new = transport_eps(mu0, u2, 0.1)
-    moved = _sup_t_marginal_gap(new.positions, sol.flow.positions, mu0.weights)
+    moved = sup_w1_marginal(new, sol.flow)
     assert moved < 2 * tol
     # re-solving the value problem with the returned flow barely changes u
     assert np.max(np.abs(u2.values - sol.value.values)) < 1e-2

@@ -182,8 +182,6 @@ def test_unknown_catalog_model():
 def test_spec_validation():
     with pytest.raises(InvalidInputError):
         make_lagrangian("quadratic", M0=-1.0)
-    with pytest.raises(InvalidInputError):
-        make_lagrangian("quadratic", kappa_c=1.0, coupling="weird")
 
 
 def test_constant_lagrangian_helper():
