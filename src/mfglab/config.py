@@ -11,7 +11,7 @@ from .analysis import SweepPlan
 from .errors import ConfigurationError
 from .hjb import ControlSet, PhaseGrid
 from .measures import ParticleEnsemble, gaussian_ensemble, lattice_ensemble
-from .model import LagrangianSpec, TerminalCost, make_lagrangian, make_terminal
+from .model import MODELS, TERMINALS, LagrangianSpec, TerminalCost, make_lagrangian, make_terminal
 
 DEFAULTS = {
     "model": {
@@ -103,6 +103,10 @@ class RunConfig:
         return cls.from_dict({})
 
     def validate(self):
+        if self.model["name"] not in MODELS:
+            raise ConfigurationError(f"unknown model.name {self.model['name']!r}")
+        if self.model["terminal"] not in TERMINALS:
+            raise ConfigurationError(f"unknown model.terminal {self.model['terminal']!r}")
         grid = self.grid
         for key in ("N_x", "N_v", "N_t", "N_a"):
             if int(grid[key]) < 3:

@@ -3,7 +3,8 @@
 The penalized problem is solved on a (t, x, v) box with a discrete acceleration
 control set; the limit problems are solved on (t, x) with velocity controls.
 Foot points fall on fixed offsets of the grid, so the multilinear interpolation
-stencils are precomputed once and each backward step reduces to gathers.
+stencils form one time-independent sparse operator, built once per solve, and
+each backward step is one sparse matvec plus a min over controls.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .errors import ConfigurationError, InvalidInputError, UnsupportedModelError
 from .measures import MeasureFlow
@@ -142,6 +144,25 @@ def _stencil_1d(q, nodes):
     return i0, frac, np.maximum(excess, 0.0)
 
 
+def _index_dtype(n_entries: int):
+    """Index type of a CSR operator with n_entries stored entries (indptr ends at n_entries)."""
+    return np.int32 if n_entries < 2**31 else np.int64
+
+
+def _stencil_operator(n_cols, corners):
+    """CSR operator whose row r holds the (column, weight) pairs of `corners` at r in
+    list order, so the matvec sums the interpolation corners in that order."""
+    n_rows, n_c = corners[0][0].size, len(corners)
+    idx = _index_dtype(n_c * n_rows)
+    indices = np.empty((n_rows, n_c), dtype=idx)
+    data = np.empty((n_rows, n_c))
+    for c, (col, w) in enumerate(corners):
+        indices[:, c] = col.ravel()
+        data[:, c] = w.ravel()
+    indptr = np.arange(0, n_c * n_rows + 1, n_c, dtype=idx)
+    return sparse.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(n_rows, n_cols))
+
+
 def _coupling_slice(spec: LagrangianSpec, x, m_flow: MeasureFlow | None, k: int):
     if m_flow is None or not spec.is_coupled:
         return np.zeros_like(x)
@@ -188,17 +209,11 @@ def solve_hjb_acceleration(
     ix0, fx, ex_x = _stencil_1d(foot_x, x)  # (n_a, n_x, n_v)
     iv0, fv, ex_v = _stencil_1d(foot_v, v)  # (n_a, n_v)
 
-    lin = np.empty((n_a, 4, n_x, n_v), dtype=np.int64)
-    wgt = np.empty((n_a, 4, n_x, n_v))
-    c = 0
-    for cx, wx in ((0, 1.0 - fx), (1, fx)):
-        for cv_off in (0, 1):
-            lin[:, c] = (ix0 + cx) * n_v + (iv0 + cv_off)[:, None, :]
-            wv = (1.0 - fv) if cv_off == 0 else fv
-            wgt[:, c] = wx * wv[:, None, :]
-            c += 1
-    lin = lin.reshape(n_a, 4, n_x * n_v)
-    wgt = wgt.reshape(n_a, 4, n_x * n_v)
+    S = _stencil_operator(n_x * n_v, [
+        ((ix0 + cx) * n_v + (iv0 + cv)[:, None, :], wx * wv[:, None, :])
+        for cx, wx in ((0, 1.0 - fx), (1, fx))
+        for cv, wv in ((0, 1.0 - fv), (1, fv))
+    ])
 
     # growth-envelope penalties for clamped foot points
     pen_x = m0 * T * (1.0 + v[None, None, :] ** 2) * ex_x  # (n_a, n_x, n_v)
@@ -218,8 +233,8 @@ def solve_hjb_acceleration(
     m_terminal = None if m_flow is None else m_flow.marginal(n_t - 1)
     u[-1] = np.broadcast_to(np.asarray(g.g(x, m_terminal), dtype=float)[:, None], (n_x, n_v))
     for k in range(n_t - 2, -1, -1):
-        un = u[k + 1].ravel()
-        cand = np.einsum("acn,acn->an", wgt, un[lin]) + const
+        cand = (S @ u[k + 1].ravel()).reshape(n_a, -1)
+        cand += const
         running = kinetic_term + potential_term + _coupling_slice(spec, x, m_flow, k)[:, None]
         u[k] = cand.min(axis=0).reshape(n_x, n_v) + dt * running
     return ValueField(u, grid, eps)
@@ -239,6 +254,7 @@ def _solve_hjb_x(grid, spec, m_flow, g, controls):
     n_t = t.size
     b = controls.values
     ix0, fx, ex = _stencil_1d(x[None, :] + dt * b[:, None], x)  # (n_b, n_x)
+    S = _stencil_operator(x.size, [(ix0, 1.0 - fx), (ix0 + 1, fx)])
     pen_rate = spec.M0 * (1.0 + grid.T) * (1.0 + grid.R_v**2) + g.dg_bound
     const = dt * spec.kinetic(b)[:, None] + pen_rate * ex
 
@@ -246,8 +262,7 @@ def _solve_hjb_x(grid, spec, m_flow, g, controls):
     terminal_m = None if m_flow is None else m_flow.marginal(n_t - 1)
     u[-1] = np.asarray(g.g(x, terminal_m), dtype=float)
     for k in range(n_t - 2, -1, -1):
-        un = u[k + 1]
-        cand = (1.0 - fx) * un[ix0] + fx * un[ix0 + 1] + const
+        cand = (S @ u[k + 1]).reshape(b.size, -1) + const
         u[k] = cand.min(axis=0) + dt * (spec.potential(x) + _coupling_slice(spec, x, m_flow, k))
     return ValueField(u, grid, 0.0)
 

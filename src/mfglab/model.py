@@ -207,6 +207,14 @@ def audit_assumptions(
 
 # -- catalog -----------------------------------------------------------------
 
+# model name -> (kinetic term, potential term)
+MODELS = {
+    "quadratic": ("quadratic", "harmonic"),
+    "quartic": ("quartic", "harmonic"),
+    "cosine": ("quadratic", "cosine"),
+}
+TERMINALS = ("zero", "atan")
+
 
 def make_lagrangian(
     name: str = "quadratic",
@@ -238,28 +246,26 @@ def make_lagrangian(
         potential_d=lambda x: -kappa_pot * np.sin(x),
         potential_dd=lambda x: -kappa_pot * np.cos(x),
     )
-    catalog = {
-        "quadratic": (quadratic, harmonic),
-        "quartic": (quartic, harmonic),
-        "cosine": (quadratic, cosine),
-    }
-    if name not in catalog:
+    kinetics = {"quadratic": quadratic, "quartic": quartic}
+    potentials = {"harmonic": harmonic, "cosine": cosine}
+    if name not in MODELS:
         raise UnsupportedModelError(f"unknown catalog model {name!r}")
-    kinetic, potential = catalog[name]
+    kinetic, potential = MODELS[name]
     return LagrangianSpec(
-        **kinetic, **potential, coupling_strength=kappa_c, coupling_sigma=sigma, M0=M0
+        **kinetics[kinetic], **potentials[potential],
+        coupling_strength=kappa_c, coupling_sigma=sigma, M0=M0,
     )
 
 
 def make_terminal(name: str = "zero", amplitude: float = 1.0) -> TerminalCost:
+    if name not in TERMINALS:
+        raise UnsupportedModelError(f"unknown terminal cost {name!r}")
     if name == "zero":
         zero = lambda x, m=None: np.zeros_like(np.asarray(x, dtype=float))
         return TerminalCost(g=zero, dg=zero, dg_bound=0.0, g_inf=0.0)
-    if name == "atan":
-        return TerminalCost(
-            g=lambda x, m=None: amplitude * np.arctan(np.asarray(x, dtype=float)),
-            dg=lambda x, m=None: amplitude / (1.0 + np.asarray(x, dtype=float) ** 2),
-            dg_bound=amplitude,
-            g_inf=amplitude * np.pi / 2.0,
-        )
-    raise UnsupportedModelError(f"unknown terminal cost {name!r}")
+    return TerminalCost(
+        g=lambda x, m=None: amplitude * np.arctan(np.asarray(x, dtype=float)),
+        dg=lambda x, m=None: amplitude / (1.0 + np.asarray(x, dtype=float) ** 2),
+        dg_bound=amplitude,
+        g_inf=amplitude * np.pi / 2.0,
+    )

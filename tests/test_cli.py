@@ -178,6 +178,16 @@ def test_bad_config_rejected(runner, tmp_path):
     assert "config error" in res.output
 
 
+@pytest.mark.parametrize("key, value", [("name", "septic"), ("terminal", "cubic")])
+def test_unknown_catalog_name_is_config_error(runner, tmp_path, key, value):
+    res = runner.invoke(
+        main, ["--config", _write_cfg(tmp_path, {"model": {key: value}}), "audit"]
+    )
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)  # not an uncaught model error
+    assert f"config error: unknown model.{key} {value!r}" in res.output
+
+
 @pytest.mark.parametrize("variant", ["classical", "control"])
 def test_cli_matches_api(runner, tmp_path, variant):
     """sweep and solve-eps give the API's bytes, and the sweep's rungs agree with them."""

@@ -7,6 +7,7 @@ from mfglab import (
     ConfigurationError,
     ControlSet,
     InvalidInputError,
+    MeasureFlow,
     PhaseGrid,
     UnsupportedModelError,
     ValueField,
@@ -18,6 +19,7 @@ from mfglab import (
     solve_hjb_limit_classical,
     solve_hjb_mfg_control,
 )
+from mfglab.hjb import _index_dtype
 from mfglab.model import LagrangianSpec, TerminalCost
 
 from oracles import lq_limit_value
@@ -222,3 +224,105 @@ def test_probe_nearest_node():
     assert field.probe(
         SMALL.t[3] + 0.3 * SMALL.dt, SMALL.x[5] - 0.3 * SMALL.dx, SMALL.v[7]
     ) == field.values[3, 5, 7]
+
+
+def test_index_dtype_widens_past_int32():
+    # sizes only: no operator is allocated
+    assert _index_dtype(0) is np.int32
+    assert _index_dtype(4 * 41 * 321 * 251) is np.int32  # the 321x251 LQ grid
+    assert _index_dtype(2**31 - 1) is np.int32
+    assert _index_dtype(2**31) is np.int64
+    assert _index_dtype(4 * 41 * 2001 * 6601) is np.int64
+
+
+# -- reference backward steps: per-corner gathers, summed in corner order -------
+
+
+def _ref_stencil(q, nodes):
+    h = nodes[1] - nodes[0]
+    s = (q - nodes[0]) / h
+    i0 = np.clip(np.floor(s).astype(np.int64), 0, nodes.size - 2)
+    frac = np.clip(s - i0, 0.0, 1.0)
+    return i0, frac, np.maximum(np.maximum(nodes[0] - q, q - nodes[-1]), 0.0)
+
+
+def _ref_coupling(spec, x, m_flow, k):
+    if m_flow is None or not spec.is_coupled:
+        return np.zeros_like(x)
+    return spec.coupling_value(x, m_flow.marginal(k))
+
+
+def _ref_acceleration(grid, spec, m_flow, g, eps, controls):
+    x, v, dt, a = grid.x, grid.v, grid.dt, controls.values
+    n_x, n_v, n_a = x.size, v.size, a.size
+    foot_x = x[None, :, None] + dt * v[None, None, :] + 0.5 * dt**2 * a[:, None, None]
+    foot_v = v[None, :] + dt * a[:, None]
+    ix0, fx, ex_x = _ref_stencil(foot_x, x)
+    iv0, fv, ex_v = _ref_stencil(foot_v, v)
+    lin = np.empty((n_a, 4, n_x, n_v), dtype=np.int64)
+    wgt = np.empty((n_a, 4, n_x, n_v))
+    c = 0
+    for cx, wx in ((0, 1.0 - fx), (1, fx)):
+        for cv, wv in ((0, 1.0 - fv), (1, fv)):
+            lin[:, c] = (ix0 + cx) * n_v + (iv0 + cv)[:, None, :]
+            wgt[:, c] = wx * wv[:, None, :]
+            c += 1
+    lin = lin.reshape(n_a, 4, n_x * n_v)
+    wgt = wgt.reshape(n_a, 4, n_x * n_v)
+    m0, T = spec.M0, grid.T
+    const = (
+        m0 * T * (1.0 + v[None, None, :] ** 2) * ex_x
+        + (m0 * T * ex_v * (ex_v + 2.0 * grid.R_v))[:, None, :]
+        + dt * (0.5 * eps * a[:, None, None] ** 2)
+        + 0.5 * dt * (spec.kinetic(foot_v)[:, None, :] + spec.potential(foot_x))
+    ).reshape(n_a, n_x * n_v)
+    u = np.empty((grid.t.size, n_x, n_v))
+    m_terminal = None if m_flow is None else m_flow.marginal(grid.t.size - 1)
+    u[-1] = np.asarray(g.g(x, m_terminal), dtype=float)[:, None]
+    for k in range(grid.t.size - 2, -1, -1):
+        un = u[k + 1].ravel()
+        cand = np.einsum("acn,acn->an", wgt, un[lin]) + const
+        running = (
+            0.5 * spec.kinetic(v)[None, :]
+            + 0.5 * spec.potential(x)[:, None]
+            + _ref_coupling(spec, x, m_flow, k)[:, None]
+        )
+        u[k] = cand.min(axis=0).reshape(n_x, n_v) + dt * running
+    return u
+
+
+def _ref_limit(grid, spec, m_flow, g):
+    x, dt, b = grid.x, grid.dt, grid.v
+    ix0, fx, ex = _ref_stencil(x[None, :] + dt * b[:, None], x)
+    pen_rate = spec.M0 * (1.0 + grid.T) * (1.0 + grid.R_v**2) + g.dg_bound
+    const = dt * spec.kinetic(b)[:, None] + pen_rate * ex
+    u = np.empty((grid.t.size, x.size))
+    m_terminal = None if m_flow is None else m_flow.marginal(grid.t.size - 1)
+    u[-1] = np.asarray(g.g(x, m_terminal), dtype=float)
+    for k in range(grid.t.size - 2, -1, -1):
+        un = u[k + 1]
+        cand = (1.0 - fx) * un[ix0] + fx * un[ix0 + 1] + const
+        u[k] = cand.min(axis=0) + dt * (spec.potential(x) + _ref_coupling(spec, x, m_flow, k))
+    return u
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+@pytest.mark.parametrize("name", ["quadratic", "cosine", "quartic"])
+def test_sparse_step_bit_identical_to_gathers(name, coupled):
+    grid = PhaseGrid.regular(R_x=1.0, R_v=1.0, N_x=11, N_v=9, N_t=6)
+    controls = ControlSet.symmetric(5.0, 7)
+    dt = grid.dt
+    # foot points leave the box on both axes, so fractions clamp and both penalties bite
+    assert grid.R_v + dt * controls.a_max > grid.R_v + grid.dv
+    assert grid.R_x + dt * grid.R_v + 0.5 * dt**2 * controls.a_max > grid.R_x + grid.dx
+    spec = make_lagrangian(name, kappa_c=0.5 if coupled else 0.0)
+    g = make_terminal("atan", amplitude=1.0)
+    m_flow = None
+    if coupled:
+        rng = np.random.default_rng(1)
+        pos = rng.uniform(-0.8, 0.8, size=5) + 0.1 * grid.t[:, None]
+        m_flow = MeasureFlow(grid.t, pos, None, np.full(5, 0.2))
+    u = solve_hjb_acceleration(grid, spec, m_flow, g, 0.05, controls).values
+    assert np.array_equal(u, _ref_acceleration(grid, spec, m_flow, g, 0.05, controls))
+    u0 = solve_hjb_limit_classical(grid, spec, m_flow, g).values
+    assert np.array_equal(u0, _ref_limit(grid, spec, m_flow, g))
