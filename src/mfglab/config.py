@@ -107,6 +107,11 @@ class RunConfig:
             raise ConfigurationError(f"unknown model.name {self.model['name']!r}")
         if self.model["terminal"] not in TERMINALS:
             raise ConfigurationError(f"unknown model.terminal {self.model['terminal']!r}")
+        for key in ("M0", "sigma"):
+            if not float(self.model[key]) > 0:
+                raise ConfigurationError(f"model.{key} must be positive")
+        if not float(self.model["kappa_c"]) >= 0:
+            raise ConfigurationError("model.kappa_c must be nonnegative")
         grid = self.grid
         for key in ("N_x", "N_v", "N_t", "N_a"):
             if int(grid[key]) < 3:

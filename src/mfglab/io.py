@@ -1,10 +1,15 @@
-"""Artifact serialization: 17-significant-digit CSV and atomic file writes."""
+"""Artifact serialization: 17-significant-digit CSV and atomic file writes.
+
+Each grid coordinate and particle weight is formatted once; only the values
+that change from row to row are formatted per row.
+"""
 
 from __future__ import annotations
 
 import json
 import os
 import tempfile
+from itertools import product, repeat
 
 import numpy as np
 
@@ -31,41 +36,39 @@ def atomic_write_text(path, text: str):
         raise
 
 
-def _csv(header: str, columns) -> str:
-    rows = np.column_stack(columns)
-    lines = [header]
-    fmt = ",".join([FLOAT_FMT] * rows.shape[1])
-    lines.extend(fmt % tuple(r) for r in rows)
-    return "\n".join(lines) + "\n"
+def _fmt(a):
+    """Every entry of `a` in C order, formatted with FLOAT_FMT as it is consumed."""
+    return map(FLOAT_FMT.__mod__, np.asarray(a, dtype=float).ravel().tolist())
+
+
+def _csv(header: str, rows) -> str:
+    return "\n".join([header, *rows, ""])
 
 
 def value_csv(field: ValueField) -> str:
     g = field.grid
+    u = _fmt(field.values)
     if field.is_phase:
-        T, X, V = np.meshgrid(g.t, g.x, g.v, indexing="ij")
-        return _csv("t,x,v,u", (T.ravel(), X.ravel(), V.ravel(), field.values.ravel()))
-    T, X = np.meshgrid(g.t, g.x, indexing="ij")
-    return _csv("t,x,u", (T.ravel(), X.ravel(), field.values.ravel()))
+        nodes = product(_fmt(g.t), _fmt(g.x), _fmt(g.v))
+        return _csv("t,x,v,u", (f"{t},{x},{v},{s}" for (t, x, v), s in zip(nodes, u, strict=True)))
+    nodes = product(_fmt(g.t), _fmt(g.x))
+    return _csv("t,x,u", (f"{t},{x},{s}" for (t, x), s in zip(nodes, u, strict=True)))
 
 
 def flow_csv(flow: MeasureFlow) -> str:
     """Ensemble rows `t,x,v,w`; marginal flows carry nan in the v column."""
-    n_t, n = flow.positions.shape
-    T = np.repeat(flow.times, n)
-    X = flow.positions.ravel()
+    tw = product(_fmt(flow.times), _fmt(flow.weights))
+    X = _fmt(flow.positions)
     if flow.velocities is None:
-        V = np.full(T.shape, np.nan)
+        V = repeat(FLOAT_FMT % np.nan, flow.positions.size)
     else:
-        V = flow.velocities.ravel()
-    W = np.tile(flow.weights, n_t)
-    return _csv("t,x,v,w", (T, X, V, W))
+        V = _fmt(flow.velocities)
+    return _csv("t,x,v,w", (f"{t},{x},{v},{w}" for (t, w), x, v in zip(tw, X, V, strict=True)))
 
 
 def curve_csv(curve: Curve) -> str:
-    return _csv(
-        "t,gamma,dgamma,ddgamma",
-        (curve.t, curve.x, curve.velocity, curve.acceleration),
-    )
+    columns = (curve.t, curve.x, curve.velocity, curve.acceleration)
+    return _csv("t,gamma,dgamma,ddgamma", map(",".join, zip(*map(_fmt, columns), strict=True)))
 
 
 def write_solution_dir(out_dir, solution: MFGSolution, config_dict=None, extra_meta=None):

@@ -170,9 +170,13 @@ class W1Result(NamedTuple):
 
 
 def _ground_cost(a: ParticleEnsemble, b: ParticleEnsemble) -> np.ndarray:
-    c = np.abs(a.positions[:, None] - b.positions[None, :])
+    # built in place: concurrent probes each hold two n*m buffers at most
+    c = np.subtract.outer(a.positions, b.positions)
+    np.abs(c, out=c)
     if a.is_joint:
-        c = c + np.abs(a.velocities[:, None] - b.velocities[None, :])
+        d = np.subtract.outer(a.velocities, b.velocities)
+        np.abs(d, out=d)
+        c += d
     return c
 
 

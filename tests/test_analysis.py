@@ -1,6 +1,8 @@
 """Rate fitting, estimate audits, comparisons, and the sweep harness."""
 
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -24,8 +26,9 @@ from mfglab import (
     sup_value_gap,
     velocity_oscillation,
 )
+from mfglab import analysis
 from mfglab.analysis import REPORT_COLUMNS, energy_constant, holder_constant
-from mfglab.measures import MeasureFlow, ParticleEnsemble
+from mfglab.measures import MeasureFlow, ParticleEnsemble, wasserstein1_joint
 
 SMALL = PhaseGrid.regular(N_x=41, N_v=31, N_t=51)
 ZERO_G = make_terminal("zero")
@@ -127,15 +130,53 @@ def test_continuity_residuals_rejects_phase_solution():
         continuity_residuals(sol, spec)
 
 
-def test_compare_joint_reconstruction_zero_at_start():
+@pytest.fixture(scope="module")
+def joint_pair():
     spec = make_lagrangian("quadratic")
     mu0 = lattice_ensemble(49)
     sol = solve_eps_system(spec, ZERO_G, SMALL, mu0, 0.2)
-    limit = solve_mfg_of_control(spec, ZERO_G, SMALL, mu0)
-    pairs = compare_joint_reconstruction(sol, limit, fractions=(0.0, 0.5, 1.0))
+    return sol, solve_mfg_of_control(spec, ZERO_G, SMALL, mu0)
+
+
+def test_compare_joint_reconstruction_zero_at_start(joint_pair):
+    pairs = compare_joint_reconstruction(*joint_pair, fractions=(0.0, 0.5, 1.0))
     assert pairs[0][0] == 0.0
     assert float(pairs[0][1]) == 0.0 and pairs[0][1].exact
     assert all(float(r) >= 0 for _, r in pairs)
+
+
+@pytest.mark.parametrize("n_cpus", [1, 4, 8])  # 8 > 5 probes: capped at one per probe
+@pytest.mark.parametrize("n_exact", [2000, 10])  # 10 < 49 particles: sliced fallback
+def test_compare_joint_reconstruction_equals_sequential_probes(
+    monkeypatch, joint_pair, n_exact, n_cpus
+):
+    """Concurrent probes give the sequential per-probe results, whatever the worker count."""
+    fa, fb = joint_pair[0].flow, joint_pair[1].flow
+    fractions = (0.0, 0.25, 0.5, 0.75, 1.0)
+    expected = []
+    for frac in fractions:
+        ka, kb = fa.index_at(frac * fa.times[-1]), fb.index_at(frac * fa.times[-1])
+        res = wasserstein1_joint(fa.ensemble(ka), fb.ensemble(kb), n_exact=n_exact)
+        expected.append((float(fa.times[ka]), res))
+    assert all(res.exact == (n_exact == 2000) for _, res in expected)
+
+    workers = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(analysis, "_n_cpus", lambda: n_cpus)
+    monkeypatch.setattr(analysis, "ThreadPoolExecutor", RecordingPool)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the worker threads as finely as possible
+    try:
+        got = compare_joint_reconstruction(*joint_pair, fractions, n_exact=n_exact)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected
+    assert workers == [min(len(fractions), n_cpus)]
 
 
 def test_run_sweep_classical_report():

@@ -188,6 +188,18 @@ def test_unknown_catalog_name_is_config_error(runner, tmp_path, key, value):
     assert f"config error: unknown model.{key} {value!r}" in res.output
 
 
+@pytest.mark.parametrize(
+    "key, value, rule",
+    [("M0", -1, "positive"), ("sigma", 0, "positive"), ("kappa_c", -1, "nonnegative")],
+)
+def test_inadmissible_model_constant_is_config_error(runner, tmp_path, key, value, rule):
+    extra = {key: value, "kappa_c": 0.5} if key == "sigma" else {key: value}
+    res = runner.invoke(main, ["--config", _write_cfg(tmp_path, {"model": extra}), "audit"])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)  # not an uncaught model error
+    assert f"config error: model.{key} must be {rule}" in res.output
+
+
 @pytest.mark.parametrize("variant", ["classical", "control"])
 def test_cli_matches_api(runner, tmp_path, variant):
     """sweep and solve-eps give the API's bytes, and the sweep's rungs agree with them."""

@@ -130,6 +130,52 @@ def test_flow_csv_marginal_nan_velocity():
     assert lines[1].split(",")[2] == "1"
 
 
+def _row_formatted_csv(header, columns):
+    """Reference: stack the columns and format every row with one %-template."""
+    rows = np.column_stack(columns)
+    fmt = ",".join(["%.17g"] * rows.shape[1])
+    return "\n".join([header] + [fmt % tuple(r) for r in rows]) + "\n"
+
+
+EDGE_VALUES = np.array([0.0, -0.0, 1e-300, -1e300, 1.0 / 3.0, np.pi])
+
+
+def test_csv_bytes_equal_row_formatter():
+    rng = np.random.default_rng(5)
+    grid = PhaseGrid.regular(N_x=5, N_v=4, N_t=3)
+    u = rng.normal(size=(3, 5, 4))
+    u.ravel()[: EDGE_VALUES.size] = EDGE_VALUES
+    T, X, V = np.meshgrid(grid.t, grid.x, grid.v, indexing="ij")
+    assert value_csv(ValueField(u, grid, 0.1)) == _row_formatted_csv(
+        "t,x,v,u", (T.ravel(), X.ravel(), V.ravel(), u.ravel())
+    )
+    T, X = np.meshgrid(grid.t, grid.x, indexing="ij")
+    assert value_csv(ValueField(u[..., 0], grid, 0.0)) == _row_formatted_csv(
+        "t,x,u", (T.ravel(), X.ravel(), u[..., 0].ravel())
+    )
+
+    from mfglab.measures import MeasureFlow
+
+    t = np.array([0.0, 1.0 / 3.0, 1.0])
+    pos = rng.normal(size=(3, 6))
+    pos[1] = EDGE_VALUES
+    vel = rng.normal(size=(3, 6))
+    vel[2] = EDGE_VALUES[::-1]
+    w = np.array([1e-300, 0.1, 1.0 / 3.0, 0.2, 0.3, np.pi])
+    T, W = np.repeat(t, 6), np.tile(w, 3)
+    assert flow_csv(MeasureFlow(t, pos, None, w)) == _row_formatted_csv(
+        "t,x,v,w", (T, pos.ravel(), np.full(T.shape, np.nan), W)
+    )
+    assert flow_csv(MeasureFlow(t, pos, vel, w)) == _row_formatted_csv(
+        "t,x,v,w", (T, pos.ravel(), vel.ravel(), W)
+    )
+
+    curve = Curve(np.linspace(0.0, 1.0, 6), EDGE_VALUES)
+    assert curve_csv(curve) == _row_formatted_csv(
+        "t,gamma,dgamma,ddgamma", (curve.t, curve.x, curve.velocity, curve.acceleration)
+    )
+
+
 def test_curve_csv_columns():
     t = np.linspace(0.0, 1.0, 11)
     lines = curve_csv(Curve(t, t**2)).strip().split("\n")
