@@ -55,6 +55,16 @@ DEFAULTS = {
 }
 
 
+def _as_default_type(value, default):
+    """Cast value to the type of its default (float, int, or nested lists of them);
+    raises TypeError, ValueError or OverflowError when it cannot."""
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise TypeError(f"expected a list, got {type(value).__name__}")
+        return [_as_default_type(item, default[0]) for item in value]
+    return type(default)(value)
+
+
 def _merge_block(name, defaults, given):
     if not isinstance(given, dict):
         raise ConfigurationError(f"config block {name!r} must be an object")
@@ -103,6 +113,16 @@ class RunConfig:
         return cls.from_dict({})
 
     def validate(self):
+        for block, defaults in DEFAULTS.items():
+            for key, default in defaults.items():
+                if isinstance(default, str):
+                    continue
+                value = getattr(self, block)[key]
+                try:
+                    _as_default_type(value, default)
+                except (TypeError, ValueError, OverflowError):
+                    kind = "a list of numbers" if isinstance(default, list) else "a number"
+                    raise ConfigurationError(f"{block}.{key} must be {kind}, got {value!r}") from None
         if self.model["name"] not in MODELS:
             raise ConfigurationError(f"unknown model.name {self.model['name']!r}")
         if self.model["terminal"] not in TERMINALS:
@@ -132,7 +152,7 @@ class RunConfig:
             raise ConfigurationError("solver.tol_fp must be positive and max_iter >= 1")
         if self.sweep["variant"] not in ("classical", "control"):
             raise ConfigurationError(f"unknown sweep variant {self.sweep['variant']!r}")
-        ladder = self.sweep["eps_ladder"]
+        ladder = [float(e) for e in self.sweep["eps_ladder"]]
         if not ladder or any(e <= 0 for e in ladder):
             raise ConfigurationError("sweep.eps_ladder must be positive")
         if any(ladder[i + 1] >= ladder[i] for i in range(len(ladder) - 1)):

@@ -4,7 +4,9 @@ The penalized problem is solved on a (t, x, v) box with a discrete acceleration
 control set; the limit problems are solved on (t, x) with velocity controls.
 Foot points fall on fixed offsets of the grid, so the multilinear interpolation
 stencils form one time-independent sparse operator, built once per solve, and
-each backward step is one sparse matvec plus a min over controls.
+each backward step is one sparse matvec plus a min over controls. A coupled
+running cost sees the measure flow through its position marginals, binned once
+per solve on the lattice of the x axis (`measures.linear_binning`).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ConfigurationError, InvalidInputError, UnsupportedModelError
-from .measures import MeasureFlow
+from .measures import MeasureFlow, ParticleEnsemble, linear_binning
 from .model import LagrangianSpec, TerminalCost
 
 
@@ -163,10 +165,19 @@ def _stencil_operator(n_cols, corners):
     return sparse.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(n_rows, n_cols))
 
 
-def _coupling_slice(spec: LagrangianSpec, x, m_flow: MeasureFlow | None, k: int):
+def _binned_marginals(spec: LagrangianSpec, x, m_flow: MeasureFlow | None):
+    """The flow's position marginals binned on the lattice of x, once per solve;
+    None when the running cost does not see the measure."""
     if m_flow is None or not spec.is_coupled:
+        return None
+    return linear_binning(m_flow, x)
+
+
+def _coupling_slice(spec: LagrangianSpec, x, binned, k: int):
+    if binned is None:
         return np.zeros_like(x)
-    return spec.coupling_value(x, m_flow.marginal(k))
+    lattice, table = binned
+    return spec.coupling_value(x, ParticleEnsemble(lattice, None, table[k]))
 
 
 def solve_hjb_acceleration(
@@ -232,10 +243,11 @@ def solve_hjb_acceleration(
     u = np.empty((n_t, n_x, n_v))
     m_terminal = None if m_flow is None else m_flow.marginal(n_t - 1)
     u[-1] = np.broadcast_to(np.asarray(g.g(x, m_terminal), dtype=float)[:, None], (n_x, n_v))
+    binned = _binned_marginals(spec, x, m_flow)
     for k in range(n_t - 2, -1, -1):
         cand = (S @ u[k + 1].ravel()).reshape(n_a, -1)
         cand += const
-        running = kinetic_term + potential_term + _coupling_slice(spec, x, m_flow, k)[:, None]
+        running = kinetic_term + potential_term + _coupling_slice(spec, x, binned, k)[:, None]
         u[k] = cand.min(axis=0).reshape(n_x, n_v) + dt * running
     return ValueField(u, grid, eps)
 
@@ -261,9 +273,10 @@ def _solve_hjb_x(grid, spec, m_flow, g, controls):
     u = np.empty((n_t, x.size))
     terminal_m = None if m_flow is None else m_flow.marginal(n_t - 1)
     u[-1] = np.asarray(g.g(x, terminal_m), dtype=float)
+    binned = _binned_marginals(spec, x, m_flow)
     for k in range(n_t - 2, -1, -1):
         cand = (S @ u[k + 1]).reshape(b.size, -1) + const
-        u[k] = cand.min(axis=0) + dt * (spec.potential(x) + _coupling_slice(spec, x, m_flow, k))
+        u[k] = cand.min(axis=0) + dt * (spec.potential(x) + _coupling_slice(spec, x, binned, k))
     return ValueField(u, grid, 0.0)
 
 

@@ -21,7 +21,6 @@ from . import measures
 from .errors import InvalidInputError, NumericalError, UnsupportedModelError
 from .measures import ParticleEnsemble
 
-LEGENDRE_GRID_POINTS = 512
 LEGENDRE_NEWTON_MAXITER = 50
 LEGENDRE_NEWTON_TOL = 1e-10
 
@@ -113,53 +112,71 @@ def eval_L0_dv(spec: LagrangianSpec, x, v, m=None):
     return spec.kinetic_d(np.asarray(v, dtype=float))
 
 
-def legendre_transform(spec: LagrangianSpec, x, p, m=None, v_max=None) -> HamiltonianEval:
+def _legendre_newton(spec: LagrangianSpec, p):
+    """Velocities v with kinetic'(v) + p = 0 at momenta p, by Newton from v = -p.
+
+    -p is the quadratic kinetic term's answer. For a convex kinetic term with
+    kinetic'(0) = 0 and kinetic''(v) >= 1 (the catalog's), the root lies
+    between 0 and -p, and for the quartic kinetic'(v) + p is concave on the
+    root's side of 0, so the iterates move monotonically to the root. An entry
+    stops moving once its residual is below the tolerance, so each result is
+    independent of the other momenta. Returns the best iterates and their
+    residuals; the caller raises if a residual missed the tolerance.
+    """
+    p = np.asarray(p, dtype=float)
+    v = -p
+    res = np.abs(spec.kinetic_d(v) + p)
+    best, best_res = v, res
+    for _ in range(LEGENDRE_NEWTON_MAXITER):
+        active = ~(res < LEGENDRE_NEWTON_TOL)  # NaN residuals stay active
+        if not active.any():
+            break
+        fp = spec.kinetic_dd(v)
+        if np.any(active & (fp <= 0)):
+            break
+        v = np.where(active, v - (spec.kinetic_d(v) + p) / np.where(active, fp, 1.0), v)
+        res = np.where(active, np.abs(spec.kinetic_d(v) + p), res)
+        better = res < best_res
+        best, best_res = np.where(better, v, best), np.where(better, res, best_res)
+    return best, best_res
+
+
+def legendre_transform(spec: LagrangianSpec, x, p, m=None) -> HamiltonianEval:
     """H0(x, p, m) = sup_v { -<p, v> - L0(x, v, m) } with the optimizing velocity.
 
-    Coarse grid argmax over velocities, then Newton refinement of the first-order
-    condition kinetic'(v) + p = 0.
+    The optimizer solves the first-order condition kinetic'(v) + p = 0, found
+    by the Newton iteration of `optimal_velocity_field`.
     """
     if not (np.isfinite(x) and np.isfinite(p)):
         raise InvalidInputError("x and p must be finite")
-    if v_max is None:
-        v_max = max(8.0, 2.0 * abs(p) + 2.0)
-    grid = np.linspace(-v_max, v_max, LEGENDRE_GRID_POINTS)
-    objective = -p * grid - spec.kinetic(grid)
-    v = float(grid[np.argmax(objective)])
-    best_v, best_res = v, abs(spec.kinetic_d(v) + p)
-    for _ in range(LEGENDRE_NEWTON_MAXITER):
-        f = spec.kinetic_d(v) + p
-        if abs(f) < LEGENDRE_NEWTON_TOL:
-            h0 = float(-p * v - eval_L0(spec, x, v, m))
-            return HamiltonianEval(h0, float(v))
-        fp = spec.kinetic_dd(v)
-        if fp <= 0:
-            break
-        v = v - f / fp
-        if abs(spec.kinetic_d(v) + p) < best_res:
-            best_v, best_res = v, abs(spec.kinetic_d(v) + p)
-    raise NumericalError(
-        f"Legendre Newton refinement stalled at residual {best_res:.3e}",
-        best=HamiltonianEval(float(-p * best_v - eval_L0(spec, x, best_v, m)), best_v),
-        residual=best_res,
-    )
+    v, res = _legendre_newton(spec, p)
+    v, res = float(v), float(res)
+    h0 = HamiltonianEval(float(-p * v - eval_L0(spec, x, v, m)), v)
+    if not res < LEGENDRE_NEWTON_TOL:
+        raise NumericalError(
+            f"Legendre Newton refinement stalled at residual {res:.3e}", best=h0, residual=res
+        )
+    return h0
 
 
 def optimal_velocity_field(spec: LagrangianSpec, u_grad_x, m=None):
     """Transport velocity b = argmin_v { <p, v> + L0 } at momenta p = D_x u.
 
-    For the separable catalog the optimizer depends on p only, so this is a
-    pointwise map over the gradient field.
+    For the separable catalog the optimizer depends on p only, so this is one
+    array Newton iteration over the gradient field.
     """
     p = np.asarray(u_grad_x, dtype=float)
     if spec.is_quadratic_kinetic:
         return -p
-    out = np.empty_like(p)
-    flat_p = p.ravel()
-    flat_o = out.ravel()
-    for i, pi in enumerate(flat_p):
-        flat_o[i] = legendre_transform(spec, 0.0, pi, m).v_star
-    return out
+    if not np.all(np.isfinite(p)):
+        raise InvalidInputError("momenta must be finite")
+    v, res = _legendre_newton(spec, p)
+    if not np.all(res < LEGENDRE_NEWTON_TOL):
+        worst = float(np.max(res))
+        raise NumericalError(
+            f"Legendre Newton refinement stalled at residual {worst:.3e}", best=v, residual=worst
+        )
+    return v
 
 
 @dataclass(frozen=True)

@@ -200,6 +200,23 @@ def test_inadmissible_model_constant_is_config_error(runner, tmp_path, key, valu
     assert f"config error: model.{key} must be {rule}" in res.output
 
 
+@pytest.mark.parametrize(
+    "block, key, value",
+    [
+        ("model", "M0", "abc"),
+        ("grid", "N_x", "ten"),
+        ("solver", "damping", None),
+        ("sweep", "eps_ladder", ["a"]),
+    ],
+)
+def test_non_numeric_value_is_config_error(runner, tmp_path, block, key, value):
+    res = runner.invoke(main, ["--config", _write_cfg(tmp_path, {block: {key: value}}), "audit"])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)  # not an uncaught cast error
+    assert f"config error: {block}.{key} must be a" in res.output
+    assert repr(value) in res.output
+
+
 @pytest.mark.parametrize("variant", ["classical", "control"])
 def test_cli_matches_api(runner, tmp_path, variant):
     """sweep and solve-eps give the API's bytes, and the sweep's rungs agree with them."""

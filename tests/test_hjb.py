@@ -20,6 +20,7 @@ from mfglab import (
     solve_hjb_mfg_control,
 )
 from mfglab.hjb import _index_dtype
+from mfglab.measures import ParticleEnsemble, linear_binning
 from mfglab.model import LagrangianSpec, TerminalCost
 
 from oracles import lq_limit_value
@@ -249,7 +250,8 @@ def _ref_stencil(q, nodes):
 def _ref_coupling(spec, x, m_flow, k):
     if m_flow is None or not spec.is_coupled:
         return np.zeros_like(x)
-    return spec.coupling_value(x, m_flow.marginal(k))
+    lattice, table = linear_binning(m_flow, x)
+    return spec.coupling_value(x, ParticleEnsemble(lattice, None, table[k]))
 
 
 def _ref_acceleration(grid, spec, m_flow, g, eps, controls):
@@ -326,3 +328,33 @@ def test_sparse_step_bit_identical_to_gathers(name, coupled):
     assert np.array_equal(u, _ref_acceleration(grid, spec, m_flow, g, 0.05, controls))
     u0 = solve_hjb_limit_classical(grid, spec, m_flow, g).values
     assert np.array_equal(u0, _ref_limit(grid, spec, m_flow, g))
+
+
+def _exact_coupling(spec, x, m_flow, k):
+    if m_flow is None or not spec.is_coupled:
+        return np.zeros_like(x)
+    return spec.coupling_value(x, m_flow.marginal(k))
+
+
+@pytest.mark.parametrize("n_particles", [1, 3])
+@pytest.mark.parametrize("name", ["quadratic", "cosine", "quartic"])
+def test_binned_coupling_within_bound_of_exact(name, n_particles, monkeypatch):
+    """Binning moves the coupling by at most kappa_c h^2 / (8 sigma^3 sqrt(2 pi)) per
+    step; the interpolation and the min over controls do not expand it, so both
+    solvers stay within T times that of the sweeps with the exact coupling."""
+    grid = PhaseGrid.regular(R_x=1.0, R_v=1.0, N_x=11, N_v=9, N_t=6)
+    controls = ControlSet.symmetric(5.0, 7)
+    spec = make_lagrangian(name, kappa_c=0.5)
+    g = make_terminal("atan", amplitude=1.0)
+    rng = np.random.default_rng(2 + n_particles)
+    pos = rng.uniform(-1.2, 1.2, size=n_particles) + 0.1 * grid.t[:, None]
+    m_flow = MeasureFlow(grid.t, pos, None, rng.dirichlet(np.ones(n_particles)))
+    sigma = spec.coupling_sigma
+    bound = grid.T * 0.5 * grid.dx**2 / (8.0 * sigma**3 * np.sqrt(2.0 * np.pi))
+    monkeypatch.setitem(globals(), "_ref_coupling", _exact_coupling)
+    u = solve_hjb_acceleration(grid, spec, m_flow, g, 0.05, controls).values
+    gap = np.max(np.abs(u - _ref_acceleration(grid, spec, m_flow, g, 0.05, controls)))
+    assert 0.0 < gap <= bound
+    u0 = solve_hjb_limit_classical(grid, spec, m_flow, g).values
+    gap0 = np.max(np.abs(u0 - _ref_limit(grid, spec, m_flow, g)))
+    assert 0.0 < gap0 <= bound

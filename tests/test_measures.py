@@ -5,10 +5,11 @@ import pytest
 
 from mfglab import (
     InvalidInputError,
+    make_lagrangian,
     wasserstein1_1d,
     wasserstein1_joint,
 )
-from mfglab.measures import ParticleEnsemble, kernel_smooth
+from mfglab.measures import MeasureFlow, ParticleEnsemble, kernel_smooth, linear_binning
 
 from oracles import w1_cdf_1d, w1_permutation
 
@@ -141,3 +142,73 @@ def test_smoothed_density_monte_carlo():
     truth = np.exp(-0.5 * grid**2) / np.sqrt(2.0 * np.pi)
     l1 = np.trapezoid(np.abs(dens - truth), grid)
     assert l1 < 0.1
+
+
+# -- linear binning of a flow on a uniform lattice -------------------------------
+
+NODES = np.linspace(-3.0, 3.0, 101)
+
+
+def _random_flow(rng, n_particles, spread=1.5, n_times=7):
+    pos = rng.normal(0.0, spread, size=(n_times, n_particles))
+    return MeasureFlow(np.linspace(0.0, 1.0, n_times), pos, None, rng.dirichlet(np.ones(n_particles)))
+
+
+def test_linear_binning_rows_keep_the_mass():
+    rng = np.random.default_rng(3)
+    flow = _random_flow(rng, 50)
+    lattice, table = linear_binning(flow, NODES)
+    assert table.shape == (flow.n_times, lattice.size)
+    assert np.all(table >= 0)
+    assert np.allclose(table.sum(axis=1), flow.weights.sum(), rtol=0, atol=1e-14)
+    # the lattice keeps the spacing and offset of the nodes
+    assert np.allclose(np.diff(lattice), NODES[1] - NODES[0], rtol=0, atol=1e-12)
+    assert np.min(np.abs(lattice - NODES[0])) < 1e-12
+
+
+def test_linear_binning_extends_past_the_grid():
+    h = NODES[1] - NODES[0]
+    pos = np.array([[-3.0 - 2.5 * h, 0.01, 3.0 + 4.2 * h], [-3.0, 3.0, 3.0]])
+    flow = MeasureFlow(np.array([0.0, 1.0]), pos, None, np.array([0.2, 0.3, 0.5]))
+    lattice, table = linear_binning(flow, NODES)
+    assert lattice[0] <= pos.min() and lattice[-1] >= pos.max()
+    assert lattice.size == NODES.size + 3 + 5
+    assert np.allclose(table.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+    for k in range(2):
+        # mass only on nodes next to a particle, with the particles' mean
+        support = lattice[table[k] > 0]
+        assert np.all(np.min(np.abs(support[:, None] - pos[k]), axis=1) < h)
+        assert table[k] @ lattice == pytest.approx(flow.weights @ pos[k], abs=1e-12)
+
+
+def test_linear_binning_exact_for_particles_on_nodes():
+    nodes = np.linspace(-2.0, 2.0, 17)  # spacing 1/4: the deposit fractions are exact
+    rng = np.random.default_rng(4)
+    idx = rng.integers(-3, 20, size=(5, 9))  # some nodes past either end
+    pos = nodes[0] + 0.25 * idx
+    flow = MeasureFlow(np.linspace(0.0, 1.0, 5), pos, None, rng.dirichlet(np.ones(9)))
+    lattice, table = linear_binning(flow, nodes)
+    for k in range(flow.n_times):
+        exact = kernel_smooth(NODES, pos[k], flow.weights, 0.3)
+        binned = kernel_smooth(NODES, lattice, table[k], 0.3)
+        assert np.allclose(binned, exact, rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("sigma", [0.3, 0.1])
+def test_linear_binning_coupling_error_bound(sigma):
+    """|F_binned - F_exact| <= kappa_c h^2 / (8 sigma^3 sqrt(2 pi)) for unit mass."""
+    kappa_c = 0.5
+    spec = make_lagrangian("quadratic", kappa_c=kappa_c, sigma=sigma)
+    h = NODES[1] - NODES[0]
+    bound = kappa_c * h**2 / (8.0 * sigma**3 * np.sqrt(2.0 * np.pi))
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    for n_particles in (1, 2, 5, 40):
+        flow = _random_flow(rng, n_particles, spread=2.0)
+        lattice, table = linear_binning(flow, NODES)
+        for k in range(flow.n_times):
+            exact = spec.coupling_value(NODES, flow.marginal(k))
+            binned = spec.coupling_value(NODES, ParticleEnsemble(lattice, None, table[k]))
+            worst = max(worst, float(np.max(np.abs(binned - exact))))
+    assert worst <= bound
+    assert worst > 0.1 * bound  # the bound is not vacuous on these flows

@@ -5,6 +5,7 @@ import pytest
 
 from mfglab import (
     InvalidInputError,
+    NumericalError,
     UnsupportedModelError,
     audit_assumptions,
     eval_L0,
@@ -93,6 +94,36 @@ def test_optimal_velocity_field_quartic():
     # b solves kinetic'(b) = -1
     assert abs(spec.kinetic_d(b[0]) + 1.0) < 1e-9
     assert b[0] < 0
+
+
+def test_optimal_velocity_field_matches_legendre_transform():
+    spec = make_lagrangian("quartic")
+    p = np.concatenate(([0.0, 1e-12, -1e-12, 50.0, -50.0], np.linspace(-50.0, 50.0, 401)))
+    b = optimal_velocity_field(spec, p.reshape(2, -1))
+    assert b.shape == (2, p.size // 2)
+    ref = np.array([legendre_transform(spec, 0.0, pi).v_star for pi in p])
+    assert np.max(np.abs(b.ravel() - ref)) <= 1e-10
+    assert np.max(np.abs(spec.kinetic_d(b.ravel()) + p)) < 1e-10
+
+
+def test_legendre_stall_carries_best_iterate():
+    concave = LagrangianSpec(
+        kinetic=lambda v: -np.asarray(v, dtype=float) ** 2,
+        kinetic_d=lambda v: -2.0 * np.asarray(v, dtype=float),
+        kinetic_dd=lambda v: -2.0 * np.ones_like(np.asarray(v, dtype=float)),
+        potential=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        potential_d=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        potential_dd=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        kinetic_name="concave",
+    )
+    with pytest.raises(NumericalError) as scalar:
+        legendre_transform(concave, 0.0, 1.0)
+    assert scalar.value.best.v_star == -1.0 and scalar.value.residual == pytest.approx(3.0)
+    with pytest.raises(NumericalError) as field:
+        optimal_velocity_field(concave, np.array([0.0, 1.0]))
+    assert np.array_equal(field.value.best, [0.0, -1.0]) and field.value.residual == pytest.approx(3.0)
+    with pytest.raises(InvalidInputError):
+        optimal_velocity_field(make_lagrangian("quartic"), np.array([0.0, np.nan]))
 
 
 def test_audit_quadratic_passes():
