@@ -57,12 +57,16 @@ DEFAULTS = {
 
 def _as_default_type(value, default):
     """Cast value to the type of its default (float, int, or nested lists of them);
-    raises TypeError, ValueError or OverflowError when it cannot."""
+    raises TypeError, ValueError or OverflowError when it cannot, and ValueError
+    when an int default is given a value with a fractional part."""
     if isinstance(default, list):
         if not isinstance(value, list):
             raise TypeError(f"expected a list, got {type(value).__name__}")
         return [_as_default_type(item, default[0]) for item in value]
-    return type(default)(value)
+    cast = type(default)(value)
+    if isinstance(default, int) and cast != float(value):
+        raise ValueError(f"{value!r} is not an integer")
+    return cast
 
 
 def _merge_block(name, defaults, given):
@@ -121,7 +125,10 @@ class RunConfig:
                 try:
                     _as_default_type(value, default)
                 except (TypeError, ValueError, OverflowError):
-                    kind = "a list of numbers" if isinstance(default, list) else "a number"
+                    kind = (
+                        "a list of numbers" if isinstance(default, list)
+                        else "an integer" if isinstance(default, int) else "a number"
+                    )
                     raise ConfigurationError(f"{block}.{key} must be {kind}, got {value!r}") from None
         if self.model["name"] not in MODELS:
             raise ConfigurationError(f"unknown model.name {self.model['name']!r}")

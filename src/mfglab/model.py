@@ -74,19 +74,14 @@ class LagrangianSpec:
 
 @dataclass(frozen=True)
 class TerminalCost:
-    """Terminal cost g(x, m) with its space derivative and sup-norm bounds."""
+    """Terminal cost g(x, m) with its first and second space derivatives and
+    sup-norm bounds."""
 
     g: Callable
     dg: Callable
+    dgg: Callable
     dg_bound: float = 0.0
     g_inf: float = 0.0
-    dgg: Callable | None = None
-
-    def second_derivative(self, x, m=None):
-        if self.dgg is not None:
-            return self.dgg(x, m)
-        h = 1e-5
-        return (self.dg(np.asarray(x) + h, m) - self.dg(np.asarray(x) - h, m)) / (2 * h)
 
 
 @dataclass(frozen=True)
@@ -279,10 +274,12 @@ def make_terminal(name: str = "zero", amplitude: float = 1.0) -> TerminalCost:
         raise UnsupportedModelError(f"unknown terminal cost {name!r}")
     if name == "zero":
         zero = lambda x, m=None: np.zeros_like(np.asarray(x, dtype=float))
-        return TerminalCost(g=zero, dg=zero, dg_bound=0.0, g_inf=0.0)
+        return TerminalCost(g=zero, dg=zero, dgg=zero, dg_bound=0.0, g_inf=0.0)
     return TerminalCost(
         g=lambda x, m=None: amplitude * np.arctan(np.asarray(x, dtype=float)),
         dg=lambda x, m=None: amplitude / (1.0 + np.asarray(x, dtype=float) ** 2),
+        dgg=lambda x, m=None: -2.0 * amplitude * np.asarray(x, dtype=float)
+        / (1.0 + np.asarray(x, dtype=float) ** 2) ** 2,
         dg_bound=amplitude,
         g_inf=amplitude * np.pi / 2.0,
     )

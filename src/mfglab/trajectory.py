@@ -1,9 +1,10 @@
 """Curve-level machinery: cost evaluation, direct minimization, and the
 fourth-order Euler-Lagrange boundary value problem.
 
-Both the direct minimizer and the BVP solver act on the same discrete
-functional (trapezoid quadrature, shared difference operators), so their
-optima cross-validate each other to optimizer tolerance.
+The cost, the direct minimizer, the BVP solver and the Euler-Lagrange
+residual all evaluate one discrete functional (trapezoid quadrature, shared
+difference operators) and its derivatives, so the optima of the minimizer and
+the BVP cross-validate each other to optimizer tolerance.
 """
 
 from __future__ import annotations
@@ -17,34 +18,21 @@ from scipy.sparse.linalg import spsolve
 
 from .errors import InvalidInputError, UnsupportedModelError
 from .measures import MeasureFlow
-from .model import LagrangianSpec, TerminalCost, eval_L0, eval_L0_dx, eval_L0_dv
+from .model import LagrangianSpec, TerminalCost
 
 
 def d1_matrix(n: int, h: float) -> sp.csr_matrix:
     """First derivative: centered interior, one-sided at the ends."""
-    rows, cols, vals = [], [], []
-    rows += [0, 0]
-    cols += [0, 1]
-    vals += [-1.0 / h, 1.0 / h]
-    for i in range(1, n - 1):
-        rows += [i, i]
-        cols += [i - 1, i + 1]
-        vals += [-0.5 / h, 0.5 / h]
-    rows += [n - 1, n - 1]
-    cols += [n - 2, n - 1]
-    vals += [-1.0 / h, 1.0 / h]
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    lower, main, upper = np.full(n - 1, -0.5 / h), np.zeros(n), np.full(n - 1, 0.5 / h)
+    main[0], upper[0] = -1.0 / h, 1.0 / h
+    lower[-1], main[-1] = -1.0 / h, 1.0 / h
+    return sp.diags([lower, main, upper], [-1, 0, 1], format="csr")
 
 
 def d2_matrix(n: int, h: float) -> sp.csr_matrix:
     """Second difference: standard interior stencil, end rows copy the adjacent one."""
-    rows, cols, vals = [], [], []
-    for i in range(n):
-        j = min(max(i, 1), n - 2)
-        rows += [i, i, i]
-        cols += [j - 1, j, j + 1]
-        vals += [1.0 / h**2, -2.0 / h**2, 1.0 / h**2]
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    inner = sp.diags(np.array([1.0, -2.0, 1.0]) / h**2, [0, 1, 2], shape=(n - 2, n), format="csr")
+    return sp.vstack([inner[:1], inner, inner[-1:]], format="csr")
 
 
 @dataclass(frozen=True)
@@ -96,33 +84,91 @@ class BVPSolution:
     residual_history: tuple
 
 
-def _trapezoid_weights(n: int) -> np.ndarray:
-    w = np.ones(n)
-    w[0] = w[-1] = 0.5
-    return w
+class _Functional:
+    """The discrete cost of a curve x sampled on the uniform times t,
 
+        h sum_i w_i (eps/2 (D2 x)_i^2 + L0(x_i, (D1 x)_i, m(t_i))) + g(x_{M-1}, m(T)),
 
-def _flow_index_map(m_flow: MeasureFlow | None, t_samples: np.ndarray):
-    if m_flow is None:
-        return None
-    return np.argmin(np.abs(m_flow.times[None, :] - t_samples[:, None]), axis=1)
+    with trapezoid weights w and the measure taken at the flow time nearest to
+    t_i, together with its gradient and Hessian in the samples x.
+    """
 
+    def __init__(self, t, eps, spec, m_flow, g):
+        t = np.asarray(t, dtype=float)
+        if not (t.size >= 3 and t[-1] > t[0]):
+            raise InvalidInputError("a curve needs M >= 3 samples and T > t0")
+        if eps < 0:
+            raise InvalidInputError("eps must be nonnegative")
+        M = t.size
+        self.t, self.h, self.eps, self.spec, self.g = t, t[1] - t[0], eps, spec, g
+        self.w = np.ones(M)
+        self.w[0] = self.w[-1] = 0.5
+        self.D1, self.D2 = d1_matrix(M, self.h), d2_matrix(M, self.h)
+        self.m_T = None if m_flow is None else m_flow.marginal(m_flow.n_times - 1)
+        self.blocks = []  # (samples, measure) pairs of the coupling lookup
+        if m_flow is not None and spec.is_coupled:
+            idx = np.argmin(np.abs(m_flow.times[None, :] - t[:, None]), axis=1)
+            self.blocks = [(idx == k, m_flow.marginal(int(k))) for k in np.unique(idx)]
 
-def _coupling_samples(spec, m_flow, idx_map, x_samples, order=0):
-    """Coupling value (order 0) or its first or second x-derivative sample-wise,
-    with the measure looked up at the nearest flow time."""
-    out = np.zeros_like(x_samples)
-    if m_flow is None or not spec.is_coupled:
+    def _coupling(self, x, order):
+        """Coupling value (order 0) or its first or second x-derivative sample-wise."""
+        out = np.zeros_like(x)
+        coupling = (self.spec.coupling_value, self.spec.coupling_dx, self.spec.coupling_dxx)[order]
+        for sel, m in self.blocks:
+            out[sel] = coupling(x[sel], m)
         return out
-    coupling = (spec.coupling_value, spec.coupling_dx, spec.coupling_dxx)[order]
-    for k in np.unique(idx_map):
-        sel = idx_map == k
-        out[sel] = coupling(x_samples[sel], m_flow.marginal(int(k)))
-    return out
+
+    def cost(self, x) -> float:
+        running = self.spec.kinetic(self.D1 @ x) + self.spec.potential(x) + self._coupling(x, 0)
+        if self.eps > 0:
+            running = running + 0.5 * self.eps * (self.D2 @ x) ** 2
+        return float(self.h * np.sum(self.w * running) + self.g.g(x[-1], self.m_T))
+
+    def grad(self, x) -> np.ndarray:
+        dLdx = self.spec.potential_d(x) + self._coupling(x, 1)
+        dLdv = self.spec.kinetic_d(self.D1 @ x)
+        G = self.h * (self.D1.T @ (self.w * dLdv) + self.w * dLdx)
+        if self.eps > 0:
+            G = G + self.h * self.eps * (self.D2.T @ (self.w * (self.D2 @ x)))
+        G[-1] += float(self.g.dg(x[-1], self.m_T))
+        return G
+
+    def hess(self, x) -> sp.csr_matrix:
+        kdd = self.spec.kinetic_dd(self.D1 @ x)
+        curv = self.spec.potential_dd(x) + self._coupling(x, 2)
+        H = self.h * (self.D1.T @ sp.diags(self.w * kdd) @ self.D1 + sp.diags(self.w * curv))
+        if self.eps > 0:
+            H = H + self.h * self.eps * (self.D2.T @ sp.diags(self.w) @ self.D2)
+        M = x.size
+        dgg = float(self.g.dgg(x[-1], self.m_T))
+        return H + sp.csr_matrix(([dgg], ([M - 1], [M - 1])), shape=(M, M))
 
 
-def _terminal_measure(m_flow):
-    return None if m_flow is None else m_flow.marginal(m_flow.n_times - 1)
+def _newton(F: _Functional, x, free, tol: float, max_iter: int):
+    """Newton on the gradient of F in the free samples, halving each step (at
+    most 30 times) until the gradient's sup norm drops. Stops once that norm
+    over h is below tol; returns the curve and the history of that norm."""
+    G = F.grad(x)
+    history = [np.max(np.abs(G[free])) / F.h]
+    for _ in range(max_iter):
+        if history[-1] < tol:
+            break
+        step = spsolve(F.hess(x)[free][:, free].tocsc(), -G[free])
+        if not np.all(np.isfinite(step)):
+            break
+        alpha = 1.0
+        for _ in range(30):
+            trial = x.copy()
+            trial[free] += alpha * step
+            Gt = F.grad(trial)
+            if np.max(np.abs(Gt[free])) < np.max(np.abs(G[free])):
+                x, G = trial, Gt
+                break
+            alpha *= 0.5
+        else:
+            break
+        history.append(np.max(np.abs(G[free])) / F.h)
+    return x, history
 
 
 def eval_cost(
@@ -133,12 +179,7 @@ def eval_cost(
     g: TerminalCost,
 ) -> float:
     """Composite-trapezoid integral of eps/2 |acc|^2 + L0 plus the terminal cost."""
-    vel = gamma.velocity
-    acc = gamma.acceleration
-    idx = _flow_index_map(m_flow, gamma.t)
-    coup = _coupling_samples(spec, m_flow, idx, gamma.x)
-    running = 0.5 * eps * acc**2 + spec.kinetic(vel) + spec.potential(gamma.x) + coup
-    return float(np.trapezoid(running, gamma.t) + g.g(gamma.x[-1], _terminal_measure(m_flow)))
+    return _Functional(gamma.t, eps, spec, m_flow, g).cost(gamma.x)
 
 
 def minimize_direct(
@@ -163,19 +204,10 @@ def minimize_direct(
     Descent starts from the straight-line curve, which also breaks ties
     deterministically.
     """
-    if eps < 0:
-        raise InvalidInputError("eps must be nonnegative")
     if T is None:
         T = 1.0 if m_flow is None else float(m_flow.times[-1])
-    t = np.linspace(t0, T, M)
-    h = t[1] - t[0]
-    w = _trapezoid_weights(M)
-    D1 = d1_matrix(M, h)
-    D2 = d2_matrix(M, h)
-    idx = _flow_index_map(m_flow, t)
-    m_T = _terminal_measure(m_flow)
-    e_last = np.zeros(M)
-    e_last[-1] = 1.0
+    F = _Functional(np.linspace(t0, T, M), eps, spec, m_flow, g)
+    t = F.t
 
     # gamma = base + A z: cumulative-sum maps from the difference variables
     if eps > 0:
@@ -201,19 +233,7 @@ def minimize_direct(
 
     def objective(z):
         gam = curve_of(z)
-        vel = D1 @ gam
-        coup = _coupling_samples(spec, m_flow, idx, gam)
-        running = spec.kinetic(vel) + spec.potential(gam) + coup
-        dLdx = spec.potential_d(gam) + _coupling_samples(spec, m_flow, idx, gam, 1)
-        dLdv = spec.kinetic_d(vel)
-        grad = h * (D1.T @ (w * dLdv) + w * dLdx)
-        if eps > 0:
-            acc = D2 @ gam
-            running = running + 0.5 * eps * acc**2
-            grad = grad + h * eps * (D2.T @ (w * acc))
-        cost = h * np.sum(w * running) + float(g.g(gam[-1], m_T))
-        grad = grad + e_last * float(g.dg(gam[-1], m_T))
-        return cost, chain(grad)
+        return F.cost(gam), chain(F.grad(gam))
 
     res = scipy_minimize(
         objective,
@@ -222,66 +242,17 @@ def minimize_direct(
         method="L-BFGS-B",
         options={"maxiter": 5000, "maxcor": 50, "ftol": 1e-18, "gtol": 1e-12},
     )
-    gam = curve_of(res.x)
-    free = np.arange(M - n_free, M)
-    W = sp.diags(w)
-
-    def grad_gamma_of(gam):
-        # stationarity in the curve variables, matching the BVP residual scale
-        vel = D1 @ gam
-        dLdx = spec.potential_d(gam) + _coupling_samples(spec, m_flow, idx, gam, 1)
-        grad = h * (D1.T @ (w * spec.kinetic_d(vel)) + w * dLdx)
-        if eps > 0:
-            grad = grad + h * eps * (D2.T @ (w * (D2 @ gam)))
-        return grad + e_last * float(g.dg(gam[-1], m_T))
-
-    def hess_free(gam):
-        vel = D1 @ gam
-        curv = spec.potential_dd(gam) + _coupling_samples(spec, m_flow, idx, gam, 2)
-        H = h * (D1.T @ sp.diags(w * spec.kinetic_dd(vel)) @ D1 + sp.diags(w * curv))
-        if eps > 0:
-            H = H + h * eps * (D2.T @ W @ D2)
-        H = H + sp.csr_matrix(
-            ([float(g.second_derivative(gam[-1], m_T))], ([M - 1], [M - 1])), shape=(M, M)
-        )
-        return H[free][:, free].tocsc()
-
     # Newton polish: the cumulative-sum variables stall L-BFGS near the optimum
     # (machine-precision plateau in the cost), so finish in curve variables
-    G = grad_gamma_of(gam)
-    n_iter = int(res.nit)
-    for _ in range(10):
-        if np.max(np.abs(G[free])) / h < 0.1 * grad_tol:
-            break
-        step = spsolve(hess_free(gam), -G[free])
-        if not np.all(np.isfinite(step)):
-            break
-        alpha = 1.0
-        for _ in range(30):
-            trial = gam.copy()
-            trial[free] += alpha * step
-            Gt = grad_gamma_of(trial)
-            if np.max(np.abs(Gt[free])) < np.max(np.abs(G[free])):
-                gam, G = trial, Gt
-                break
-            alpha *= 0.5
-        else:
-            break
-        n_iter += 1
-
-    grad_norm = float(np.max(np.abs(G[free])) / h)
-    curve = Curve(t, gam)
-    coup = _coupling_samples(spec, m_flow, idx, gam)
-    running = spec.kinetic(D1 @ gam) + spec.potential(gam) + coup
-    if eps > 0:
-        running = running + 0.5 * eps * (D2 @ gam) ** 2
-    cost = float(h * np.sum(w * running) + g.g(gam[-1], m_T))
+    free = np.arange(M - n_free, M)
+    gam, history = _newton(F, curve_of(res.x), free, 0.1 * grad_tol, 10)
+    grad_norm = float(history[-1])
     return DirectMinimizeResult(
-        curve=curve,
-        cost=cost,
+        curve=Curve(t, gam),
+        cost=F.cost(gam),
         grad_norm=grad_norm,
         converged=bool(grad_norm < grad_tol),
-        n_iter=n_iter,
+        n_iter=int(res.nit) + len(history) - 1,
     )
 
 
@@ -310,57 +281,13 @@ def solve_el_bvp(
         raise UnsupportedModelError("solve_el_bvp requires the quadratic kinetic term")
     if T is None:
         T = 1.0 if mu_flow is None else float(mu_flow.times[-1])
-    t = np.linspace(0.0, T, M)
-    h = t[1] - t[0]
-    w = _trapezoid_weights(M)
-    D1 = d1_matrix(M, h)
-    D2 = d2_matrix(M, h)
-    idx = _flow_index_map(mu_flow, t)
-    m_T = _terminal_measure(mu_flow)
-    W = sp.diags(w)
-    K = h * (eps * (D2.T @ W @ D2) + D1.T @ W @ D1)  # constant part of the Hessian
-    free = np.arange(2, M)
-    e_last = np.zeros(M)
-    e_last[-1] = 1.0
+    F = _Functional(np.linspace(0.0, T, M), eps, spec, mu_flow, g)
+    t, h = F.t, F.h
 
     gam = x + v * t  # straight-line start
     gam[0], gam[1] = x, x + h * v
-
-    def grad_full(gam):
-        dLdx = spec.potential_d(gam) + _coupling_samples(spec, mu_flow, idx, gam, 1)
-        return K @ gam + h * (w * dLdx) + e_last * float(g.dg(gam[-1], m_T))
-
-    def hess_free(gam):
-        curv = spec.potential_dd(gam) + _coupling_samples(spec, mu_flow, idx, gam, 2)
-        H = K + sp.diags(h * w * curv)
-        H = H + sp.csr_matrix(
-            ([float(g.second_derivative(gam[-1], m_T))], ([M - 1], [M - 1])), shape=(M, M)
-        )
-        return H[free][:, free].tocsc()
-
-    history = []
-    G = grad_full(gam)
-    res_norm = np.max(np.abs(G[free])) / h
-    history.append(res_norm)
-    converged = res_norm < tol
-    for _ in range(max_iter):
-        if converged:
-            break
-        step = spsolve(hess_free(gam), -G[free])
-        alpha = 1.0
-        for _ in range(30):  # backtrack on the gradient norm
-            trial = gam.copy()
-            trial[free] += alpha * step
-            Gt = grad_full(trial)
-            if np.max(np.abs(Gt[free])) < np.max(np.abs(G[free])):
-                gam, G = trial, Gt
-                break
-            alpha *= 0.5
-        else:
-            break
-        res_norm = np.max(np.abs(G[free])) / h
-        history.append(res_norm)
-        converged = res_norm < tol
+    gam, history = _newton(F, gam, np.arange(2, M), tol, max_iter)
+    res_norm = history[-1]
 
     curve = Curve(t, gam)
     # boundary residuals: initial position/velocity and the two natural conditions;
@@ -373,13 +300,13 @@ def solve_el_bvp(
         abs(gam[0] - x),
         abs(vel[0] - v),
         abs(2.0 * acc[-2] - acc[-3]),  # extrapolate the interior stencil to t = T
-        abs(-eps * third_T + vel[-1] + float(g.dg(gam[-1], m_T))),
+        abs(-eps * third_T + vel[-1] + float(g.dg(gam[-1], F.m_T))),
     )
     return BVPSolution(
         curve=curve,
         residual_norm=float(res_norm),
         boundary_residuals=boundary,
-        converged=bool(converged),
+        converged=bool(res_norm < tol),
         residual_history=tuple(history),
     )
 
@@ -406,15 +333,6 @@ def accel_energy(gamma: Curve, delta: float = 0.0) -> float:
 
 
 def el_residual(gamma: Curve, eps: float, spec: LagrangianSpec, mu_flow, g: TerminalCost):
-    """Discrete Euler-Lagrange residual of a curve, same stencil as solve_el_bvp."""
-    M = gamma.t.size
-    h = gamma.h
-    w = _trapezoid_weights(M)
-    D1 = d1_matrix(M, h)
-    D2 = d2_matrix(M, h)
-    idx = _flow_index_map(mu_flow, gamma.t)
-    dLdx = spec.potential_d(gamma.x) + _coupling_samples(spec, mu_flow, idx, gamma.x, 1)
-    dLdv = spec.kinetic_d(D1 @ gamma.x)
-    G = h * (eps * (D2.T @ (w * (D2 @ gamma.x))) + D1.T @ (w * dLdv) + w * dLdx)
-    G[-1] += float(g.dg(gamma.x[-1], _terminal_measure(mu_flow)))
-    return G[2:] / h
+    """Discrete Euler-Lagrange residual of a curve: the gradient of the discrete
+    cost over h at every sample but the two that the initial data fix."""
+    return _Functional(gamma.t, eps, spec, mu_flow, g).grad(gamma.x)[2:] / gamma.h

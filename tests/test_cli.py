@@ -217,6 +217,26 @@ def test_non_numeric_value_is_config_error(runner, tmp_path, block, key, value):
     assert repr(value) in res.output
 
 
+@pytest.mark.parametrize(
+    "block, key, value",
+    [
+        ("grid", "N_x", 41.9),
+        ("grid", "N_v", 81.5),
+        ("grid", "N_t", 100.5),
+        ("grid", "N_a", 40.2),
+        ("measure", "n", 10.5),
+        ("measure", "seed", 0.5),
+        ("solver", "max_iter", 2.5),
+        ("solver", "substeps", 3.7),
+    ],
+)
+def test_non_integral_value_of_integer_key_is_config_error(runner, tmp_path, block, key, value):
+    res = runner.invoke(main, ["--config", _write_cfg(tmp_path, {block: {key: value}}), "audit"])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert f"config error: {block}.{key} must be an integer, got {value!r}" in res.output
+
+
 @pytest.mark.parametrize("variant", ["classical", "control"])
 def test_cli_matches_api(runner, tmp_path, variant):
     """sweep and solve-eps give the API's bytes, and the sweep's rungs agree with them."""

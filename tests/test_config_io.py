@@ -94,6 +94,8 @@ def test_factories_build_expected_objects():
     assert not np.array_equal(cfg.build_mu0(seed=4).positions, mu0.positions)
     plan = cfg.build_plan()
     assert isinstance(plan, SweepPlan) and plan.eps_ladder == (0.5, 0.2)
+    # an integral float is accepted for an integer key
+    assert RunConfig.from_dict({"grid": {"N_x": 41.0}}).build_grid().x.size == 41
 
 
 def test_lattice_measure_rounds_up_to_square():

@@ -45,6 +45,7 @@ def _linear_terminal(slope=1.0):
     return TerminalCost(
         g=lambda x, m=None: slope * np.asarray(x, dtype=float),
         dg=lambda x, m=None: np.full_like(np.asarray(x, dtype=float), slope),
+        dgg=lambda x, m=None: np.zeros_like(np.asarray(x, dtype=float)),
         dg_bound=abs(slope),
         g_inf=100.0,
     )
@@ -114,10 +115,12 @@ def test_scheme_monotone_in_terminal_cost():
         g1 = TerminalCost(
             g=lambda x, m=None, b=base: np.interp(x, xg, b),
             dg=lambda x, m=None: np.zeros_like(np.asarray(x, dtype=float)),
+            dgg=lambda x, m=None: np.zeros_like(np.asarray(x, dtype=float)),
         )
         g2 = TerminalCost(
             g=lambda x, m=None, b=base + bump: np.interp(x, xg, b),
             dg=lambda x, m=None: np.zeros_like(np.asarray(x, dtype=float)),
+            dgg=lambda x, m=None: np.zeros_like(np.asarray(x, dtype=float)),
         )
         u1 = solve_hjb_acceleration(SMALL, spec, None, g1, 0.1).values
         u2 = solve_hjb_acceleration(SMALL, spec, None, g2, 0.1).values

@@ -201,6 +201,11 @@ def test_terminal_catalog():
     assert g.g(1.0) == pytest.approx(2.0 * np.arctan(1.0))
     assert g.dg(0.0) == pytest.approx(2.0)
     assert g.dg_bound == 2.0
+    xs, h = np.linspace(-3.0, 3.0, 13), 1e-5
+    for name, amplitude in (("zero", 1.0), ("atan", 0.5), ("atan", 2.0), ("atan", 7.0)):
+        g = make_terminal(name, amplitude=amplitude)
+        fd = (g.dg(xs + h) - g.dg(xs - h)) / (2 * h)
+        assert np.max(np.abs(g.dgg(xs) - fd)) < 1e-9 * max(1.0, amplitude)
     with pytest.raises(UnsupportedModelError):
         make_terminal("nope")
 

@@ -18,6 +18,7 @@ from mfglab import (
     solve_el_bvp,
 )
 from mfglab.analysis import energy_constant
+from mfglab.measures import MeasureFlow
 from mfglab.model import LagrangianSpec, TerminalCost
 
 ZERO_G = make_terminal("zero")
@@ -67,6 +68,10 @@ def test_minimize_direct_eps0_matches_riccati():
 def test_minimize_direct_rejects_negative_eps():
     with pytest.raises(InvalidInputError):
         minimize_direct(-0.1, 0.0, 0.0, 0.0, QUADRATIC, None, ZERO_G)
+    with pytest.raises(InvalidInputError):
+        minimize_direct(0.1, 0.0, 0.0, 0.0, QUADRATIC, None, ZERO_G, M=2)
+    with pytest.raises(InvalidInputError):
+        minimize_direct(0.1, 0.5, 0.0, 0.0, QUADRATIC, None, ZERO_G, T=0.5)
 
 
 def test_cross_validation_against_bvp():
@@ -97,6 +102,7 @@ def test_bvp_constant_forcing_linear_terminal():
     g = TerminalCost(
         g=lambda x, m=None: beta * np.asarray(x, dtype=float),
         dg=lambda x, m=None: np.full_like(np.asarray(x, dtype=float), beta),
+        dgg=lambda x, m=None: np.zeros_like(np.asarray(x, dtype=float)),
         dg_bound=abs(beta),
     )
     bvp = solve_el_bvp(0.05, 0.2, 0.1, spec, None, g, M=401, T=1.0)
@@ -113,6 +119,41 @@ def test_el_residual_of_direct_minimizer():
     assert res.converged
     r = el_residual(res.curve, 0.1, QUADRATIC, None, ZERO_G)
     assert np.max(np.abs(r)) < 10 * 1e-4
+
+
+def _drifting_flow(kappa_c):
+    if kappa_c == 0:
+        return None
+    rng = np.random.default_rng(5)
+    times = np.linspace(0.0, 1.0, 6)
+    positions = rng.normal(size=(1, 40)) * 0.5 + 0.4 * times[:, None]
+    return MeasureFlow(times, positions, None, np.full(40, 1.0 / 40))
+
+
+@pytest.mark.parametrize(
+    "model,terminal,kappa_c",
+    [(m, g, 0.0) for m in ("quadratic", "quartic", "cosine") for g in ("zero", "atan")]
+    + [("quadratic", "atan", 0.5)],
+)
+def test_el_residual_matches_cost_gradient(model, terminal, kappa_c):
+    # h * el_residual is the gradient of eval_cost in every sample past the fixed two
+    spec = make_lagrangian(model, kappa_c=kappa_c)
+    g = make_terminal(terminal, amplitude=1.5)
+    flow = _drifting_flow(kappa_c)
+    eps, delta = 0.05, 1e-6
+    t = np.linspace(0.0, 1.0, 41)
+    x = 0.3 + 0.8 * np.sin(2.0 * t) - 0.4 * t**2  # smooth, not a minimizer
+    gamma = Curve(t, x)
+    grad = gamma.h * el_residual(gamma, eps, spec, flow, g)
+    fd = np.empty(t.size - 2)
+    for i in range(2, t.size):
+        bump = np.zeros_like(x)
+        bump[i] = delta
+        up = eval_cost(Curve(t, x + bump), eps, spec, flow, g)
+        down = eval_cost(Curve(t, x - bump), eps, spec, flow, g)
+        fd[i - 2] = (up - down) / (2.0 * delta)
+    assert np.max(np.abs(grad)) > 1.0
+    assert np.max(np.abs(grad - fd)) < 1e-7
 
 
 def test_connecting_curve_coefficients():
@@ -177,3 +218,7 @@ def test_bvp_validation():
         solve_el_bvp(0.0, 0.0, 0.0, QUADRATIC, None, ZERO_G)
     with pytest.raises(UnsupportedModelError):
         solve_el_bvp(0.1, 0.0, 0.0, make_lagrangian("quartic"), None, ZERO_G)
+    with pytest.raises(InvalidInputError):
+        solve_el_bvp(0.1, 0.0, 0.0, QUADRATIC, None, ZERO_G, M=2)
+    with pytest.raises(InvalidInputError):
+        solve_el_bvp(0.1, 0.0, 0.0, QUADRATIC, None, ZERO_G, T=0.0)
