@@ -336,7 +336,6 @@ def run_sweep(
     mu0: ParticleEnsemble,
     variant: str = "classical",
     controls: ControlSet | None = None,
-    damping: float = 0.5,
     tol_fp: float = 1e-3,
     max_iter: int = 60,
     substeps: int = 4,
@@ -358,7 +357,7 @@ def run_sweep(
         raise InvalidInputError(f"unknown sweep variant {variant!r}")
     limit = solve_limit(
         spec, g, grid, mu0,
-        damping=damping, tol_fp=tol_fp, max_iter=max_iter, substeps=substeps,
+        tol_fp=tol_fp, max_iter=max_iter, substeps=substeps,
     )
 
     rows = []
@@ -367,7 +366,7 @@ def run_sweep(
             sol = solve_eps_system(
                 spec, g, grid, mu0, eps,
                 controls=acceleration_controls(grid, eps, controls),
-                damping=damping, tol_fp=tol_fp, max_iter=max_iter,
+                tol_fp=tol_fp, max_iter=max_iter,
                 dt_inner_factor=dt_inner_factor,
             )
         except MFGLabError:
@@ -397,6 +396,7 @@ def run_sweep(
                 "converged": sol.converged,
             }
         )
+        del sol  # the next rung is solved without this one's value field and flow
 
     rates = {}
     if len(plan.eps_ladder) >= 3:

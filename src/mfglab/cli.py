@@ -68,7 +68,6 @@ def cmd_solve_eps(ctx, eps):
         sol = solve_eps_system(
             spec, g, grid, mu0, eps,
             controls=acceleration_controls(grid, eps, controls),
-            damping=float(s["damping"]),
             tol_fp=float(s["tol_fp"]),
             max_iter=int(s["max_iter"]),
             dt_inner_factor=float(s["dt_inner_factor"]),
@@ -93,7 +92,6 @@ def cmd_solve_limit(ctx, kind):
     try:
         sol = solver(
             spec, g, grid, mu0,
-            damping=float(s["damping"]),
             tol_fp=float(s["tol_fp"]),
             max_iter=int(s["max_iter"]),
             substeps=int(s["substeps"]),
@@ -118,7 +116,6 @@ def cmd_sweep(ctx):
             cfg.build_plan(), spec, g, grid, mu0,
             variant=cfg.sweep["variant"],
             controls=controls,
-            damping=float(s["damping"]),
             tol_fp=float(s["tol_fp"]),
             max_iter=int(s["max_iter"]),
             substeps=int(s["substeps"]),

@@ -40,7 +40,6 @@ DEFAULTS = {
         "seed": 0,
     },
     "solver": {
-        "damping": 0.5,
         "tol_fp": 1e-3,
         "max_iter": 60,
         "dt_inner_factor": 4.0,
@@ -153,8 +152,6 @@ class RunConfig:
         if int(self.measure["n"]) < 1:
             raise ConfigurationError("measure.n must be positive")
         s = self.solver
-        if not (0 < float(s["damping"]) <= 1):
-            raise ConfigurationError("solver.damping must lie in (0, 1]")
         if float(s["tol_fp"]) <= 0 or int(s["max_iter"]) < 1:
             raise ConfigurationError("solver.tol_fp must be positive and max_iter >= 1")
         if self.sweep["variant"] not in ("classical", "control"):

@@ -137,13 +137,16 @@ def acceleration_controls(
 
 
 def _stencil_1d(q, nodes):
-    """Clamped linear-interpolation stencil: base index, fraction, outward excess."""
+    """Clamped linear-interpolation stencil: base index and fraction."""
     h = nodes[1] - nodes[0]
     s = (q - nodes[0]) / h
     i0 = np.clip(np.floor(s).astype(np.int64), 0, nodes.size - 2)
-    frac = np.clip(s - i0, 0.0, 1.0)
-    excess = np.maximum(nodes[0] - q, q - nodes[-1])
-    return i0, frac, np.maximum(excess, 0.0)
+    return i0, np.clip(s - i0, 0.0, 1.0)
+
+
+def _excess(q, nodes):
+    """Distance of q outside [nodes[0], nodes[-1]]; 0 inside."""
+    return np.maximum(np.maximum(nodes[0] - q, q - nodes[-1]), 0.0)
 
 
 def _index_dtype(n_entries: int):
@@ -151,18 +154,20 @@ def _index_dtype(n_entries: int):
     return np.int32 if n_entries < 2**31 else np.int64
 
 
-def _stencil_operator(n_cols, corners):
-    """CSR operator whose row r holds the (column, weight) pairs of `corners` at r in
-    list order, so the matvec sums the interpolation corners in that order."""
-    n_rows, n_c = corners[0][0].size, len(corners)
-    idx = _index_dtype(n_c * n_rows)
-    indices = np.empty((n_rows, n_c), dtype=idx)
-    data = np.empty((n_rows, n_c))
+def _stencil_operator(shape, n_corners, corners):
+    """CSR operator of the given shape whose row r holds the (column, weight) pairs
+    of the n_corners `corners` at r in order, so the matvec sums the interpolation
+    corners in that order. `corners` is consumed one pair at a time, so a
+    generator keeps one corner's arrays alive at once."""
+    n_rows = shape[0]
+    idx = _index_dtype(n_corners * n_rows)
+    indices = np.empty((n_rows, n_corners), dtype=idx)
+    data = np.empty((n_rows, n_corners))
     for c, (col, w) in enumerate(corners):
         indices[:, c] = col.ravel()
         data[:, c] = w.ravel()
-    indptr = np.arange(0, n_c * n_rows + 1, n_c, dtype=idx)
-    return sparse.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(n_rows, n_cols))
+    indptr = np.arange(0, n_corners * n_rows + 1, n_corners, dtype=idx)
+    return sparse.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=shape)
 
 
 def _binned_marginals(spec: LagrangianSpec, x, m_flow: MeasureFlow | None):
@@ -217,16 +222,10 @@ def solve_hjb_acceleration(
     # time-independent foot-point stencils
     foot_x = x[None, :, None] + dt * v[None, None, :] + 0.5 * dt**2 * a[:, None, None]
     foot_v = v[None, :] + dt * a[:, None]
-    ix0, fx, ex_x = _stencil_1d(foot_x, x)  # (n_a, n_x, n_v)
-    iv0, fv, ex_v = _stencil_1d(foot_v, v)  # (n_a, n_v)
-
-    S = _stencil_operator(n_x * n_v, [
-        ((ix0 + cx) * n_v + (iv0 + cv)[:, None, :], wx * wv[:, None, :])
-        for cx, wx in ((0, 1.0 - fx), (1, fx))
-        for cv, wv in ((0, 1.0 - fv), (1, fv))
-    ])
+    iv0, fv = _stencil_1d(foot_v, v)  # (n_a, n_v)
 
     # growth-envelope penalties for clamped foot points
+    ex_x, ex_v = _excess(foot_x, x), _excess(foot_v, v)
     pen_x = m0 * T * (1.0 + v[None, None, :] ** 2) * ex_x  # (n_a, n_x, n_v)
     pen_v = m0 * T * ex_v * (ex_v + 2.0 * grid.R_v)  # (n_a, n_v)
     const = (
@@ -235,6 +234,19 @@ def solve_hjb_acceleration(
         + dt * (0.5 * eps * a[:, None, None] ** 2)
         + 0.5 * dt * (spec.kinetic(foot_v)[:, None, :] + spec.potential(foot_x))
     ).reshape(n_a, n_x * n_v)
+    del ex_x, pen_x
+    # The x stencil is built after `const`, the last long-lived construction
+    # array, and freed with the foot points before the value array exists: its
+    # memory is then returned rather than left as a hole below `const`.
+    ix0, fx = _stencil_1d(foot_x, x)  # (n_a, n_x, n_v)
+    del foot_x
+    S = _stencil_operator((n_a * n_x * n_v, n_x * n_v), 4, (
+        ((ix0 + cx) * n_v + (iv0 + cv)[:, None, :],
+         (fx if cx else 1.0 - fx) * (fv if cv else 1.0 - fv)[:, None, :])
+        for cx in (0, 1)
+        for cv in (0, 1)
+    ))
+    del ix0, fx
 
     # trapezoid rule: half the running cost at the node, half at the foot point
     kinetic_term = 0.5 * spec.kinetic(v)[None, :]
@@ -265,10 +277,11 @@ def _solve_hjb_x(grid, spec, m_flow, g, controls):
     dt = grid.dt
     n_t = t.size
     b = controls.values
-    ix0, fx, ex = _stencil_1d(x[None, :] + dt * b[:, None], x)  # (n_b, n_x)
-    S = _stencil_operator(x.size, [(ix0, 1.0 - fx), (ix0 + 1, fx)])
+    foot = x[None, :] + dt * b[:, None]  # (n_b, n_x)
+    ix0, fx = _stencil_1d(foot, x)
+    S = _stencil_operator((b.size * x.size, x.size), 2, [(ix0, 1.0 - fx), (ix0 + 1, fx)])
     pen_rate = spec.M0 * (1.0 + grid.T) * (1.0 + grid.R_v**2) + g.dg_bound
-    const = dt * spec.kinetic(b)[:, None] + pen_rate * ex
+    const = dt * spec.kinetic(b)[:, None] + pen_rate * _excess(foot, x)
 
     u = np.empty((n_t, x.size))
     terminal_m = None if m_flow is None else m_flow.marginal(n_t - 1)
@@ -322,8 +335,8 @@ def gradient_x(field: ValueField) -> np.ndarray:
 
 def interp_slice_xv(slice_xv: np.ndarray, grid: PhaseGrid, xq, vq):
     """Bilinear interpolation of one (x, v) slice at query points, clamped to the box."""
-    ix0, fx, _ = _stencil_1d(np.asarray(xq, dtype=float), grid.x)
-    iv0, fv, _ = _stencil_1d(np.asarray(vq, dtype=float), grid.v)
+    ix0, fx = _stencil_1d(np.asarray(xq, dtype=float), grid.x)
+    iv0, fv = _stencil_1d(np.asarray(vq, dtype=float), grid.v)
     return (
         (1 - fx) * (1 - fv) * slice_xv[ix0, iv0]
         + (1 - fx) * fv * slice_xv[ix0, iv0 + 1]
@@ -334,5 +347,5 @@ def interp_slice_xv(slice_xv: np.ndarray, grid: PhaseGrid, xq, vq):
 
 def interp_slice_x(slice_x: np.ndarray, grid: PhaseGrid, xq):
     """Linear interpolation of one x slice, clamped to the box."""
-    ix0, fx, _ = _stencil_1d(np.asarray(xq, dtype=float), grid.x)
+    ix0, fx = _stencil_1d(np.asarray(xq, dtype=float), grid.x)
     return (1 - fx) * slice_x[ix0] + fx * slice_x[ix0 + 1]

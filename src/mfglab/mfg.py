@@ -1,9 +1,10 @@
 """Fixed-point drivers coupling the value solvers with particle transport.
 
-Damped Picard iteration: solve the backward value problem given the current
-measure flow, push the particles forward, and mix trajectories (convex
-combination of particle paths sharing the initial ensemble) until the measure
-flow is self-consistent in sup-over-time W1.
+Anderson-accelerated Picard iteration: solve the backward value problem given
+the current measure flow f, push the particles forward to T(f), and stop when
+the residual sup_t W1(T(f), f) is below the tolerance. Otherwise the next
+iterate mixes the particle paths of past iterates and residuals (type-II
+Anderson, Walker & Ni, SIAM J. Numer. Anal. 49, 2011).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, TransportError, UnsupportedModelError
+from .errors import InvalidInputError, NumericalError, TransportError, UnsupportedModelError
 from .hjb import (
     ControlSet,
     PhaseGrid,
@@ -130,33 +131,105 @@ def _paired_joint_gap(a: MeasureFlow, b: MeasureFlow) -> float:
     return float(np.max(per_t))
 
 
-def _picard(spec, solve_value, transport, gap, init_flow, damping, tol_fp, max_iter, kind):
-    """Damped Picard iteration shared by every driver.
+# Anderson mixing constants; CHANGES.md records the measurement behind them
+_MEMORY = 5  # difference pairs in the least-squares fit
+_MIXING = 0.5  # weight of the residual in each step
+_RESTART = 2.0  # the history is cleared when |r| exceeds this times the best |r|
+
+
+class _Anderson:
+    """Safeguarded type-II Anderson mixing of particle positions.
+
+    The differences of successive iterates and residuals live in float32 ring
+    buffers; the iterate, the residual and the stopping gap stay float64, so
+    the history's precision changes the speed, never the certified residual.
+    Row `head` holds the pending pair: the last step and the last residual,
+    which the next residual turns into a residual difference.
+    """
+
+    def __init__(self, n: int):
+        self.dx = np.empty((_MEMORY, n), dtype=np.float32)
+        self.dr = np.empty((_MEMORY, n), dtype=np.float32)
+        self.size = 0  # complete difference pairs
+        self.head = 0
+        self.pending = False
+        self.best = np.inf
+
+    def step(self, x, r):
+        """The next iterate from iterate x and its residual r = T(x) - x (flat float64)."""
+        norm = float(np.linalg.norm(r))
+        if norm > _RESTART * self.best:
+            self.size = 0
+        elif self.pending:
+            np.subtract(r, self.dr[self.head], out=self.dr[self.head], casting="same_kind")
+            self.head = (self.head + 1) % _MEMORY
+            self.size = min(self.size + 1, _MEMORY)
+        self.best = min(self.best, norm)
+        dx = _MIXING * r
+        if self.size:
+            rows = [(self.head - 1 - i) % _MEMORY for i in range(self.size)]
+            gram = np.empty((self.size, self.size))
+            rhs = np.empty(self.size)
+            for i, ri in enumerate(rows):
+                dri = self.dr[ri].astype(np.float64)
+                rhs[i] = dri @ r
+                for j, rj in enumerate(rows[: i + 1]):
+                    gram[i, j] = gram[j, i] = dri @ self.dr[rj].astype(np.float64)
+            gamma = np.linalg.lstsq(gram, rhs, rcond=None)[0]
+            for ri, c in zip(rows, gamma):
+                dx -= c * self.dx[ri]
+                dx -= (_MIXING * c) * self.dr[ri]
+        self.dx[self.head] = dx
+        self.dr[self.head] = r
+        self.pending = True
+        return x + dx
+
+
+def _picard(spec, solve_value, transport, gap, init_flow, tol_fp, max_iter, kind, r_x):
+    """Anderson-accelerated Picard iteration shared by every driver.
 
     solve_value(flow) gives the value field against a measure flow (None when
     the model is decoupled, which closes in one pass), transport(u) the flow it
     induces, gap(new, old) the fixed-point distance, and init_flow() the first
-    iterate. Mixing is a convex combination of particle paths sharing the
-    initial ensemble.
+    iterate. The loop stops when gap(T(f), f) < tol_fp and returns the
+    consistent pair (u, T(f)); after max_iter iterations it returns the pair
+    with the smallest gap, flagged not converged.
+
+    Only positions are mixed: every coupling reads positions, so the iterate
+    carries the velocities of its latest transport. Mixed positions are clipped
+    to [-r_x, r_x], the box every transported particle lies in.
     """
     if not spec.is_coupled:
         u = solve_value(None)
         return MFGSolution(u, transport(u), 1, 0.0, (0.0,), True, kind)
     flow = init_flow()
-    history = []
+    mixer = _Anderson(flow.positions.size)
+    history, best, best_u = [], np.inf, None
     for it in range(1, max_iter + 1):
         u = solve_value(flow)
         new = transport(u)
-        X = (1.0 - damping) * flow.positions + damping * new.positions
-        V = None
-        if flow.velocities is not None:
-            V = (1.0 - damping) * flow.velocities + damping * new.velocities
-        mixed = MeasureFlow(flow.times, X, V, flow.weights)
-        history.append(gap(mixed, flow))
-        flow = mixed
+        history.append(gap(new, flow))
         if history[-1] < tol_fp:
-            return MFGSolution(u, flow, it, history[-1], tuple(history), True, kind)
-    return MFGSolution(u, flow, max_iter, history[-1], tuple(history), False, kind)
+            return MFGSolution(u, new, it, history[-1], tuple(history), True, kind)
+        if not np.isfinite(history[-1]):
+            raise NumericalError(
+                f"fixed-point residual is not finite at iteration {it}",
+                best=None if best_u is None else _best_pair(best_u, transport, history, best, kind),
+                residual=best,
+            )
+        if history[-1] < best:
+            best, best_u = history[-1], u
+        X = flow.positions
+        X = mixer.step(X.ravel(), (new.positions - X).ravel()).reshape(X.shape)
+        np.clip(X, -r_x, r_x, out=X)
+        # the transported positions go before the next value solve
+        flow = MeasureFlow(flow.times, X, new.velocities, flow.weights)
+        del u, new
+    return _best_pair(best_u, transport, history, best, kind)
+
+
+def _best_pair(u, transport, history, gap, kind):
+    return MFGSolution(u, transport(u), len(history), gap, tuple(history), False, kind)
 
 
 def solve_eps_system(
@@ -166,12 +239,11 @@ def solve_eps_system(
     mu0: ParticleEnsemble,
     eps: float,
     controls: ControlSet | None = None,
-    damping: float = 0.5,
     tol_fp: float = 1e-3,
     max_iter: int = 60,
     dt_inner_factor: float = 4.0,
 ) -> MFGSolution:
-    """Damped Picard iteration for the penalized system."""
+    """Anderson-accelerated Picard iteration for the penalized system."""
     if eps <= 0:
         raise InvalidInputError("eps must be positive")
     return _picard(
@@ -180,7 +252,7 @@ def solve_eps_system(
         lambda u: transport_eps(mu0, u, eps, dt_inner_factor),
         sup_w1_marginal,
         lambda: free_transport_flow(mu0, grid),
-        damping, tol_fp, max_iter, "eps_system",
+        tol_fp, max_iter, "eps_system", grid.R_x,
     )
 
 
@@ -190,7 +262,6 @@ def solve_limit_classical(
     grid: PhaseGrid,
     mu0: ParticleEnsemble,
     controls: ControlSet | None = None,
-    damping: float = 0.5,
     tol_fp: float = 1e-3,
     max_iter: int = 60,
     substeps: int = 4,
@@ -208,7 +279,7 @@ def solve_limit_classical(
         lambda u: transport_along_velocity(mu0, u, spec, substeps).marginal_flow(),
         sup_w1_marginal,
         init_flow,
-        damping, tol_fp, max_iter, "classical_limit",
+        tol_fp, max_iter, "classical_limit", grid.R_x,
     )
 
 
@@ -218,7 +289,6 @@ def solve_mfg_of_control(
     grid: PhaseGrid,
     mu0: ParticleEnsemble,
     controls: ControlSet | None = None,
-    damping: float = 0.5,
     tol_fp: float = 1e-3,
     max_iter: int = 60,
     substeps: int = 4,
@@ -243,5 +313,5 @@ def solve_mfg_of_control(
         reconstruct,
         _paired_joint_gap,
         lambda: free_transport_flow(mu0, grid),
-        damping, tol_fp, max_iter, "mfg_of_control",
+        tol_fp, max_iter, "mfg_of_control", grid.R_x,
     )

@@ -200,12 +200,23 @@ def test_inadmissible_model_constant_is_config_error(runner, tmp_path, key, valu
     assert f"config error: model.{key} must be {rule}" in res.output
 
 
+@pytest.mark.parametrize("command", [["solve-eps", "--eps", "0.2"], ["solve-limit"], ["sweep"]])
+def test_removed_damping_key_is_config_error(runner, tmp_path, command):
+    """solver.damping is gone: Picard has one fixed Anderson rule and no damping knob."""
+    cfg = _write_cfg(tmp_path, {"solver": {"damping": 0.5}})
+    res = runner.invoke(main, ["--config", cfg, "--out", str(tmp_path / "out")] + command)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "config error: unknown keys in config block 'solver': damping" in res.output
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "block, key, value",
     [
         ("model", "M0", "abc"),
         ("grid", "N_x", "ten"),
-        ("solver", "damping", None),
+        ("solver", "tol_fp", None),
         ("sweep", "eps_ladder", ["a"]),
     ],
 )
@@ -247,7 +258,7 @@ def test_cli_matches_api(runner, tmp_path, variant):
     cfg = RunConfig.from_dict(data)
     spec, g, grid = cfg.build_spec(), cfg.build_terminal(), cfg.build_grid()
     mu0, plan, s = cfg.build_mu0(seed=11), cfg.build_plan(), cfg.solver
-    solver = dict(damping=float(s["damping"]), tol_fp=float(s["tol_fp"]), max_iter=int(s["max_iter"]))
+    solver = dict(tol_fp=float(s["tol_fp"]), max_iter=int(s["max_iter"]))
 
     out = tmp_path / "sweep"
     res = runner.invoke(main, ["--config", str(path), "--out", str(out), "--seed", "11", "sweep"])

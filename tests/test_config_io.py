@@ -49,8 +49,6 @@ def test_invalid_values_rejected():
         RunConfig.from_dict({"grid": {"N_a": 20}})
     with pytest.raises(ConfigurationError, match="at least 3"):
         RunConfig.from_dict({"grid": {"N_x": 2}})
-    with pytest.raises(ConfigurationError, match="damping"):
-        RunConfig.from_dict({"solver": {"damping": 0.0}})
     with pytest.raises(ConfigurationError, match="tol_fp"):
         RunConfig.from_dict({"solver": {"tol_fp": -1.0}})
     with pytest.raises(ConfigurationError, match="strictly decreasing"):

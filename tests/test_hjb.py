@@ -1,5 +1,7 @@
 """Semi-Lagrangian value solvers, gradients, and grid/control validation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,10 @@ from mfglab import (
     PhaseGrid,
     UnsupportedModelError,
     ValueField,
+    acceleration_controls,
     gradient_v,
     gradient_x,
+    lattice_ensemble,
     make_lagrangian,
     make_terminal,
     solve_hjb_acceleration,
@@ -21,6 +25,7 @@ from mfglab import (
 )
 from mfglab.hjb import _index_dtype
 from mfglab.measures import ParticleEnsemble, linear_binning
+from mfglab.mfg import free_transport_flow
 from mfglab.model import LagrangianSpec, TerminalCost
 
 from oracles import lq_limit_value
@@ -361,3 +366,20 @@ def test_binned_coupling_within_bound_of_exact(name, n_particles, monkeypatch):
     u0 = solve_hjb_limit_classical(grid, spec, m_flow, g).values
     gap0 = np.max(np.abs(u0 - _ref_limit(grid, spec, m_flow, g)))
     assert 0.0 < gap0 <= bound
+
+
+def test_acceleration_solve_peak_memory():
+    """The construction arrays are freed before the backward loop: on the coupled
+    sweep's grid one solve peaks near 38 MB of traced allocations (u alone is 6.6 MB,
+    the operator 16 MB); keeping them through the loop peaked at 49.8 MB."""
+    grid = PhaseGrid.regular(N_x=101, N_v=81, N_t=101)
+    spec = make_lagrangian("quadratic", kappa_c=0.5)
+    flow = free_transport_flow(lattice_ensemble(2000), grid)
+    controls = acceleration_controls(grid, 0.01)
+    tracemalloc.start()
+    try:
+        solve_hjb_acceleration(grid, spec, flow, ZERO_G, 0.01, controls)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 44e6, f"traced peak {peak / 1e6:.1f} MB"

@@ -2,14 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfglab import (
     InvalidInputError,
+    MFGLabError,
     PhaseGrid,
     TransportError,
     UnsupportedModelError,
     ValueField,
     continuity_residuals,
+    gaussian_ensemble,
     lattice_ensemble,
     make_lagrangian,
     make_terminal,
@@ -103,6 +107,60 @@ def test_coupled_gap_history_decreases():
     sol = solve_eps_system(spec, ZERO_G, SMALL, mu0, 0.1)
     hist = sol.gap_history
     assert all(hist[i + 1] <= hist[i] for i in range(2, len(hist) - 1))
+
+
+def test_strong_coupling_converges():
+    # damped Picard (mixing 0.5) locked at residual 0.24 here for 60 iterations
+    spec = make_lagrangian("quadratic", kappa_c=8.0)
+    sol = solve_eps_system(spec, ZERO_G, SMALL, lattice_ensemble(64), 0.05)
+    assert sol.converged
+    assert sol.fixed_point_gap == sol.gap_history[-1] < 1e-3
+    assert sol.iterations <= 15
+
+
+def _assert_consistent_pair(sol, mu0, eps):
+    """The returned flow is the transport of the returned value field."""
+    again = transport_eps(mu0, sol.value, eps)
+    assert np.array_equal(again.positions, sol.flow.positions)
+    assert np.array_equal(again.velocities, sol.flow.velocities)
+
+
+def test_best_iterate_on_non_convergence():
+    spec = make_lagrangian("quadratic", kappa_c=8.0)
+    mu0 = lattice_ensemble(64)
+    sol = solve_eps_system(spec, ZERO_G, SMALL, mu0, 0.05, max_iter=2)
+    assert not sol.converged and sol.iterations == 2 and len(sol.gap_history) == 2
+    assert sol.fixed_point_gap == min(sol.gap_history)
+    _assert_consistent_pair(sol, mu0, 0.05)
+
+    # a run whose residual rises at its last iteration returns an earlier pair
+    mu0 = gaussian_ensemble(64)
+    late = solve_eps_system(spec, ZERO_G, SMALL, mu0, 0.05, max_iter=8)
+    hist = late.gap_history
+    best = int(np.argmin(hist))
+    assert not late.converged and best < 7
+    early = solve_eps_system(spec, ZERO_G, SMALL, mu0, 0.05, max_iter=best + 1)
+    assert late.fixed_point_gap == hist[best] == early.fixed_point_gap
+    assert np.array_equal(late.value.values, early.value.values)
+    _assert_consistent_pair(late, mu0, 0.05)
+
+
+@settings(max_examples=8, deadline=None, database=None)
+@given(
+    kappa_c=st.floats(0.0, 8.0),
+    name=st.sampled_from(["quadratic", "cosine", "quartic"]),
+    ensemble=st.sampled_from([lattice_ensemble, gaussian_ensemble]),
+    eps=st.sampled_from([0.05, 0.1]),
+)
+def test_coupled_solve_converges_or_raises_typed_error(kappa_c, name, ensemble, eps):
+    mu0 = ensemble(64)
+    try:
+        sol = solve_eps_system(make_lagrangian(name, kappa_c=kappa_c), ZERO_G, SMALL, mu0, eps)
+    except MFGLabError:
+        return
+    assert sol.converged and sol.fixed_point_gap < 1e-3
+    assert np.all(np.isfinite(sol.value.values))
+    assert np.all(np.isfinite(sol.flow.positions)) and np.all(np.isfinite(sol.flow.velocities))
 
 
 def test_limit_classical_decoupled_riccati_path():
