@@ -110,7 +110,7 @@ def test_coupled_gap_history_decreases():
 
 
 def test_strong_coupling_converges():
-    # damped Picard (mixing 0.5) locked at residual 0.24 here for 60 iterations
+    # damped Picard (damping 0.5) stalled here at a gap of 0.24 for 60 iterations
     spec = make_lagrangian("quadratic", kappa_c=8.0)
     sol = solve_eps_system(spec, ZERO_G, SMALL, lattice_ensemble(64), 0.05)
     assert sol.converged
