@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -23,6 +22,7 @@ from .hjb import (
     ControlSet,
     PhaseGrid,
     ValueField,
+    _n_cpus,
     acceleration_controls,
     gradient_x,
     interp_slice_x,
@@ -137,9 +137,12 @@ def _pairwise_holder_margin(flow: MeasureFlow, q2: float) -> float:
     uniform = np.allclose(flow.weights, 1.0 / n)
     if uniform:
         S = np.sort(flow.positions, axis=1)
+        diff = np.empty_like(S)
         margin = np.inf
         for k in range(t.size - 1):
-            d1 = np.mean(np.abs(S[k + 1 :] - S[k]), axis=1)
+            rows = diff[: t.size - 1 - k]
+            np.subtract(S[k + 1 :], S[k], out=rows)
+            d1 = np.mean(np.abs(rows, out=rows), axis=1)
             margin = min(margin, float(np.min(q2 * np.sqrt(t[k + 1 :] - t[k]) - d1)))
         return margin
     margin = np.inf
@@ -253,13 +256,6 @@ def compare_joint_reconstruction(
     with ThreadPoolExecutor(max_workers=max(1, min(len(probes), _n_cpus()))) as pool:
         results = list(pool.map(probe, probes))
     return [(float(fa.times[ka]), res) for (ka, _), res in zip(probes, results)]
-
-
-def _n_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def continuity_residuals(solution: MFGSolution, spec: LagrangianSpec, tests=None):

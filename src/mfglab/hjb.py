@@ -3,14 +3,20 @@
 The penalized problem is solved on a (t, x, v) box with a discrete acceleration
 control set; the limit problems are solved on (t, x) with velocity controls.
 Foot points fall on fixed offsets of the grid, so the multilinear interpolation
-stencils form one time-independent sparse operator, built once per solve, and
-each backward step is one sparse matvec plus a min over controls. A coupled
-running cost sees the measure flow through its position marginals, binned once
-per solve on the lattice of the x axis (`measures.linear_binning`).
+stencils form time-independent sparse operators, built once per solve, and
+each backward step is a sparse matvec plus a min over controls. The penalized
+solver splits its acceleration controls into one contiguous block per CPU of
+the process's affinity mask, each block with its own operator, and takes the
+minimum over each block on its own thread; the exact `np.minimum` of the block
+minima makes the values independent of the CPU count. A coupled running cost
+sees the measure flow through its position marginals, binned once per solve on
+the lattice of the x axis (`measures.linear_binning`).
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,6 +191,61 @@ def _coupling_slice(spec: LagrangianSpec, x, binned, k: int):
     return spec.coupling_value(x, ParticleEnsemble(lattice, None, table[k]))
 
 
+def _n_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _acceleration_block(grid: PhaseGrid, spec: LagrangianSpec, eps: float, a: np.ndarray):
+    """Stencil operator and constant rows of the acceleration controls `a`.
+
+    Row c * n_x * n_v + i * n_v + j of the CSR operator interpolates u(t+dt) at
+    the foot point of node (i, j) under a[c], summing its four corners in a fixed
+    order; const[c] holds that candidate's control cost, trapezoidal foot-point
+    cost and growth-envelope penalties. Every entry depends on its own control
+    only, so a block of controls gives exactly the rows of the full set.
+    """
+    x, v, dt = grid.x, grid.v, grid.dt
+    n_x, n_v, n_a = x.size, v.size, a.size
+    m0, T = spec.M0, grid.T
+    foot_x = x[None, :, None] + dt * v[None, None, :] + 0.5 * dt**2 * a[:, None, None]
+    foot_v = v[None, :] + dt * a[:, None]
+    iv0, fv = _stencil_1d(foot_v, v)  # (n_a, n_v)
+
+    # growth-envelope penalties for clamped foot points
+    ex_x, ex_v = _excess(foot_x, x), _excess(foot_v, v)
+    pen_x = m0 * T * (1.0 + v[None, None, :] ** 2) * ex_x  # (n_a, n_x, n_v)
+    pen_v = m0 * T * ex_v * (ex_v + 2.0 * grid.R_v)  # (n_a, n_v)
+    const = (
+        pen_x
+        + pen_v[:, None, :]
+        + dt * (0.5 * eps * a[:, None, None] ** 2)
+        + 0.5 * dt * (spec.kinetic(foot_v)[:, None, :] + spec.potential(foot_x))
+    ).reshape(n_a, n_x * n_v)
+    del ex_x, pen_x
+    # The x stencil is built after `const`, the last long-lived construction
+    # array, and freed with the foot points before the next block is built: its
+    # memory is then returned rather than left as a hole below `const`.
+    ix0, fx = _stencil_1d(foot_x, x)  # (n_a, n_x, n_v)
+    del foot_x
+    S = _stencil_operator((n_a * n_x * n_v, n_x * n_v), 4, (
+        ((ix0 + cx) * n_v + (iv0 + cv)[:, None, :],
+         (fx if cx else 1.0 - fx) * (fv if cv else 1.0 - fv)[:, None, :])
+        for cx in (0, 1)
+        for cv in (0, 1)
+    ))
+    return S, const
+
+
+def _block_min(S, const, u_next):
+    """Smallest candidate of one control block at every node."""
+    cand = (S @ u_next).reshape(const.shape)
+    cand += const
+    return cand.min(axis=0)
+
+
 def solve_hjb_acceleration(
     grid: PhaseGrid,
     spec: LagrangianSpec,
@@ -203,6 +264,12 @@ def solve_hjb_acceleration(
     i.e. a midpoint-accurate characteristic with trapezoidal running cost.
     Foot points outside the box are charged the growth-envelope penalty so
     outward excursions are suboptimal.
+
+    The controls are split into min(CPUs, controls) contiguous blocks whose
+    sizes differ by at most one, each with its own operator. At every step a
+    worker thread takes the minimum over each block but the first, which the
+    calling thread does; the partial minima are combined with `np.minimum`,
+    which is exact, so the values do not depend on the CPU count.
     """
     if eps <= 0:
         raise InvalidInputError("eps must be positive; use a limit solver for eps = 0")
@@ -216,37 +283,10 @@ def solve_hjb_acceleration(
         )
     n_x, n_v, n_t = x.size, v.size, t.size
     a = controls.values
-    n_a = a.size
-    m0, T = spec.M0, grid.T
-
-    # time-independent foot-point stencils
-    foot_x = x[None, :, None] + dt * v[None, None, :] + 0.5 * dt**2 * a[:, None, None]
-    foot_v = v[None, :] + dt * a[:, None]
-    iv0, fv = _stencil_1d(foot_v, v)  # (n_a, n_v)
-
-    # growth-envelope penalties for clamped foot points
-    ex_x, ex_v = _excess(foot_x, x), _excess(foot_v, v)
-    pen_x = m0 * T * (1.0 + v[None, None, :] ** 2) * ex_x  # (n_a, n_x, n_v)
-    pen_v = m0 * T * ex_v * (ex_v + 2.0 * grid.R_v)  # (n_a, n_v)
-    const = (
-        pen_x
-        + pen_v[:, None, :]
-        + dt * (0.5 * eps * a[:, None, None] ** 2)
-        + 0.5 * dt * (spec.kinetic(foot_v)[:, None, :] + spec.potential(foot_x))
-    ).reshape(n_a, n_x * n_v)
-    del ex_x, pen_x
-    # The x stencil is built after `const`, the last long-lived construction
-    # array, and freed with the foot points before the value array exists: its
-    # memory is then returned rather than left as a hole below `const`.
-    ix0, fx = _stencil_1d(foot_x, x)  # (n_a, n_x, n_v)
-    del foot_x
-    S = _stencil_operator((n_a * n_x * n_v, n_x * n_v), 4, (
-        ((ix0 + cx) * n_v + (iv0 + cv)[:, None, :],
-         (fx if cx else 1.0 - fx) * (fv if cv else 1.0 - fv)[:, None, :])
-        for cx in (0, 1)
-        for cv in (0, 1)
-    ))
-    del ix0, fx
+    blocks = [
+        _acceleration_block(grid, spec, eps, a_b)
+        for a_b in np.array_split(a, min(_n_cpus(), a.size))
+    ]
 
     # trapezoid rule: half the running cost at the node, half at the foot point
     kinetic_term = 0.5 * spec.kinetic(v)[None, :]
@@ -256,11 +296,16 @@ def solve_hjb_acceleration(
     m_terminal = None if m_flow is None else m_flow.marginal(n_t - 1)
     u[-1] = np.broadcast_to(np.asarray(g.g(x, m_terminal), dtype=float)[:, None], (n_x, n_v))
     binned = _binned_marginals(spec, x, m_flow)
-    for k in range(n_t - 2, -1, -1):
-        cand = (S @ u[k + 1].ravel()).reshape(n_a, -1)
-        cand += const
-        running = kinetic_term + potential_term + _coupling_slice(spec, x, binned, k)[:, None]
-        u[k] = cand.min(axis=0).reshape(n_x, n_v) + dt * running
+    # the workers run only `_block_min`; the coupling stays on this thread
+    with ThreadPoolExecutor(max_workers=max(1, len(blocks) - 1)) as pool:
+        for k in range(n_t - 2, -1, -1):
+            u_next = u[k + 1].ravel()
+            rest = [pool.submit(_block_min, S, const, u_next) for S, const in blocks[1:]]
+            best = _block_min(*blocks[0], u_next)
+            for part in rest:
+                np.minimum(best, part.result(), out=best)
+            running = kinetic_term + potential_term + _coupling_slice(spec, x, binned, k)[:, None]
+            u[k] = best.reshape(n_x, n_v) + dt * running
     return ValueField(u, grid, eps)
 
 

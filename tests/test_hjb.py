@@ -1,5 +1,6 @@
 """Semi-Lagrangian value solvers, gradients, and grid/control validation."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,7 @@ from mfglab import (
     solve_hjb_limit_classical,
     solve_hjb_mfg_control,
 )
+from mfglab import hjb
 from mfglab.hjb import _index_dtype
 from mfglab.measures import ParticleEnsemble, linear_binning
 from mfglab.mfg import free_transport_flow
@@ -316,15 +318,10 @@ def _ref_limit(grid, spec, m_flow, g):
     return u
 
 
-@pytest.mark.parametrize("coupled", [False, True])
-@pytest.mark.parametrize("name", ["quadratic", "cosine", "quartic"])
-def test_sparse_step_bit_identical_to_gathers(name, coupled):
+def _gather_case(name, coupled):
+    """11x9x6 grid with 7 controls whose foot points leave the box on both axes."""
     grid = PhaseGrid.regular(R_x=1.0, R_v=1.0, N_x=11, N_v=9, N_t=6)
     controls = ControlSet.symmetric(5.0, 7)
-    dt = grid.dt
-    # foot points leave the box on both axes, so fractions clamp and both penalties bite
-    assert grid.R_v + dt * controls.a_max > grid.R_v + grid.dv
-    assert grid.R_x + dt * grid.R_v + 0.5 * dt**2 * controls.a_max > grid.R_x + grid.dx
     spec = make_lagrangian(name, kappa_c=0.5 if coupled else 0.0)
     g = make_terminal("atan", amplitude=1.0)
     m_flow = None
@@ -332,6 +329,17 @@ def test_sparse_step_bit_identical_to_gathers(name, coupled):
         rng = np.random.default_rng(1)
         pos = rng.uniform(-0.8, 0.8, size=5) + 0.1 * grid.t[:, None]
         m_flow = MeasureFlow(grid.t, pos, None, np.full(5, 0.2))
+    return grid, spec, m_flow, g, controls
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+@pytest.mark.parametrize("name", ["quadratic", "cosine", "quartic"])
+def test_sparse_step_bit_identical_to_gathers(name, coupled):
+    grid, spec, m_flow, g, controls = _gather_case(name, coupled)
+    dt = grid.dt
+    # foot points leave the box on both axes, so fractions clamp and both penalties bite
+    assert grid.R_v + dt * controls.a_max > grid.R_v + grid.dv
+    assert grid.R_x + dt * grid.R_v + 0.5 * dt**2 * controls.a_max > grid.R_x + grid.dx
     u = solve_hjb_acceleration(grid, spec, m_flow, g, 0.05, controls).values
     assert np.array_equal(u, _ref_acceleration(grid, spec, m_flow, g, 0.05, controls))
     u0 = solve_hjb_limit_classical(grid, spec, m_flow, g).values
@@ -368,10 +376,41 @@ def test_binned_coupling_within_bound_of_exact(name, n_particles, monkeypatch):
     assert 0.0 < gap0 <= bound
 
 
-def test_acceleration_solve_peak_memory():
-    """The construction arrays are freed before the backward loop: on the coupled
-    sweep's grid one solve peaks near 38 MB of traced allocations (u alone is 6.6 MB,
-    the operator 16 MB); keeping them through the loop peaked at 49.8 MB."""
+@pytest.mark.parametrize("coupled", [False, True])
+@pytest.mark.parametrize("n_cpus", [1, 2, 3, 7, 16])
+def test_control_blocks_bit_identical_for_any_cpu_count(n_cpus, coupled, monkeypatch):
+    """The 7 controls split into min(n_cpus, 7) contiguous blocks of sizes 3/2/2 at
+    3 CPUs and one control each at 7 or 16; the min over blocks is exact, so the
+    values equal the gather reference whatever the CPU count."""
+    grid, spec, m_flow, g, controls = _gather_case("cosine", coupled)
+    blocks = []
+
+    def recording_block(grid, spec, eps, a):
+        blocks.append(a.copy())
+        return build_block(grid, spec, eps, a)
+
+    build_block = hjb._acceleration_block
+    monkeypatch.setattr(hjb, "_n_cpus", lambda: n_cpus)
+    monkeypatch.setattr(hjb, "_acceleration_block", recording_block)
+    u = solve_hjb_acceleration(grid, spec, m_flow, g, 0.05, controls).values
+    assert np.array_equal(u, _ref_acceleration(grid, spec, m_flow, g, 0.05, controls))
+    sizes = [b.size for b in blocks]
+    assert len(blocks) == min(n_cpus, controls.values.size)
+    assert max(sizes) - min(sizes) <= 1
+    assert np.array_equal(np.concatenate(blocks), controls.values)
+
+
+def test_control_block_workers_are_joined(monkeypatch):
+    """Every solve joins its worker threads before it returns."""
+    monkeypatch.setattr(hjb, "_n_cpus", lambda: 2)
+    before = threading.active_count()
+    for coupled in (False, True, False):
+        grid, spec, m_flow, g, controls = _gather_case("quadratic", coupled)
+        solve_hjb_acceleration(grid, spec, m_flow, g, 0.05, controls)
+    assert threading.active_count() == before
+
+
+def _traced_peak_of_coupled_solve():
     grid = PhaseGrid.regular(N_x=101, N_v=81, N_t=101)
     spec = make_lagrangian("quadratic", kappa_c=0.5)
     flow = free_transport_flow(lattice_ensemble(2000), grid)
@@ -382,4 +421,20 @@ def test_acceleration_solve_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return peak
+
+
+def test_acceleration_solve_peak_memory():
+    """The construction arrays are freed before the backward loop: on the coupled
+    sweep's grid one solve peaks near 38 MB of traced allocations (u alone is 6.6 MB,
+    the operator 16 MB); keeping them through the loop peaked at 49.8 MB."""
+    peak = _traced_peak_of_coupled_solve()
+    assert peak < 44e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+def test_acceleration_solve_peak_memory_two_blocks(monkeypatch):
+    """The same bound holds with the controls split over two CPUs, so the
+    threaded step is checked on a one-CPU machine too."""
+    monkeypatch.setattr(hjb, "_n_cpus", lambda: 2)
+    peak = _traced_peak_of_coupled_solve()
     assert peak < 44e6, f"traced peak {peak / 1e6:.1f} MB"
