@@ -296,7 +296,8 @@ def solve_hjb_acceleration(
     m_terminal = None if m_flow is None else m_flow.marginal(n_t - 1)
     u[-1] = np.broadcast_to(np.asarray(g.g(x, m_terminal), dtype=float)[:, None], (n_x, n_v))
     binned = _binned_marginals(spec, x, m_flow)
-    # the workers run only `_block_min`; the coupling stays on this thread
+    # workers run only `_block_min`; `coupling_value` stays on this thread, as
+    # perfbench's tracer keeps one span stack for all threads
     with ThreadPoolExecutor(max_workers=max(1, len(blocks) - 1)) as pool:
         for k in range(n_t - 2, -1, -1):
             u_next = u[k + 1].ravel()

@@ -384,12 +384,12 @@ def test_control_blocks_bit_identical_for_any_cpu_count(n_cpus, coupled, monkeyp
     values equal the gather reference whatever the CPU count."""
     grid, spec, m_flow, g, controls = _gather_case("cosine", coupled)
     blocks = []
+    build_block = hjb._acceleration_block
 
     def recording_block(grid, spec, eps, a):
         blocks.append(a.copy())
         return build_block(grid, spec, eps, a)
 
-    build_block = hjb._acceleration_block
     monkeypatch.setattr(hjb, "_n_cpus", lambda: n_cpus)
     monkeypatch.setattr(hjb, "_acceleration_block", recording_block)
     u = solve_hjb_acceleration(grid, spec, m_flow, g, 0.05, controls).values
@@ -426,8 +426,9 @@ def _traced_peak_of_coupled_solve():
 
 def test_acceleration_solve_peak_memory():
     """The construction arrays are freed before the backward loop: on the coupled
-    sweep's grid one solve peaks near 38 MB of traced allocations (u alone is 6.6 MB,
-    the operator 16 MB); keeping them through the loop peaked at 49.8 MB."""
+    sweep's grid one solve peaks near 38 MB of traced allocations with one control
+    block, 32 MB with two (u alone is 6.6 MB, the operators 16 MB); keeping them
+    through the loop peaked at 49.8 MB."""
     peak = _traced_peak_of_coupled_solve()
     assert peak < 44e6, f"traced peak {peak / 1e6:.1f} MB"
 
