@@ -191,6 +191,8 @@ def audit_estimates(
 
     acc = np.gradient(flow.velocities, flow.times, axis=0)
     mask = flow.times >= accel_delta
+    if np.count_nonzero(mask) < 2:
+        raise InvalidInputError(f"accel_delta {accel_delta} leaves fewer than two time nodes")
     prop52 = float(np.max(np.trapezoid(acc[mask] ** 2, flow.times[mask], axis=0)))
 
     return EstimateAudit(lemma41, cor42, cor43, prop46, prop52, q1, q2)

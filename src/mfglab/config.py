@@ -151,9 +151,16 @@ class RunConfig:
             raise ConfigurationError(f"unknown measure kind {self.measure['kind']!r}")
         if int(self.measure["n"]) < 1:
             raise ConfigurationError("measure.n must be positive")
+        box = [[float(c) for c in pair] for pair in self.measure["box"]]
+        if len(box) != 2 or any(len(pair) != 2 or not pair[0] < pair[1] for pair in box):
+            raise ConfigurationError("measure.box must be two [lo, hi] pairs with lo < hi")
         s = self.solver
         if float(s["tol_fp"]) <= 0 or int(s["max_iter"]) < 1:
             raise ConfigurationError("solver.tol_fp must be positive and max_iter >= 1")
+        if int(s["substeps"]) < 1:
+            raise ConfigurationError("solver.substeps must be at least 1")
+        if not float(s["dt_inner_factor"]) > 0:
+            raise ConfigurationError("solver.dt_inner_factor must be positive")
         if self.sweep["variant"] not in ("classical", "control"):
             raise ConfigurationError(f"unknown sweep variant {self.sweep['variant']!r}")
         ladder = [float(e) for e in self.sweep["eps_ladder"]]
@@ -161,6 +168,8 @@ class RunConfig:
             raise ConfigurationError("sweep.eps_ladder must be positive")
         if any(ladder[i + 1] >= ladder[i] for i in range(len(ladder) - 1)):
             raise ConfigurationError("sweep.eps_ladder must be strictly decreasing")
+        if not 0 <= float(self.sweep["accel_delta"]) < float(grid["T"]):
+            raise ConfigurationError("sweep.accel_delta must lie in [0, grid.T)")
 
     # -- factories ------------------------------------------------------------
 

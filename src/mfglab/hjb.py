@@ -310,8 +310,14 @@ def solve_hjb_acceleration(
     return ValueField(u, grid, eps)
 
 
-def _solve_hjb_x(grid, spec, m_flow, g, controls):
-    """Backward sweep on (t, x) with velocity controls b (default: the v axis).
+def solve_hjb_limit_classical(
+    grid: PhaseGrid,
+    spec: LagrangianSpec,
+    m_flow: MeasureFlow | None,
+    g: TerminalCost,
+    controls: ControlSet | None = None,
+) -> ValueField:
+    """Limit value function on (t, x) with velocity controls b (default: the v axis).
 
     Each node minimizes dt (kinetic(b) + potential(x) + coupling(x, m_t))
     + Interp u(t+dt, x+dt b); foot points outside the box pay a per-unit-excess
@@ -339,17 +345,6 @@ def _solve_hjb_x(grid, spec, m_flow, g, controls):
     return ValueField(u, grid, 0.0)
 
 
-def solve_hjb_limit_classical(
-    grid: PhaseGrid,
-    spec: LagrangianSpec,
-    m_flow: MeasureFlow | None,
-    g: TerminalCost,
-    controls: ControlSet | None = None,
-) -> ValueField:
-    """Limit value function on (t, x): minimize dt L0(x, b, m_t) + Interp u(t+dt, x+dt b)."""
-    return _solve_hjb_x(grid, spec, m_flow, g, controls)
-
-
 def solve_hjb_mfg_control(
     grid: PhaseGrid,
     spec: LagrangianSpec,
@@ -359,12 +354,12 @@ def solve_hjb_mfg_control(
 ) -> ValueField:
     """Limit value function of the state-control formulation: running cost b^2/2 + L0(x, mu_t).
 
-    With the quadratic kinetic term this is the classical-limit sweep, coupled
-    through the position marginal of mu_t.
+    Every catalog coupling reads the position marginal of mu_t, so with the
+    quadratic kinetic term this is `solve_hjb_limit_classical`.
     """
     if not spec.is_quadratic_kinetic:
         raise UnsupportedModelError("the state-control limit requires the quadratic kinetic term")
-    return _solve_hjb_x(grid, spec, mu_flow, g, controls)
+    return solve_hjb_limit_classical(grid, spec, mu_flow, g, controls)
 
 
 def gradient_v(field: ValueField) -> np.ndarray:

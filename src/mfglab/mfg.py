@@ -4,12 +4,14 @@ Anderson-accelerated Picard iteration: solve the backward value problem given
 the current measure flow f, push the particles forward to T(f), and stop when
 the residual sup_t W1(T(f), f) is below the tolerance. Otherwise the next
 iterate mixes the particle paths of past iterates and residuals (type-II
-Anderson, Walker & Ni, SIAM J. Numer. Anal. 49, 2011).
+Anderson, Walker & Ni, SIAM J. Numer. Anal. 49, 2011). The state-control
+limit has no loop of its own: it is the classical limit's fixed point with the
+feedback velocities attached by one more transport.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,7 +26,6 @@ from .hjb import (
     interp_slice_xv,
     solve_hjb_acceleration,
     solve_hjb_limit_classical,
-    solve_hjb_mfg_control,
 )
 from .measures import MeasureFlow, ParticleEnsemble, sup_w1_marginal
 from .model import LagrangianSpec, TerminalCost, optimal_velocity_field
@@ -74,6 +75,8 @@ def transport_eps(
     """
     if eps <= 0:
         raise InvalidInputError("eps must be positive")
+    if not dt_inner_factor > 0:
+        raise InvalidInputError("dt_inner_factor must be positive")
     grid = field.grid
     dv_field = gradient_v(field)
     t = grid.t
@@ -105,6 +108,8 @@ def transport_along_velocity(
 
     The returned flow carries velocities[k, i] = b(t_k, x_i(t_k)).
     """
+    if substeps < 1:
+        raise InvalidInputError("substeps must be at least 1")
     grid = field.grid
     b_field = optimal_velocity_field(spec, gradient_x(field))  # (n_t, n_x)
     t = grid.t
@@ -122,13 +127,6 @@ def transport_along_velocity(
         X[k + 1] = xc
         B[k + 1] = interp_slice_x(b_field[k + 1], grid, xc)
     return MeasureFlow(t, X, B, mu0.weights)
-
-
-def _paired_joint_gap(a: MeasureFlow, b: MeasureFlow) -> float:
-    """Paired-transport upper bound on sup_t d1 for joint flows sharing particles."""
-    dist = np.abs(a.positions - b.positions) + np.abs(a.velocities - b.velocities)
-    per_t = np.sum(a.weights * dist, axis=1)
-    return float(np.max(per_t))
 
 
 # Anderson mixing constants; CHANGES.md records the measurement behind them
@@ -185,15 +183,15 @@ class _Anderson:
         return x + dx
 
 
-def _picard(spec, solve_value, transport, gap, init_flow, tol_fp, max_iter, kind, r_x):
-    """Anderson-accelerated Picard iteration shared by every driver.
+def _picard(spec, solve_value, transport, init_flow, tol_fp, max_iter, kind, r_x):
+    """Anderson-accelerated Picard iteration shared by the eps and classical drivers.
 
     solve_value(flow) gives the value field against a measure flow (None when
     the model is decoupled, which closes in one pass), transport(u) the flow it
-    induces, gap(new, old) the fixed-point distance, and init_flow() the first
-    iterate. The loop stops when gap(T(f), f) < tol_fp and returns the
-    consistent pair (u, T(f)); after max_iter iterations it returns the pair
-    with the smallest gap, flagged not converged.
+    induces, and init_flow() the first iterate. The loop stops when the
+    residual sup_t W1(T(f), f) of the position marginals is below tol_fp and
+    returns the consistent pair (u, T(f)); after max_iter iterations it returns
+    the pair with the smallest residual, flagged not converged.
 
     Only positions are mixed: every coupling reads positions, so the iterate
     carries the velocities of its latest transport. Mixed positions are clipped
@@ -208,7 +206,7 @@ def _picard(spec, solve_value, transport, gap, init_flow, tol_fp, max_iter, kind
     for it in range(1, max_iter + 1):
         u = solve_value(flow)
         new = transport(u)
-        history.append(gap(new, flow))
+        history.append(sup_w1_marginal(new, flow))
         if history[-1] < tol_fp:
             return MFGSolution(u, new, it, history[-1], tuple(history), True, kind)
         if not np.isfinite(history[-1]):
@@ -250,7 +248,6 @@ def solve_eps_system(
         spec,
         lambda flow: solve_hjb_acceleration(grid, spec, flow, g, eps, controls),
         lambda u: transport_eps(mu0, u, eps, dt_inner_factor),
-        sup_w1_marginal,
         lambda: free_transport_flow(mu0, grid),
         tol_fp, max_iter, "eps_system", grid.R_x,
     )
@@ -277,7 +274,6 @@ def solve_limit_classical(
         spec,
         lambda flow: solve_hjb_limit_classical(grid, spec, flow, g, controls),
         lambda u: transport_along_velocity(mu0, u, spec, substeps).marginal_flow(),
-        sup_w1_marginal,
         init_flow,
         tol_fp, max_iter, "classical_limit", grid.R_x,
     )
@@ -293,25 +289,21 @@ def solve_mfg_of_control(
     max_iter: int = 60,
     substeps: int = 4,
 ) -> MFGSolution:
-    """State-control limit: marginal transport plus velocity reconstruction.
+    """State-control limit: the classical limit plus one velocity reconstruction.
 
-    The joint flow keeps the initial ensemble at t = 0 and attaches the
-    optimizing feedback velocity b(t, x_i) at later nodes.
+    Every catalog coupling reads the position marginal only, so the position
+    fixed point is the classical one, with its iterations and residuals. The
+    joint flow keeps the initial ensemble at t = 0 and attaches the optimizing
+    feedback velocity b(t, x_i) at later nodes.
     """
     if not spec.is_quadratic_kinetic:
         raise UnsupportedModelError("the state-control limit requires the quadratic kinetic term")
-
-    def reconstruct(u):
-        flow = transport_along_velocity(mu0, u, spec, substeps)
-        # the initial condition takes precedence over the reconstruction
-        flow.velocities[0] = mu0.velocities
-        return flow
-
-    return _picard(
-        spec,
-        lambda flow: solve_hjb_mfg_control(grid, spec, flow, g, controls),
-        reconstruct,
-        _paired_joint_gap,
-        lambda: free_transport_flow(mu0, grid),
-        tol_fp, max_iter, "mfg_of_control", grid.R_x,
+    if not mu0.is_joint:
+        raise InvalidInputError("the initial ensemble must carry velocities")
+    sol = solve_limit_classical(
+        spec, g, grid, mu0, controls=controls, tol_fp=tol_fp, max_iter=max_iter, substeps=substeps
     )
+    flow = transport_along_velocity(mu0, sol.value, spec, substeps)
+    # the initial condition takes precedence over the reconstruction
+    flow.velocities[0] = mu0.velocities
+    return replace(sol, flow=flow, kind="mfg_of_control")

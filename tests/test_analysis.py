@@ -121,6 +121,9 @@ def test_audit_estimates_on_decoupled_solution():
     assert audit.prop46_margin >= 0
     assert audit.prop52_value >= 0
     assert audit.q1 == pytest.approx(energy_constant(spec, ZERO_G, SMALL.T))
+    for accel_delta in (5.0, 1.0, 0.99):  # 0.99 leaves only the node t = T
+        with pytest.raises(InvalidInputError, match="fewer than two time nodes"):
+            audit_estimates(sol, spec, ZERO_G, accel_delta=accel_delta)
 
 
 def test_continuity_residuals_rejects_phase_solution():

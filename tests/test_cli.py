@@ -16,7 +16,7 @@ from mfglab import (
     sup_value_gap,
 )
 from mfglab.cli import main
-from mfglab.io import value_csv
+from mfglab.io import flow_csv, value_csv
 
 SMALL_CFG = {
     "grid": {"N_x": 41, "N_v": 31, "N_t": 51, "N_a": 21},
@@ -248,9 +248,50 @@ def test_non_integral_value_of_integer_key_is_config_error(runner, tmp_path, blo
     assert f"config error: {block}.{key} must be an integer, got {value!r}" in res.output
 
 
+@pytest.mark.parametrize(
+    "block, key, value, rule, command",
+    [
+        pytest.param("solver", "substeps", 0, "be at least 1", ["solve-limit"], id="substeps-0"),
+        pytest.param(
+            "solver", "dt_inner_factor", 0.0, "be positive", ["solve-eps", "--eps", "0.2"],
+            id="dt_inner_factor-0",
+        ),
+        pytest.param(
+            "solver", "dt_inner_factor", -1.0, "be positive", ["solve-eps", "--eps", "0.2"],
+            id="dt_inner_factor-negative",
+        ),
+        pytest.param(
+            "measure", "box", [[-1.0, 1.0]], "be two [lo, hi] pairs with lo < hi", ["solve-limit"],
+            id="box-one-pair",
+        ),
+        pytest.param(
+            "measure", "box", [[-1.0, 1.0], [1.0, -1.0]], "be two [lo, hi] pairs", ["solve-limit"],
+            id="box-reversed",
+        ),
+        pytest.param(
+            "measure", "box", [[-1.0, 1.0], [0.0]], "be two [lo, hi] pairs", ["solve-limit"],
+            id="box-short-pair",
+        ),
+        pytest.param(
+            "sweep", "accel_delta", 5.0, "lie in [0, grid.T)", ["sweep"], id="accel_delta-past-T"
+        ),
+        pytest.param(
+            "sweep", "accel_delta", -0.1, "lie in [0, grid.T)", ["sweep"], id="accel_delta-negative"
+        ),
+    ],
+)
+def test_out_of_range_value_is_config_error(runner, tmp_path, block, key, value, rule, command):
+    cfg = _write_cfg(tmp_path, {block: {key: value}})
+    res = runner.invoke(main, ["--config", cfg, "--out", str(tmp_path / "out")] + command)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)  # not an uncaught solver error
+    assert f"config error: {block}.{key} must {rule}" in res.output
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("variant", ["classical", "control"])
 def test_cli_matches_api(runner, tmp_path, variant):
-    """sweep and solve-eps give the API's bytes, and the sweep's rungs agree with them."""
+    """sweep, solve-eps and solve-limit give the API's bytes, and the sweep's rungs agree."""
     data = json.loads(json.dumps(CRITERION_9_CFG))
     data["sweep"]["variant"] = variant
     path = tmp_path / "config.json"
@@ -287,9 +328,18 @@ def test_cli_matches_api(runner, tmp_path, variant):
     )
     assert (out / "value.csv").read_text() == value_csv(sol.value)
 
-    # the sweep's eps = 0.2 rung is that solve, compared with the solve-limit answer
     solve_limit = solve_limit_classical if variant == "classical" else solve_mfg_of_control
     limit = solve_limit(spec, g, grid, mu0, substeps=int(s["substeps"]), **solver)
+    assert limit.iterations > 1  # coupled
+    out = tmp_path / "limit"
+    args = ["--config", str(path), "--out", str(out), "--seed", "11"]
+    res = runner.invoke(main, args + ["solve-limit", "--kind", variant])
+    assert res.exit_code == 0, res.output
+    assert (out / "value.csv").read_text() == value_csv(limit.value)
+    assert (out / "flow.csv").read_text() == flow_csv(limit.flow)
+    assert json.loads((out / "meta.json").read_text())["gap_history"] == list(limit.gap_history)
+
+    # the sweep's eps = 0.2 rung is that solve, compared with the solve-limit answer
     row = report.rows[plan.eps_ladder.index(0.2)]
     assert row["sup_u_gap"] == sup_value_gap(sol.value, limit.value, plan.box_radius)
     assert row["sup_d1_marginal"] == sup_marginal_gap(
