@@ -70,7 +70,6 @@ def cmd_solve_eps(ctx, eps):
             controls=acceleration_controls(grid, eps, controls),
             tol_fp=float(s["tol_fp"]),
             max_iter=int(s["max_iter"]),
-            dt_inner_factor=float(s["dt_inner_factor"]),
         )
     except MFGLabError as exc:
         click.echo(f"solve failed: {exc}", err=True)
@@ -90,12 +89,7 @@ def cmd_solve_limit(ctx, kind):
     s = cfg.solver
     solver = solve_limit_classical if kind == "classical" else solve_mfg_of_control
     try:
-        sol = solver(
-            spec, g, grid, mu0,
-            tol_fp=float(s["tol_fp"]),
-            max_iter=int(s["max_iter"]),
-            substeps=int(s["substeps"]),
-        )
+        sol = solver(spec, g, grid, mu0, tol_fp=float(s["tol_fp"]), max_iter=int(s["max_iter"]))
     except MFGLabError as exc:
         click.echo(f"solve failed: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
@@ -118,8 +112,6 @@ def cmd_sweep(ctx):
             controls=controls,
             tol_fp=float(s["tol_fp"]),
             max_iter=int(s["max_iter"]),
-            substeps=int(s["substeps"]),
-            dt_inner_factor=float(s["dt_inner_factor"]),
         )
     except MFGLabError as exc:
         click.echo(f"sweep failed: {exc}", err=True)

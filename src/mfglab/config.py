@@ -42,13 +42,9 @@ DEFAULTS = {
     "solver": {
         "tol_fp": 1e-3,
         "max_iter": 60,
-        "dt_inner_factor": 4.0,
-        "substeps": 4,
     },
     "sweep": {
         "eps_ladder": [0.5, 0.2, 0.1, 0.05, 0.02, 0.01],
-        "box_radius": 2.0,
-        "accel_delta": 0.1,
         "variant": "classical",  # classical | control
     },
 }
@@ -157,10 +153,6 @@ class RunConfig:
         s = self.solver
         if float(s["tol_fp"]) <= 0 or int(s["max_iter"]) < 1:
             raise ConfigurationError("solver.tol_fp must be positive and max_iter >= 1")
-        if int(s["substeps"]) < 1:
-            raise ConfigurationError("solver.substeps must be at least 1")
-        if not float(s["dt_inner_factor"]) > 0:
-            raise ConfigurationError("solver.dt_inner_factor must be positive")
         if self.sweep["variant"] not in ("classical", "control"):
             raise ConfigurationError(f"unknown sweep variant {self.sweep['variant']!r}")
         ladder = [float(e) for e in self.sweep["eps_ladder"]]
@@ -168,8 +160,6 @@ class RunConfig:
             raise ConfigurationError("sweep.eps_ladder must be positive")
         if any(ladder[i + 1] >= ladder[i] for i in range(len(ladder) - 1)):
             raise ConfigurationError("sweep.eps_ladder must be strictly decreasing")
-        if not 0 <= float(self.sweep["accel_delta"]) < float(grid["T"]):
-            raise ConfigurationError("sweep.accel_delta must lie in [0, grid.T)")
 
     # -- factories ------------------------------------------------------------
 
@@ -208,12 +198,7 @@ class RunConfig:
         return gaussian_ensemble(int(m["n"]), box, int(m["seed"] if seed is None else seed))
 
     def build_plan(self) -> SweepPlan:
-        s = self.sweep
-        return SweepPlan(
-            eps_ladder=tuple(float(e) for e in s["eps_ladder"]),
-            box_radius=float(s["box_radius"]),
-            accel_delta=float(s["accel_delta"]),
-        )
+        return SweepPlan(eps_ladder=tuple(float(e) for e in self.sweep["eps_ladder"]))
 
     def to_dict(self) -> dict:
         return copy.deepcopy(

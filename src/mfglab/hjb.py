@@ -29,7 +29,8 @@ from .model import LagrangianSpec, TerminalCost
 
 @dataclass(frozen=True)
 class PhaseGrid:
-    """Uniform (t, x, v) box [0,T] x [-R_x,R_x] x [-R_v,R_v]."""
+    """Uniform (t, x, v) box [0,T] x [-R_x,R_x] x [-R_v,R_v]; the solvers read each
+    axis's spacing from its first two nodes."""
 
     x: np.ndarray
     v: np.ndarray
@@ -40,7 +41,14 @@ class PhaseGrid:
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.size < 3:
                 raise ConfigurationError(f"grid axis {name} needs at least 3 nodes")
+            steps = np.diff(arr)
+            if not (steps[0] > 0 and np.allclose(steps, steps[0], rtol=1e-9, atol=0)):
+                raise ConfigurationError(f"grid axis {name} must be increasing and uniform")
+            if name != "t" and not np.allclose(arr, -arr[::-1], rtol=0, atol=1e-9 * steps[0]):
+                raise ConfigurationError(f"grid axis {name} must be symmetric about 0")
             object.__setattr__(self, name, arr)
+        if self.t[0] != 0:
+            raise ConfigurationError("grid axis t must start at 0")
 
     @classmethod
     def regular(cls, R_x=3.0, R_v=4.0, T=1.0, N_x=101, N_v=81, N_t=201):

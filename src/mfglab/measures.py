@@ -25,6 +25,8 @@ from scipy.optimize import linear_sum_assignment, linprog
 from .errors import InvalidInputError
 
 _WEIGHT_TOL = 1e-12
+_LP_LIMIT = 40000  # coupling entries up to which the joint W1 solves an LP
+_N_PROJECTIONS = 64  # projections of the sliced joint-W1 fallback
 
 
 def _as_1d(a, name):
@@ -190,18 +192,13 @@ def _ground_cost(a: ParticleEnsemble, b: ParticleEnsemble) -> np.ndarray:
 
 
 def wasserstein1_joint(
-    a: ParticleEnsemble,
-    b: ParticleEnsemble,
-    n_exact: int = 2000,
-    n_projections: int = 64,
-    lp_limit: int = 40000,
-    rng: np.random.Generator | None = None,
+    a: ParticleEnsemble, b: ParticleEnsemble, n_exact: int = 2000
 ) -> W1Result:
     """W1 between phase-space ensembles with ground metric |dx| + |dv|.
 
     Exact for supports up to ``n_exact`` points (assignment for uniform weights
     of equal count, LP otherwise); larger instances fall back to sliced W1 over
-    random projections and are flagged approximate.
+    64 projections at angles drawn with seed 0 and are flagged approximate.
     """
     if a.is_joint != b.is_joint:
         raise InvalidInputError("cannot mix joint and velocity-free ensembles")
@@ -210,9 +207,9 @@ def wasserstein1_joint(
             cost = _ground_cost(a, b)
             rows, cols = linear_sum_assignment(cost)
             return W1Result(float(cost[rows, cols].mean()), True)
-        if a.size * b.size <= lp_limit:
+        if a.size * b.size <= _LP_LIMIT:
             return W1Result(_w1_lp(a, b), True)
-    return W1Result(_w1_sliced(a, b, n_projections, rng), False)
+    return W1Result(_w1_sliced(a, b), False)
 
 
 def _w1_lp(a: ParticleEnsemble, b: ParticleEnsemble) -> float:
@@ -236,18 +233,17 @@ def _w1_lp(a: ParticleEnsemble, b: ParticleEnsemble) -> float:
     return float(res.fun)
 
 
-def _w1_sliced(a, b, n_projections, rng):
+def _w1_sliced(a, b):
     if not a.is_joint:
         return _w1_quantile(a.positions, a.weights, b.positions, b.weights)
-    rng = np.random.default_rng(0) if rng is None else rng
-    angles = rng.uniform(0.0, np.pi, size=n_projections)
+    angles = np.random.default_rng(0).uniform(0.0, np.pi, size=_N_PROJECTIONS)
     total = 0.0
     for th in angles:
         c, s = np.cos(th), np.sin(th)
         pa = c * a.positions + s * a.velocities
         pb = c * b.positions + s * b.velocities
         total += _w1_quantile(pa, a.weights, pb, b.weights)
-    return total / n_projections
+    return total / _N_PROJECTIONS
 
 
 # Gaussian kernel helpers shared with the coupling evaluation.

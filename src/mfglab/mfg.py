@@ -30,6 +30,9 @@ from .hjb import (
 from .measures import MeasureFlow, ParticleEnsemble, sup_w1_marginal
 from .model import LagrangianSpec, TerminalCost, optimal_velocity_field
 
+EPS_SUBSTEP_DIVISOR = 4.0  # transport_eps sub-steps are at most eps / 4
+LIMIT_SUBSTEPS = 4  # sub-steps per time step of transport_along_velocity
+
 
 @dataclass(frozen=True)
 class MFGSolution:
@@ -53,35 +56,32 @@ def _check_box(X, V, grid: PhaseGrid, t):
         )
 
 
-def free_transport_flow(mu0: ParticleEnsemble, grid: PhaseGrid) -> MeasureFlow:
+def _require_velocities(mu0: ParticleEnsemble):
     if not mu0.is_joint:
         raise InvalidInputError("the initial ensemble must carry velocities")
+
+
+def free_transport_flow(mu0: ParticleEnsemble, grid: PhaseGrid) -> MeasureFlow:
+    _require_velocities(mu0)
     t = grid.t
     X = mu0.positions[None, :] + t[:, None] * mu0.velocities[None, :]
     V = np.broadcast_to(mu0.velocities, (t.size, mu0.size)).copy()
     return MeasureFlow(t, X, V, mu0.weights)
 
 
-def transport_eps(
-    mu0: ParticleEnsemble,
-    field: ValueField,
-    eps: float,
-    dt_inner_factor: float = 4.0,
-) -> MeasureFlow:
+def transport_eps(mu0: ParticleEnsemble, field: ValueField, eps: float) -> MeasureFlow:
     """Integrate x' = v, v' = -(1/eps) D_v u along the value field.
 
-    Inner sub-steps of size min(dt, eps/dt_inner_factor) guard against the
-    stiffness of the velocity equation.
+    Inner sub-steps of size min(dt, eps/4) guard against the stiffness of the
+    velocity equation.
     """
     if eps <= 0:
         raise InvalidInputError("eps must be positive")
-    if not dt_inner_factor > 0:
-        raise InvalidInputError("dt_inner_factor must be positive")
     grid = field.grid
     dv_field = gradient_v(field)
     t = grid.t
     dt = grid.dt
-    n_sub = max(1, int(np.ceil(dt / min(dt, eps / dt_inner_factor))))
+    n_sub = max(1, int(np.ceil(dt / min(dt, eps / EPS_SUBSTEP_DIVISOR))))
     dti = dt / n_sub
     n = mu0.size
     X = np.empty((t.size, n))
@@ -99,29 +99,25 @@ def transport_eps(
 
 
 def transport_along_velocity(
-    mu0: ParticleEnsemble,
-    field: ValueField,
-    spec: LagrangianSpec,
-    substeps: int = 4,
+    mu0: ParticleEnsemble, field: ValueField, spec: LagrangianSpec
 ) -> MeasureFlow:
-    """Push the positions of mu0 along the optimizing velocity b(t, x) of a limit field.
+    """Push the positions of mu0 along the optimizing velocity b(t, x) of a limit field,
+    in LIMIT_SUBSTEPS sub-steps per time step.
 
     The returned flow carries velocities[k, i] = b(t_k, x_i(t_k)).
     """
-    if substeps < 1:
-        raise InvalidInputError("substeps must be at least 1")
     grid = field.grid
     b_field = optimal_velocity_field(spec, gradient_x(field))  # (n_t, n_x)
     t = grid.t
     dt = grid.dt
-    dti = dt / substeps
+    dti = dt / LIMIT_SUBSTEPS
     X = np.empty((t.size, mu0.size))
     B = np.empty_like(X)
     X[0] = mu0.positions
     B[0] = interp_slice_x(b_field[0], grid, X[0])
     for k in range(t.size - 1):
         xc = X[k].copy()
-        for _ in range(substeps):
+        for _ in range(LIMIT_SUBSTEPS):
             xc = xc + dti * interp_slice_x(b_field[k], grid, xc)
         _check_box(xc, None, grid, t[k + 1])
         X[k + 1] = xc
@@ -197,6 +193,8 @@ def _picard(spec, solve_value, transport, init_flow, tol_fp, max_iter, kind, r_x
     carries the velocities of its latest transport. Mixed positions are clipped
     to [-r_x, r_x], the box every transported particle lies in.
     """
+    if max_iter < 1:
+        raise InvalidInputError("max_iter must be at least 1")
     if not spec.is_coupled:
         u = solve_value(None)
         return MFGSolution(u, transport(u), 1, 0.0, (0.0,), True, kind)
@@ -239,15 +237,15 @@ def solve_eps_system(
     controls: ControlSet | None = None,
     tol_fp: float = 1e-3,
     max_iter: int = 60,
-    dt_inner_factor: float = 4.0,
 ) -> MFGSolution:
     """Anderson-accelerated Picard iteration for the penalized system."""
     if eps <= 0:
         raise InvalidInputError("eps must be positive")
+    _require_velocities(mu0)
     return _picard(
         spec,
         lambda flow: solve_hjb_acceleration(grid, spec, flow, g, eps, controls),
-        lambda u: transport_eps(mu0, u, eps, dt_inner_factor),
+        lambda u: transport_eps(mu0, u, eps),
         lambda: free_transport_flow(mu0, grid),
         tol_fp, max_iter, "eps_system", grid.R_x,
     )
@@ -258,13 +256,11 @@ def solve_limit_classical(
     g: TerminalCost,
     grid: PhaseGrid,
     mu0: ParticleEnsemble,
-    controls: ControlSet | None = None,
     tol_fp: float = 1e-3,
     max_iter: int = 60,
-    substeps: int = 4,
 ) -> MFGSolution:
-    """Classical limit system: value on (t, x), marginal particles transported
-    along the optimizing velocity."""
+    """Classical limit system: value on (t, x) with the v axis as velocity controls,
+    marginal particles transported along the optimizing velocity."""
 
     def init_flow():
         X = np.broadcast_to(mu0.positions, (grid.t.size, mu0.size)).copy()
@@ -272,8 +268,8 @@ def solve_limit_classical(
 
     return _picard(
         spec,
-        lambda flow: solve_hjb_limit_classical(grid, spec, flow, g, controls),
-        lambda u: transport_along_velocity(mu0, u, spec, substeps).marginal_flow(),
+        lambda flow: solve_hjb_limit_classical(grid, spec, flow, g),
+        lambda u: transport_along_velocity(mu0, u, spec).marginal_flow(),
         init_flow,
         tol_fp, max_iter, "classical_limit", grid.R_x,
     )
@@ -284,10 +280,8 @@ def solve_mfg_of_control(
     g: TerminalCost,
     grid: PhaseGrid,
     mu0: ParticleEnsemble,
-    controls: ControlSet | None = None,
     tol_fp: float = 1e-3,
     max_iter: int = 60,
-    substeps: int = 4,
 ) -> MFGSolution:
     """State-control limit: the classical limit plus one velocity reconstruction.
 
@@ -298,12 +292,9 @@ def solve_mfg_of_control(
     """
     if not spec.is_quadratic_kinetic:
         raise UnsupportedModelError("the state-control limit requires the quadratic kinetic term")
-    if not mu0.is_joint:
-        raise InvalidInputError("the initial ensemble must carry velocities")
-    sol = solve_limit_classical(
-        spec, g, grid, mu0, controls=controls, tol_fp=tol_fp, max_iter=max_iter, substeps=substeps
-    )
-    flow = transport_along_velocity(mu0, sol.value, spec, substeps)
+    _require_velocities(mu0)
+    sol = solve_limit_classical(spec, g, grid, mu0, tol_fp=tol_fp, max_iter=max_iter)
+    flow = transport_along_velocity(mu0, sol.value, spec)
     # the initial condition takes precedence over the reconstruction
     flow.velocities[0] = mu0.velocities
     return replace(sol, flow=flow, kind="mfg_of_control")

@@ -41,8 +41,8 @@ class LagrangianSpec:
     kinetic_name: str = "quadratic"
 
     def __post_init__(self):
-        if self.coupling_strength < 0 or self.M0 <= 0:
-            raise InvalidInputError("coupling_strength, M0 must be admissible")
+        if self.coupling_strength < 0 or self.M0 <= 0 or not self.coupling_sigma > 0:
+            raise InvalidInputError("need coupling_strength >= 0, coupling_sigma > 0, M0 > 0")
 
     @property
     def is_quadratic_kinetic(self) -> bool:
@@ -103,7 +103,7 @@ def eval_L0_dx(spec: LagrangianSpec, x, v, m=None):
     return spec.potential_d(np.asarray(x, dtype=float)) + spec.coupling_dx(x, m)
 
 
-def eval_L0_dv(spec: LagrangianSpec, x, v, m=None):
+def eval_L0_dv(spec: LagrangianSpec, x, v):
     return spec.kinetic_d(np.asarray(v, dtype=float))
 
 
@@ -154,7 +154,7 @@ def legendre_transform(spec: LagrangianSpec, x, p, m=None) -> HamiltonianEval:
     return h0
 
 
-def optimal_velocity_field(spec: LagrangianSpec, u_grad_x, m=None):
+def optimal_velocity_field(spec: LagrangianSpec, u_grad_x):
     """Transport velocity b = argmin_v { <p, v> + L0 } at momenta p = D_x u.
 
     For the separable catalog the optimizer depends on p only, so this is one
@@ -188,33 +188,31 @@ class AuditReport:
         return all(v >= -self.tolerance for v in self.margins.values())
 
 
-def audit_assumptions(
-    spec: LagrangianSpec,
-    box=((-5.0, 5.0), (-5.0, 5.0)),
-    samples: int = 400,
-    g: TerminalCost | None = None,
-    m: ParticleEnsemble | None = None,
-) -> AuditReport:
-    """Sample the compact box and report margins for convexity, growth, gradient
-    bounds, nonnegativity, and the terminal-cost constant inequality."""
+AUDIT_BOX = ((-5.0, 5.0), (-5.0, 5.0))
+AUDIT_SAMPLES = 400
+
+
+def audit_assumptions(spec: LagrangianSpec, g: TerminalCost | None = None) -> AuditReport:
+    """Sample AUDIT_BOX at AUDIT_SAMPLES points and report margins for convexity,
+    growth, gradient bounds, nonnegativity, and the terminal-cost constant inequality."""
     rng = np.random.default_rng(0)
-    (x0, x1), (v0, v1) = box
-    xs = rng.uniform(x0, x1, size=samples)
-    vs = rng.uniform(v0, v1, size=samples)
+    (x0, x1), (v0, v1) = AUDIT_BOX
+    xs = rng.uniform(x0, x1, size=AUDIT_SAMPLES)
+    vs = rng.uniform(v0, v1, size=AUDIT_SAMPLES)
     h = 1e-4
-    l0 = eval_L0(spec, xs, vs, m)
-    second_diff = (eval_L0(spec, xs, vs + h, m) - 2 * l0 + eval_L0(spec, xs, vs - h, m)) / h**2
+    l0 = eval_L0(spec, xs, vs)
+    second_diff = (eval_L0(spec, xs, vs + h) - 2 * l0 + eval_L0(spec, xs, vs - h)) / h**2
     margins = {
         "convexity": float(np.min(second_diff - 1.0 / spec.M0)),
         "growth_upper": float(np.min(spec.M0 * (1 + vs**2) - l0)),
         "growth_lower": float(np.min(l0 - (vs**2 / spec.M0 - spec.M0))),
-        "grad_x": float(np.min(spec.M0 * (1 + vs**2) - np.abs(eval_L0_dx(spec, xs, vs, m)))),
-        "grad_v": float(np.min(spec.M0 * (1 + np.abs(vs)) - np.abs(eval_L0_dv(spec, xs, vs, m)))),
+        "grad_x": float(np.min(spec.M0 * (1 + vs**2) - np.abs(eval_L0_dx(spec, xs, vs)))),
+        "grad_v": float(np.min(spec.M0 * (1 + np.abs(vs)) - np.abs(eval_L0_dv(spec, xs, vs)))),
         "nonnegative": float(np.min(l0)),
     }
     if g is not None:
         margins["terminal_constant"] = float(spec.M0 - max(0.5, 0.5 * g.dg_bound))
-    return AuditReport(margins=margins, n_samples=samples, box=box)
+    return AuditReport(margins=margins, n_samples=AUDIT_SAMPLES, box=AUDIT_BOX)
 
 
 # -- catalog -----------------------------------------------------------------

@@ -20,6 +20,10 @@ from .errors import InvalidInputError, UnsupportedModelError
 from .measures import MeasureFlow
 from .model import LagrangianSpec, TerminalCost
 
+DIRECT_GRAD_TOL = 1e-4  # minimize_direct converges below this gradient sup norm over h
+BVP_TOL = 1e-5  # solve_el_bvp converges below this residual
+BVP_MAX_ITER = 50  # Newton steps of solve_el_bvp
+
 
 def d1_matrix(n: int, h: float) -> sp.csr_matrix:
     """First derivative: centered interior, one-sided at the ends."""
@@ -192,7 +196,6 @@ def minimize_direct(
     g: TerminalCost,
     M: int = 401,
     T: float | None = None,
-    grad_tol: float = 1e-4,
 ) -> DirectMinimizeResult:
     """Quasi-Newton descent of the discrete cost over the curve samples.
 
@@ -245,13 +248,13 @@ def minimize_direct(
     # Newton polish: the cumulative-sum variables stall L-BFGS near the optimum
     # (machine-precision plateau in the cost), so finish in curve variables
     free = np.arange(M - n_free, M)
-    gam, history = _newton(F, curve_of(res.x), free, 0.1 * grad_tol, 10)
+    gam, history = _newton(F, curve_of(res.x), free, 0.1 * DIRECT_GRAD_TOL, 10)
     grad_norm = float(history[-1])
     return DirectMinimizeResult(
         curve=Curve(t, gam),
         cost=F.cost(gam),
         grad_norm=grad_norm,
-        converged=bool(grad_norm < grad_tol),
+        converged=bool(grad_norm < DIRECT_GRAD_TOL),
         n_iter=int(res.nit) + len(history) - 1,
     )
 
@@ -265,8 +268,6 @@ def solve_el_bvp(
     g: TerminalCost,
     M: int = 401,
     T: float | None = None,
-    tol: float = 1e-5,
-    max_iter: int = 50,
 ) -> BVPSolution:
     """Newton solve of the discrete fourth-order stationarity equations.
 
@@ -286,7 +287,7 @@ def solve_el_bvp(
 
     gam = x + v * t  # straight-line start
     gam[0], gam[1] = x, x + h * v
-    gam, history = _newton(F, gam, np.arange(2, M), tol, max_iter)
+    gam, history = _newton(F, gam, np.arange(2, M), BVP_TOL, BVP_MAX_ITER)
     res_norm = history[-1]
 
     curve = Curve(t, gam)
@@ -306,7 +307,7 @@ def solve_el_bvp(
         curve=curve,
         residual_norm=float(res_norm),
         boundary_residuals=boundary,
-        converged=bool(res_norm < tol),
+        converged=bool(res_norm < BVP_TOL),
         residual_history=tuple(history),
     )
 

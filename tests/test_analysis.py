@@ -65,8 +65,6 @@ def test_sweep_plan_validation():
         SweepPlan(eps_ladder=())
     with pytest.raises(InvalidInputError):
         SweepPlan(eps_ladder=(0.1, 0.2))
-    with pytest.raises(InvalidInputError):
-        SweepPlan(box_radius=0.0)
 
 
 def test_constant_assembly():
@@ -83,7 +81,7 @@ def test_velocity_oscillation_synthetic():
     field = ValueField(np.array(vals), SMALL, 0.1)
     # oscillation over the v nodes inside the probe box
     vmax = np.max(np.abs(SMALL.v[np.abs(SMALL.v) <= 2.0]))
-    assert velocity_oscillation(field, box_radius=2.0) == pytest.approx(vmax**2)
+    assert velocity_oscillation(field) == pytest.approx(vmax**2)
     limit = ValueField(np.zeros((SMALL.t.size, SMALL.x.size)), SMALL, 0.0)
     with pytest.raises(InvalidInputError):
         velocity_oscillation(limit)
@@ -121,9 +119,6 @@ def test_audit_estimates_on_decoupled_solution():
     assert audit.prop46_margin >= 0
     assert audit.prop52_value >= 0
     assert audit.q1 == pytest.approx(energy_constant(spec, ZERO_G, SMALL.T))
-    for accel_delta in (5.0, 1.0, 0.99):  # 0.99 leaves only the node t = T
-        with pytest.raises(InvalidInputError, match="fewer than two time nodes"):
-            audit_estimates(sol, spec, ZERO_G, accel_delta=accel_delta)
 
 
 def test_continuity_residuals_rejects_phase_solution():
@@ -222,3 +217,25 @@ def test_run_sweep_flags_failed_rung():
     )
     assert all(not row["converged"] for row in report.rows)
     assert len(report.rows) == 2
+
+
+@pytest.mark.parametrize("kappa_c", [0.0, 0.5])
+def test_run_sweep_reports_transport_failures_as_nan_rows(kappa_c):
+    # both particles leave the box in the first time step of every rung
+    spec = make_lagrangian("quadratic", kappa_c=kappa_c)
+    mu0 = ParticleEnsemble(np.array([2.5, -2.5]), np.array([3.9, -3.9]))
+    plan = SweepPlan(eps_ladder=(0.2, 0.1, 0.05))
+    report = run_sweep(plan, spec, ZERO_G, SMALL, mu0)
+    assert [row["eps"] for row in report.rows] == list(plan.eps_ladder)
+    for row in report.rows:
+        assert not row["converged"] and row["iters"] == 0
+        assert np.isnan(row["sup_u_gap"]) and np.isnan(row["osc_v"])
+    assert report.rates == {}
+
+
+def test_run_sweep_propagates_bad_input():
+    spec = make_lagrangian("quadratic", kappa_c=0.5)
+    mu0 = ParticleEnsemble(lattice_ensemble(36).positions)
+    plan = SweepPlan(eps_ladder=(0.2, 0.1, 0.05))
+    with pytest.raises(InvalidInputError, match="must carry velocities"):
+        run_sweep(plan, spec, ZERO_G, SMALL, mu0)

@@ -69,6 +69,32 @@ def test_grid_and_control_validation():
     assert cs.a_max == 3.0 and 0.0 in cs.values
 
 
+_X, _V, _T = np.linspace(-3.0, 3.0, 41), np.linspace(-4.0, 4.0, 31), np.linspace(0.0, 1.0, 51)
+
+
+@pytest.mark.parametrize(
+    "axes, message",
+    [
+        (dict(x=_X[::-1], v=_V, t=_T), "axis x must be increasing"),
+        (dict(x=_X, v=np.zeros(31), t=_T), "axis v must be increasing"),
+        (dict(x=_X, v=_V, t=_T**2), "axis t must be increasing and uniform"),
+        (dict(x=np.r_[-3.0, -2.0, 0.0, 2.0, 3.0], v=_V, t=_T), "axis x must be increasing"),
+        (dict(x=_X + 0.5, v=_V, t=_T), "axis x must be symmetric about 0"),
+        (dict(x=_X, v=np.linspace(-4.0, 2.0, 31), t=_T), "axis v must be symmetric about 0"),
+        (dict(x=_X, v=_V, t=_T + 0.5), "axis t must start at 0"),
+    ],
+)
+def test_grid_axes_must_be_uniform_symmetric_and_start_at_zero(axes, message):
+    with pytest.raises(ConfigurationError, match=message):
+        PhaseGrid(**axes)
+
+
+@pytest.mark.parametrize("kw", [dict(R_x=-3.0), dict(R_v=-4.0), dict(T=-1.0)])
+def test_regular_grid_rejects_negative_extent(kw):
+    with pytest.raises(ConfigurationError, match="must be increasing"):
+        PhaseGrid.regular(**kw)
+
+
 def test_velocity_box_margin_sign():
     grid = PhaseGrid.regular()
     assert grid.velocity_box_margin(q1=1.0, rv0=1.0) > 0

@@ -25,7 +25,7 @@ from mfglab import (
 )
 from mfglab.hjb import gradient_x, interp_slice_x, solve_hjb_acceleration
 from mfglab.measures import ParticleEnsemble, sup_w1_marginal
-from mfglab.mfg import free_transport_flow, transport_along_velocity
+from mfglab.mfg import free_transport_flow
 from mfglab.model import optimal_velocity_field
 
 from oracles import lq_limit_feedback, lq_limit_path
@@ -67,17 +67,6 @@ def test_transport_mass_conservation_and_validation():
     assert flow.weights is mu0.weights or np.allclose(flow.weights, mu0.weights)
     with pytest.raises(InvalidInputError):
         transport_eps(mu0, field, 0.0)
-    for factor in (0.0, -2.0):
-        with pytest.raises(InvalidInputError, match="dt_inner_factor must be positive"):
-            transport_eps(mu0, field, 0.1, dt_inner_factor=factor)
-
-
-@pytest.mark.parametrize("substeps", [0, -1])
-def test_transport_along_velocity_rejects_no_substeps(substeps):
-    field = ValueField(np.zeros((SMALL.t.size, SMALL.x.size)), SMALL, 0.0)
-    spec = make_lagrangian("quadratic")
-    with pytest.raises(InvalidInputError, match="substeps must be at least 1"):
-        transport_along_velocity(lattice_ensemble(4), field, spec, substeps)
 
 
 def test_transport_box_exit_names_particle():
@@ -277,6 +266,28 @@ def test_mfg_of_control_requires_velocities(kappa_c):
     spec = make_lagrangian("quadratic", kappa_c=kappa_c)
     with pytest.raises(InvalidInputError, match="must carry velocities"):
         solve_mfg_of_control(spec, ZERO_G, SMALL, ParticleEnsemble(np.array([0.0, 0.5])))
+
+
+@pytest.mark.parametrize("kappa_c", [0.0, 0.5])
+def test_eps_system_requires_velocities(kappa_c, monkeypatch):
+    def no_hjb(*args, **kwargs):
+        raise AssertionError("the HJB solve ran on a velocity-free ensemble")
+
+    monkeypatch.setattr("mfglab.mfg.solve_hjb_acceleration", no_hjb)
+    spec = make_lagrangian("quadratic", kappa_c=kappa_c)
+    mu0 = ParticleEnsemble(lattice_ensemble(64).positions)
+    with pytest.raises(InvalidInputError, match="must carry velocities"):
+        solve_eps_system(spec, ZERO_G, SMALL, mu0, 0.1)
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_picard_rejects_empty_iteration_budget(max_iter):
+    spec = make_lagrangian("quadratic", kappa_c=0.5)
+    mu0 = lattice_ensemble(16)
+    with pytest.raises(InvalidInputError, match="max_iter must be at least 1"):
+        solve_eps_system(spec, ZERO_G, SMALL, mu0, 0.1, max_iter=max_iter)
+    with pytest.raises(InvalidInputError, match="max_iter must be at least 1"):
+        solve_limit_classical(spec, ZERO_G, SMALL, mu0, max_iter=max_iter)
 
 
 def test_free_transport_flow_requires_velocities():

@@ -218,6 +218,9 @@ def test_unknown_catalog_model():
 def test_spec_validation():
     with pytest.raises(InvalidInputError):
         make_lagrangian("quadratic", M0=-1.0)
+    for sigma in (0.0, -0.3, float("nan")):
+        with pytest.raises(InvalidInputError, match="coupling_sigma > 0"):
+            make_lagrangian("quadratic", kappa_c=0.5, sigma=sigma)
 
 
 def test_constant_lagrangian_helper():
