@@ -7,13 +7,20 @@ the space-gradient bound), so a negative margin flags a genuine violation
 rather than a tuned threshold. Gaps, oscillations and the gradient bound are
 read on the probe box |x|, |v| <= PROBE_RADIUS = 2 (the convergence is locally
 uniform), and the acceleration energy on [0.1 T, T].
+
+Two measurements skip exact work that cannot change their number. The Hoelder
+audit skips every node pair whose triangle-inequality bound cannot go below the
+minimum found so far. A sweep's sup_d1_joint brackets each joint-W1 probe
+between two rank-pairing bounds, skips every probe whose upper bound is below
+the largest lower bound, and solves the rest concurrently in descending upper
+bound, skipping those whose upper bound falls below a W1 already found. Both
+report the same float as the full computation.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -33,6 +40,7 @@ from .measures import (
     MeasureFlow,
     ParticleEnsemble,
     W1Result,
+    _joint_w1_bounds,
     _w1_quantile,
     sup_w1_marginal,
     wasserstein1_joint,
@@ -42,6 +50,8 @@ from .model import LagrangianSpec, TerminalCost, optimal_velocity_field
 
 PROBE_RADIUS = 2.0
 ACCEL_CUTOFF = 0.1  # the acceleration-energy audit runs over [ACCEL_CUTOFF * T, T]
+_BOUND_SLACK = 1e-9  # relative slack between a distance bound and the value it bounds
+_PROBE_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)  # fractions of T where the joint flows are compared
 
 REPORT_COLUMNS = (
     "eps",
@@ -132,26 +142,36 @@ class EstimateAudit:
 
 
 def _pairwise_holder_margin(flow: MeasureFlow, q2: float) -> float:
-    """min over node pairs of q2 sqrt|s - t| - d1(m_s, m_t)."""
-    t = flow.times
-    n = flow.n_particles
-    uniform = np.allclose(flow.weights, 1.0 / n)
-    if uniform:
-        S = np.sort(flow.positions, axis=1)
-        diff = np.empty_like(S)
-        margin = np.inf
-        for k in range(t.size - 1):
-            rows = diff[: t.size - 1 - k]
-            np.subtract(S[k + 1 :], S[k], out=rows)
-            d1 = np.mean(np.abs(rows, out=rows), axis=1)
-            margin = min(margin, float(np.min(q2 * np.sqrt(t[k + 1 :] - t[k]) - d1)))
-        return margin
-    margin = np.inf
-    for k in range(t.size - 1):
-        for l in range(k + 1, t.size):
-            d1 = _w1_quantile(flow.positions[k], flow.weights, flow.positions[l], flow.weights)
-            margin = min(margin, q2 * math.sqrt(t[l] - t[k]) - d1)
-    return float(margin)
+    """min over node pairs of q2 sqrt|s - t| - d1(m_s, m_t).
+
+    By the triangle inequality d1(m_k, m_l) is at most D(k, l), the sum of the
+    adjacent-node distances from k to l, so a pair whose bound
+    q2 sqrt(t_l - t_k) - D(k, l) is not below the running minimum (less a
+    relative slack for rounding) cannot lower it and is skipped. The adjacent
+    pairs, which D needs anyway, give the first minimum.
+    """
+    t, X, w = flow.times, flow.positions, flow.weights
+    if flow.uniform_weights():
+        S = np.sort(X, axis=1)
+
+        def d1(ks, ls):  # equal weights: the quantile formula pairs sorted rows
+            return np.mean(np.abs(S[ls] - S[ks]), axis=1)
+
+    else:
+
+        def d1(ks, ls):
+            return np.array([_w1_quantile(X[k], w, X[l], w) for k, l in np.broadcast(ks, ls)])
+
+    adjacent = d1(np.arange(t.size - 1), np.arange(1, t.size))
+    D = np.concatenate(([0.0], np.cumsum(adjacent)))
+    margin = float(np.min(q2 * np.sqrt(t[1:] - t[:-1]) - adjacent))
+    for k in range(t.size - 2):
+        ls = np.arange(k + 2, t.size)
+        reach = q2 * np.sqrt(t[ls] - t[k])
+        keep = reach - (D[ls] - D[k]) - _BOUND_SLACK * (reach + D[ls]) < margin
+        if keep.any():
+            margin = min(margin, float(np.min(reach[keep] - d1(k, ls[keep]))))
+    return margin
 
 
 def audit_estimates(
@@ -226,10 +246,51 @@ def sup_marginal_gap(a: MeasureFlow, b: MeasureFlow) -> float:
     return sup_w1_marginal(a, b)
 
 
+def _joint_probes(eps_solution: MFGSolution, control_solution: MFGSolution, fractions):
+    """(t, eps ensemble, control ensemble) at the time nodes nearest fractions of T."""
+    fa, fb = eps_solution.flow, control_solution.flow
+    if fa.velocities is None or fb.velocities is None:
+        raise InvalidInputError("joint comparison needs phase-space flows")
+    T = fa.times[-1]
+    probes = [(fa.index_at(frac * T), fb.index_at(frac * T)) for frac in fractions]
+    return [(float(fa.times[ka]), fa.ensemble(ka), fb.ensemble(kb)) for ka, kb in probes]
+
+
+def _solve_probes(probes, bounds, n_exact: int) -> dict:
+    """{p: W1Result} for the probes that can hold the largest joint W1.
+
+    ``bounds[p] = (lower, upper)`` brackets probe p's W1. A probe whose upper
+    bound, plus a relative slack for the rounding of both sides, is below the
+    largest lower bound or below a W1 already found cannot hold the maximum and
+    is skipped. The others are solved in descending upper bound, up to one per
+    usable CPU at a time (linear_sum_assignment releases the GIL); each probe's
+    result does not depend on the order or the CPU count.
+    """
+    queue = sorted(range(len(probes)), key=lambda p: bounds[p][1], reverse=True)
+    best = max((lower for lower, _ in bounds), default=0.0)
+    workers = max(1, min(len(probes), _n_cpus()))
+    solved, running = {}, {}
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        while queue or running:
+            while queue and len(running) < workers:
+                p = queue.pop(0)
+                if bounds[p][1] * (1.0 + _BOUND_SLACK) < best:
+                    queue.clear()  # the bounds descend: no later probe can reach best
+                    break
+                _, a, b = probes[p]
+                running[pool.submit(wasserstein1_joint, a, b, n_exact=n_exact)] = p
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in done:
+                p = running.pop(future)
+                solved[p] = future.result()
+                best = max(best, solved[p].value)
+    return solved
+
+
 def compare_joint_reconstruction(
     eps_solution: MFGSolution,
     control_solution: MFGSolution,
-    fractions=(0.0, 0.25, 0.5, 0.75, 1.0),
+    fractions=_PROBE_FRACTIONS,
     n_exact: int = 2000,
 ):
     """d1 between the joint flows at probe times, exact up to n_exact support points.
@@ -239,19 +300,24 @@ def compare_joint_reconstruction(
     Returns a list of (t, W1Result) in ``fractions`` order; approximate entries
     carry exact=False.
     """
-    fa, fb = eps_solution.flow, control_solution.flow
-    if fa.velocities is None or fb.velocities is None:
-        raise InvalidInputError("joint comparison needs phase-space flows")
-    T = fa.times[-1]
-    probes = [(fa.index_at(frac * T), fb.index_at(frac * T)) for frac in fractions]
+    probes = _joint_probes(eps_solution, control_solution, fractions)
+    solved = _solve_probes(probes, [(0.0, np.inf)] * len(probes), n_exact)
+    return [(t, solved[p]) for p, (t, _, _) in enumerate(probes)]
 
-    def probe(k):
-        return wasserstein1_joint(fa.ensemble(k[0]), fb.ensemble(k[1]), n_exact=n_exact)
 
-    # linear_sum_assignment releases the GIL, so the assignments run in parallel
-    with ThreadPoolExecutor(max_workers=max(1, min(len(probes), _n_cpus()))) as pool:
-        results = list(pool.map(probe, probes))
-    return [(float(fa.times[ka]), res) for (ka, _), res in zip(probes, results)]
+def _sup_joint_gap(
+    eps_solution: MFGSolution, control_solution: MFGSolution, n_exact: int = 2000
+) -> float:
+    """max over probes of compare_joint_reconstruction's d1, solving only probes that can hold it.
+
+    Each probe's rank-pairing bounds (a few milliseconds) let _solve_probes
+    skip the probes that cannot hold the maximum, so the result is the same
+    float as the maximum over every probe.
+    """
+    probes = _joint_probes(eps_solution, control_solution, _PROBE_FRACTIONS)
+    bounds = [_joint_w1_bounds(a, b, n_exact) for _, a, b in probes]
+    solved = _solve_probes(probes, bounds, n_exact)
+    return max(solved[p].value for p in sorted(solved))  # in probe order, as the full maximum
 
 
 _CONTINUITY_TESTS = (  # (psi, dpsi)
@@ -347,6 +413,8 @@ def run_sweep(
         solve_limit = solve_mfg_of_control
     else:
         raise InvalidInputError(f"unknown sweep variant {variant!r}")
+    if not mu0.is_joint:  # the eps rungs need velocities; fail before the limit solve
+        raise InvalidInputError("the initial ensemble must carry velocities")
     limit = solve_limit(spec, g, grid, mu0, tol_fp=tol_fp, max_iter=max_iter)
 
     rows = []
@@ -361,11 +429,7 @@ def run_sweep(
             rows.append(_nan_row(eps))
             continue
         audit = audit_estimates(sol, spec, g)
-        if variant == "control":
-            joint = compare_joint_reconstruction(sol, limit)
-            sup_joint = max(float(res) for _, res in joint)
-        else:
-            sup_joint = float("nan")
+        sup_joint = _sup_joint_gap(sol, limit) if variant == "control" else float("nan")
         rows.append(
             {
                 "eps": eps,

@@ -27,6 +27,14 @@ from .errors import InvalidInputError
 _WEIGHT_TOL = 1e-12
 _LP_LIMIT = 40000  # coupling entries up to which the joint W1 solves an LP
 _N_PROJECTIONS = 64  # projections of the sliced joint-W1 fallback
+_SLOPES = (-1.0, -2.0 / 3.0, -1.0 / 3.0, 0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0)
+# rank-pairing directions (c, s): twelve points of max(|c|, |s|) = 1, among them x, v, x + v, x - v
+_RANK_DIRECTIONS = tuple((1.0, t) for t in _SLOPES) + tuple((t, 1.0) for t in _SLOPES[1:-1])
+
+
+def _uniform(weights) -> bool:
+    """The one uniform-weight rule: every weight within _WEIGHT_TOL of 1/n."""
+    return bool(np.allclose(weights, 1.0 / weights.size, atol=_WEIGHT_TOL, rtol=0))
 
 
 def _as_1d(a, name):
@@ -77,7 +85,7 @@ class ParticleEnsemble:
         return self.velocities is not None
 
     def uniform_weights(self) -> bool:
-        return bool(np.allclose(self.weights, 1.0 / self.size, atol=_WEIGHT_TOL, rtol=0))
+        return _uniform(self.weights)
 
 
 @dataclass(frozen=True)
@@ -119,6 +127,9 @@ class MeasureFlow:
     @property
     def n_particles(self) -> int:
         return self.positions.shape[1]
+
+    def uniform_weights(self) -> bool:
+        return _uniform(self.weights)
 
     def ensemble(self, k: int) -> ParticleEnsemble:
         vel = None if self.velocities is None else self.velocities[k]
@@ -164,8 +175,7 @@ def sup_w1_marginal(a: MeasureFlow, b: MeasureFlow) -> float:
     Equal-count uniform flows pair their sorted rows; others go through the
     quantile formula row by row.
     """
-    n = a.n_particles
-    if n == b.n_particles and np.allclose(a.weights, 1.0 / n) and np.allclose(b.weights, 1.0 / n):
+    if a.n_particles == b.n_particles and a.uniform_weights() and b.uniform_weights():
         da = np.abs(np.sort(a.positions, axis=1) - np.sort(b.positions, axis=1))
         return float(np.max(np.mean(da, axis=1)))
     rows = zip(a.positions, b.positions)
@@ -210,6 +220,36 @@ def wasserstein1_joint(
         if a.size * b.size <= _LP_LIMIT:
             return W1Result(_w1_lp(a, b), True)
     return W1Result(_w1_sliced(a, b), False)
+
+
+def _joint_w1_bounds(
+    a: ParticleEnsemble, b: ParticleEnsemble, n_exact: int = 2000
+) -> tuple[float, float]:
+    """(lower, upper) bounds on ``wasserstein1_joint(a, b, n_exact)`` from twelve rank pairings.
+
+    Each pairing sorts both phase-space ensembles along one direction (c, s)
+    with max(|c|, |s|) = 1 and pairs them by rank. Its cost, the mean of
+    |dx| + |dv| over the pairs, bounds W1 from above (any coupling does); it
+    also bounds the sliced fallback, since |c dx + s dv| <= |dx| + |dv| for
+    any unit (c, s). The mean of |c dx + s dv| over the same pairs is the 1-D
+    W1 along (c, s), a lower bound on the exact W1 because |c dx + s dv| <=
+    |dx| + |dv| for these directions too; the sliced fallback has no such
+    bound, so there the lower bound is 0. A rank
+    pairing is a coupling only for equal counts with uniform weights;
+    otherwise the bounds are (0, inf).
+    """
+    if a.size != b.size or not (a.uniform_weights() and b.uniform_weights()):
+        return 0.0, np.inf
+    lower, upper = 0.0, np.inf
+    for c, s in _RANK_DIRECTIONS:
+        pa = c * a.positions + s * a.velocities
+        pb = c * b.positions + s * b.velocities
+        ia, ib = np.argsort(pa, kind="stable"), np.argsort(pb, kind="stable")
+        lower = max(lower, float(np.abs(pa[ia] - pb[ib]).mean()))
+        cost = np.abs(a.positions[ia] - b.positions[ib])
+        cost += np.abs(a.velocities[ia] - b.velocities[ib])
+        upper = min(upper, float(cost.mean()))
+    return (lower if a.size <= n_exact else 0.0), upper
 
 
 def _w1_lp(a: ParticleEnsemble, b: ParticleEnsemble) -> float:

@@ -2,7 +2,9 @@
 
 import json
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from mfglab import (
     compare_joint_reconstruction,
     continuity_residuals,
     fit_rate,
+    gaussian_ensemble,
     lattice_ensemble,
     make_lagrangian,
     make_terminal,
@@ -28,7 +31,7 @@ from mfglab import (
 )
 from mfglab import analysis
 from mfglab.analysis import REPORT_COLUMNS, energy_constant, holder_constant
-from mfglab.measures import MeasureFlow, ParticleEnsemble, wasserstein1_joint
+from mfglab.measures import MeasureFlow, ParticleEnsemble, _w1_quantile, wasserstein1_joint
 
 SMALL = PhaseGrid.regular(N_x=41, N_v=31, N_t=51)
 ZERO_G = make_terminal("zero")
@@ -121,6 +124,47 @@ def test_audit_estimates_on_decoupled_solution():
     assert audit.q1 == pytest.approx(energy_constant(spec, ZERO_G, SMALL.T))
 
 
+def _all_pairs_holder_margin(flow, q2):
+    """Every node pair evaluated, as _pairwise_holder_margin did before pruning."""
+    t = flow.times
+    if flow.uniform_weights():
+        S = np.sort(flow.positions, axis=1)
+        margin = np.inf
+        for k in range(t.size - 1):
+            d1 = np.mean(np.abs(S[k + 1 :] - S[k]), axis=1)
+            margin = min(margin, float(np.min(q2 * np.sqrt(t[k + 1 :] - t[k]) - d1)))
+        return margin
+    margin = np.inf
+    for k in range(t.size - 1):
+        for l in range(k + 1, t.size):
+            d1 = _w1_quantile(flow.positions[k], flow.weights, flow.positions[l], flow.weights)
+            margin = min(margin, q2 * np.sqrt(t[l] - t[k]) - d1)
+    return float(margin)
+
+
+@pytest.mark.parametrize("uniform", [True, False])
+@pytest.mark.parametrize("shape", ["drift", "walk"])
+def test_pruned_holder_margin_equals_all_pairs(uniform, shape):
+    rng = np.random.default_rng(21)
+    t = np.linspace(0.0, 1.0, 41)
+    n = 50
+    if shape == "drift":
+        # sqrt(dt) - 1.2 dt is least at the widest pair, where the triangle bound
+        # is nearly tight; any smaller bound would skip that pair
+        X = rng.normal(size=n) + 1.2 * t[:, None] + 0.01 * rng.normal(size=(t.size, n))
+    else:
+        steps = rng.normal(scale=0.2, size=(t.size, n)) + rng.normal(size=(t.size, 1))
+        X = np.cumsum(steps, axis=0)
+    w = np.full(n, 1.0 / n) if uniform else rng.uniform(0.5, 1.5, size=n)
+    flow = MeasureFlow(t, X, None, w / w.sum())
+    assert flow.uniform_weights() == uniform
+    q2 = 1.0
+    expected = _all_pairs_holder_margin(flow, q2)
+    first_pair = _all_pairs_holder_margin(MeasureFlow(t[:2], X[:2], None, flow.weights), q2)
+    assert first_pair > expected  # the minimum is not at pair (0, 1)
+    assert analysis._pairwise_holder_margin(flow, q2) == expected
+
+
 def test_continuity_residuals_rejects_phase_solution():
     spec = make_lagrangian("quadratic")
     sol = solve_eps_system(spec, ZERO_G, SMALL, lattice_ensemble(16), 0.1)
@@ -175,6 +219,144 @@ def test_compare_joint_reconstruction_equals_sequential_probes(
         sys.setswitchinterval(interval)
     assert got == expected
     assert workers == [min(len(fractions), n_cpus)]
+
+
+def _flows(positions_a, velocities_a, positions_b, velocities_b, weights=None):
+    """Solution stand-ins: the joint comparisons read only ``.flow``."""
+    t = np.linspace(0.0, 1.0, positions_a.shape[0])
+    n = positions_a.shape[1]
+    w = np.full(n, 1.0 / n) if weights is None else weights
+    return (
+        SimpleNamespace(flow=MeasureFlow(t, positions_a, velocities_a, w)),
+        SimpleNamespace(flow=MeasureFlow(t, positions_b, velocities_b, w)),
+    )
+
+
+def _max_over_probes(*pair, **kwargs):
+    return max(float(r) for _, r in compare_joint_reconstruction(*pair, **kwargs))
+
+
+def _count_w1_calls(monkeypatch):
+    calls = []
+    w1 = analysis.wasserstein1_joint
+
+    def counting(a, b, **kwargs):
+        calls.append(1)
+        return w1(a, b, **kwargs)
+
+    monkeypatch.setattr(analysis, "wasserstein1_joint", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n_cpus", [1, 4])
+@pytest.mark.parametrize("n_exact", [2000, 10])  # 10 < 49 particles: sliced fallback
+def test_sup_joint_gap_equals_max_over_probes(monkeypatch, joint_pair, n_exact, n_cpus):
+    expected = _max_over_probes(*joint_pair, n_exact=n_exact)
+    monkeypatch.setattr(analysis, "_n_cpus", lambda: n_cpus)
+    assert analysis._sup_joint_gap(*joint_pair, n_exact=n_exact) == expected
+
+
+def test_sup_joint_gap_of_identical_flows_is_zero():
+    rng = np.random.default_rng(22)
+    X, V = rng.normal(size=(2, 5, 30))
+    pair = _flows(X, V, X, V)
+    assert analysis._sup_joint_gap(*pair) == 0.0 == _max_over_probes(*pair)
+
+
+def test_sup_joint_gap_solves_past_a_loose_bound(monkeypatch):
+    """The jittered probe has the largest bound but a small W1, so the shifted one is solved too."""
+    rng = np.random.default_rng(0)
+    x, v = rng.uniform(-1.0, 1.0, size=(2, 60))
+    jx, jv = rng.normal(scale=0.1, size=(2, 60))
+    X = np.tile(x, (5, 1))
+    V = np.tile(v, (5, 1))
+    shift_x = np.array([0.0, 0.0, 0.3, 0.1, 0.05])[:, None]
+    shift_v = np.array([0.0, 0.0, 0.0, 0.0, 0.05])[:, None]
+    Xb, Vb = X + shift_x, V + shift_v
+    Xb[1] += jx
+    Vb[1] += jv
+    pair = _flows(X, V, Xb, Vb)
+    expected = _max_over_probes(*pair)
+    calls = _count_w1_calls(monkeypatch)
+    monkeypatch.setattr(analysis, "_n_cpus", lambda: 1)  # one probe at a time: a fixed count
+    assert analysis._sup_joint_gap(*pair) == expected
+    assert len(calls) == 2
+
+
+def test_sup_joint_gap_solves_every_probe_without_uniform_weights(monkeypatch):
+    rng = np.random.default_rng(23)
+    X, V, Xb, Vb = rng.normal(size=(4, 5, 20))
+    w = rng.uniform(0.5, 1.5, size=20)
+    pair = _flows(X, V, Xb, Vb, weights=w / w.sum())  # 20 x 20 < the LP limit: exact LP
+    expected = _max_over_probes(*pair)
+    calls = _count_w1_calls(monkeypatch)
+    assert analysis._sup_joint_gap(*pair) == expected
+    assert len(calls) == 5
+
+
+def _one_particle_probes():
+    """Probe k compares one particle at x = 0 with one at x = k."""
+    return _flows(np.zeros((5, 1)), np.zeros((5, 1)), np.arange(5.0)[:, None], np.zeros((5, 1)))
+
+
+def _fake_probes(monkeypatch, bounds, values, n_cpus, on_solve=lambda k: None):
+    """Stand-in bounds and W1 values per probe; returns the list of probes solved."""
+    solved = []
+
+    def fake_w1(a, b, n_exact):
+        k = int(b.positions[0])
+        solved.append(k)
+        on_solve(k)
+        return analysis.W1Result(values[k], True)
+
+    def fake_bounds(a, b, n_exact):
+        return bounds[int(b.positions[0])]
+
+    monkeypatch.setattr(analysis, "_joint_w1_bounds", fake_bounds)
+    monkeypatch.setattr(analysis, "wasserstein1_joint", fake_w1)
+    monkeypatch.setattr(analysis, "_n_cpus", lambda: n_cpus)
+    return solved
+
+
+@pytest.mark.parametrize("first_lower", [0.0, 0.6 * (1.0 - 1e-13)], ids=["vs_w1", "vs_lower"])
+def test_sup_joint_gap_stop_rule_has_a_relative_slack(monkeypatch, first_lower):
+    """An upper bound that rounds just below a W1 or a lower bound still gets its probe solved."""
+    bounds = [(first_lower, 1.0), (0.0, 0.6 * (1.0 - 1e-12))] + [(0.0, 0.0)] * 3
+    values = [0.6 * (1.0 - 1e-13), 0.6, 0.0, 0.0, 0.0]
+    solved = _fake_probes(monkeypatch, bounds, values, n_cpus=1)
+    assert analysis._sup_joint_gap(*_one_particle_probes()) == 0.6
+    assert solved == [0, 1]  # descending bounds, stopped at the first that cannot reach 0.6
+
+
+def test_sup_joint_gap_solves_the_probes_left_by_the_bounds_concurrently(monkeypatch):
+    """Upper bounds below the largest lower bound are skipped; the other probes run at once."""
+    bounds = [(0.0, 0.0), (0.5, 0.9), (0.1, 0.45), (0.2, 0.7), (0.1, 0.6)]
+    values = [0.0, 0.55, 0.3, 0.65, 0.4]
+    barrier = threading.Barrier(3, timeout=30)  # broken unless three probes are in flight together
+    solved = _fake_probes(monkeypatch, bounds, values, n_cpus=4, on_solve=lambda k: barrier.wait())
+    assert analysis._sup_joint_gap(*_one_particle_probes()) == 0.65
+    assert sorted(solved) == [1, 3, 4]
+
+
+def test_sup_joint_gap_solves_fewer_probes_on_a_gaussian_sweep(monkeypatch):
+    spec = make_lagrangian("quadratic")
+    mu0 = gaussian_ensemble(300, seed=1)
+    plan = SweepPlan(eps_ladder=(0.2, 0.1, 0.05))
+    sup_joint_gap = analysis._sup_joint_gap
+    calls = _count_w1_calls(monkeypatch)
+    solved, full = [], []
+
+    def recording(sol, limit):
+        before = len(calls)
+        got = sup_joint_gap(sol, limit)
+        solved.append(len(calls) - before)
+        full.append(_max_over_probes(sol, limit))
+        return got
+
+    monkeypatch.setattr(analysis, "_sup_joint_gap", recording)
+    report = run_sweep(plan, spec, ZERO_G, SMALL, mu0, variant="control")
+    assert [row["sup_d1_joint"] for row in report.rows] == full
+    assert len(solved) == 3 and all(k < 5 for k in solved)
 
 
 def test_run_sweep_classical_report():
@@ -233,9 +415,29 @@ def test_run_sweep_reports_transport_failures_as_nan_rows(kappa_c):
     assert report.rates == {}
 
 
-def test_run_sweep_propagates_bad_input():
-    spec = make_lagrangian("quadratic", kappa_c=0.5)
-    mu0 = ParticleEnsemble(lattice_ensemble(36).positions)
+def test_run_sweep_propagates_bad_input(monkeypatch):
+    """A velocity-free mu0 is rejected before any solve; a rung's bad input propagates."""
+    solves = []
+
+    def stub(name, error=None):
+        def solver(*args, **kwargs):
+            solves.append(name)
+            if error is not None:
+                raise error
+            return SimpleNamespace()  # a limit that no rung gets far enough to read
+
+        monkeypatch.setattr(analysis, name, solver)
+
+    stub("solve_limit_classical")
+    stub("solve_mfg_of_control")
+    stub("solve_eps_system", InvalidInputError("bad rung input"))
+    spec = make_lagrangian("quadratic")
     plan = SweepPlan(eps_ladder=(0.2, 0.1, 0.05))
-    with pytest.raises(InvalidInputError, match="must carry velocities"):
-        run_sweep(plan, spec, ZERO_G, SMALL, mu0)
+    mu0 = ParticleEnsemble(lattice_ensemble(36).positions)
+    for variant in ("classical", "control"):
+        with pytest.raises(InvalidInputError, match="must carry velocities"):
+            run_sweep(plan, spec, ZERO_G, SMALL, mu0, variant=variant)
+    assert solves == []
+    with pytest.raises(InvalidInputError, match="bad rung input"):
+        run_sweep(plan, spec, ZERO_G, SMALL, lattice_ensemble(36), variant="control")
+    assert solves == ["solve_mfg_of_control", "solve_eps_system"]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfglab import (
     InvalidInputError,
@@ -9,7 +11,15 @@ from mfglab import (
     wasserstein1_1d,
     wasserstein1_joint,
 )
-from mfglab.measures import MeasureFlow, ParticleEnsemble, kernel_smooth, linear_binning
+from mfglab.measures import (
+    MeasureFlow,
+    ParticleEnsemble,
+    _joint_w1_bounds,
+    _w1_quantile,
+    kernel_smooth,
+    linear_binning,
+    sup_w1_marginal,
+)
 
 from oracles import w1_cdf_1d, w1_permutation
 
@@ -111,6 +121,66 @@ def test_w1_joint_sliced_fallback_flagged():
     res = wasserstein1_joint(a, b, n_exact=10)
     assert not res.exact
     assert res.value >= 0
+
+
+_COORD = st.floats(-5.0, 5.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(points=st.lists(st.tuples(_COORD, _COORD, _COORD, _COORD), min_size=1, max_size=12))
+def test_rank_pairing_bounds_bracket_exact_and_sliced_w1(points):
+    xa, va, xb, vb = np.array(points).T
+    a, b = ParticleEnsemble(xa, va), ParticleEnsemble(xb, vb)
+    slack = 1.0 + 1e-9  # the relative slack of analysis._solve_probes
+    lower, upper = _joint_w1_bounds(a, b)
+    exact = wasserstein1_joint(a, b)
+    sliced_lower, sliced_upper = _joint_w1_bounds(a, b, n_exact=0)
+    sliced = wasserstein1_joint(a, b, n_exact=0)
+    assert exact.exact and not sliced.exact
+    assert lower <= exact.value * slack <= upper * slack**2
+    assert sliced_upper == upper and sliced_lower == 0.0  # no lower bound on a sliced value
+    assert sliced.value <= upper * slack
+
+
+def test_rank_pairing_bounds_are_exact_for_a_translation():
+    rng = np.random.default_rng(11)
+    x, v = rng.normal(size=(2, 50))
+    a, b = ParticleEnsemble(x, v), ParticleEnsemble(x + 0.25, v - 0.5)
+    lower, upper = _joint_w1_bounds(a, b)
+    assert lower == pytest.approx(0.75, rel=1e-12)  # along x - v
+    assert upper == pytest.approx(0.75, rel=1e-12)
+
+
+def test_rank_pairing_bounds_need_equal_counts_and_strictly_uniform_weights():
+    rng = np.random.default_rng(12)
+    x, v = rng.normal(size=(2, 40))
+    a = ParticleEnsemble(x, v)
+    assert np.isfinite(_joint_w1_bounds(a, ParticleEnsemble(x + 1.0, v))[1])
+    assert _joint_w1_bounds(a, ParticleEnsemble(x[:39], v[:39])) == (0.0, np.inf)
+    # weights 1e-6 off 1/n pass np.allclose's default tolerances, but a rank
+    # pairing of them is no coupling
+    w = np.where(np.arange(40) % 2 == 0, 1.0 + 1e-6, 1.0 - 1e-6) / 40
+    near = ParticleEnsemble(x + 1.0, v, w / w.sum())
+    assert np.allclose(near.weights, 1.0 / 40)
+    assert _joint_w1_bounds(a, near) == (0.0, np.inf)
+    assert _joint_w1_bounds(near, a) == (0.0, np.inf)
+
+
+def test_sup_w1_marginal_uses_the_strict_uniform_rule():
+    n = 100_000
+    rng = np.random.default_rng(13)
+    t = np.array([0.0, 1.0])
+    X = rng.normal(size=(2, n))
+    Y = rng.normal(size=(2, n)) + 0.5
+    w = np.where(X[0] > 0, 1.0009, 0.9991) / n
+    w /= w.sum()
+    assert np.allclose(w, 1.0 / n)  # "uniform" by np.allclose's default tolerances
+    a, b = MeasureFlow(t, X, None, w), MeasureFlow(t, Y, None, np.full(n, 1.0 / n))
+    quantile = max(_w1_quantile(xa, w, xb, b.weights) for xa, xb in zip(X, Y))
+    paired = np.max(np.mean(np.abs(np.sort(X, axis=1) - np.sort(Y, axis=1)), axis=1))
+    assert abs(paired - quantile) > 5e-4  # pairing sorted rows would be wrong here
+    assert sup_w1_marginal(a, b) == quantile
+    assert sup_w1_marginal(b, a) == pytest.approx(quantile, abs=1e-12)
 
 
 def test_duality_lower_bound():
