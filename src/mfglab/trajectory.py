@@ -3,8 +3,11 @@ fourth-order Euler-Lagrange boundary value problem.
 
 The cost, the direct minimizer, the BVP solver and the Euler-Lagrange
 residual all evaluate one discrete functional (trapezoid quadrature, shared
-difference operators) and its derivatives, so the optima of the minimizer and
-the BVP cross-validate each other to optimizer tolerance.
+difference operators) and its derivatives, and both solvers run one
+safeguarded Newton descent on it. At eps > 0 they start from the same curve
+and hold the same samples fixed, so their optima agree to the last bit and do
+not check each other; the closed-form minimizer of the harmonic model in the
+test oracles is the independent check.
 """
 
 from __future__ import annotations
@@ -13,16 +16,18 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import minimize as scipy_minimize
-from scipy.sparse.linalg import spsolve
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from .errors import InvalidInputError, UnsupportedModelError
 from .measures import MeasureFlow
 from .model import LagrangianSpec, TerminalCost
 
 DIRECT_GRAD_TOL = 1e-4  # minimize_direct converges below this gradient sup norm over h
-BVP_TOL = 1e-5  # solve_el_bvp converges below this residual
-BVP_MAX_ITER = 50  # Newton steps of solve_el_bvp
+BVP_TOL = 1e-5  # solve_el_bvp converges below this residual; both solvers stop there
+MAX_STEPS = 50  # Newton steps of either solver
+ARMIJO = 1e-4  # sufficient-decrease fraction of the line search
+ROUNDING_ULPS = 8  # cost rises up to this many ulp are rounding, not ascent
+_EPS = np.finfo(float).eps
 
 
 def d1_matrix(n: int, h: float) -> sp.csr_matrix:
@@ -148,30 +153,56 @@ class _Functional:
         return H + sp.csr_matrix(([dgg], ([M - 1], [M - 1])), shape=(M, M))
 
 
-def _newton(F: _Functional, x, free, tol: float, max_iter: int):
-    """Newton on the gradient of F in the free samples, halving each step (at
-    most 30 times) until the gradient's sup norm drops. Stops once that norm
-    over h is below tol; returns the curve and the history of that norm."""
-    G = F.grad(x)
-    history = [np.max(np.abs(G[free])) / F.h]
-    for _ in range(max_iter):
+def _descent(F: _Functional, x, first: int, tol: float):
+    """Safeguarded Newton descent of F.cost over the samples x[first:], the
+    rest held fixed (Nocedal & Wright, Numerical Optimization, 2nd ed., §3.4).
+
+    Each step solves (H + tau I) p = -g with the banded Cholesky factor of the
+    free-sample Hessian, which has bandwidth 2 at every eps. tau is zero when H
+    factors; otherwise it starts at machine epsilon times the largest diagonal
+    entry (a larger start overshoots the negative curvature and the descent
+    crawls) and doubles until H + tau I factors. The step is halved until the
+    cost falls by the Armijo fraction of the predicted decrease. Where that
+    decrease is below the cost's rounding, a step that keeps the cost within a
+    few ulp and lowers the gradient's sup norm is taken instead. Stops once
+    that norm over h is below tol; returns the curve and the history of that
+    norm.
+    """
+    cost, G = F.cost(x), F.grad(x)[first:]
+    history = [np.max(np.abs(G)) / F.h]
+    for _ in range(MAX_STEPS):
         if history[-1] < tol:
             break
-        step = spsolve(F.hess(x)[free][:, free].tocsc(), -G[free])
-        if not np.all(np.isfinite(step)):
-            break
+        H = F.hess(x)
+        # upper banded storage of the free block: row 2 - k holds diagonal k
+        ab = np.array([np.pad(H.diagonal(k)[first:], (k, 0)) for k in (2, 1, 0)])
+        diag, shift = ab[2].copy(), 0.0
+        floor = _EPS * np.max(np.abs(diag)) or _EPS  # a zero diagonal still gets shifted
+        while True:
+            ab[2] = diag + shift
+            try:
+                factor = cholesky_banded(ab)
+                break
+            except LinAlgError:  # not positive definite: shift, then double the shift
+                shift = 2.0 * shift or floor
+        step = cho_solve_banded((factor, False), -G)
+        slope = G @ step
         alpha = 1.0
         for _ in range(30):
             trial = x.copy()
-            trial[free] += alpha * step
-            Gt = F.grad(trial)
-            if np.max(np.abs(Gt[free])) < np.max(np.abs(G[free])):
-                x, G = trial, Gt
+            trial[first:] += alpha * step
+            trial_cost, trial_G = F.cost(trial), F.grad(trial)[first:]
+            rise = trial_cost - cost  # as a sum, cost + ARMIJO alpha slope rounds to cost
+            if rise <= ARMIJO * alpha * slope or (
+                rise <= ROUNDING_ULPS * np.spacing(abs(cost))
+                and np.max(np.abs(trial_G)) / F.h < history[-1]
+            ):
                 break
             alpha *= 0.5
         else:
             break
-        history.append(np.max(np.abs(G[free])) / F.h)
+        x, cost, G = trial, trial_cost, trial_G
+        history.append(np.max(np.abs(G)) / F.h)
     return x, history
 
 
@@ -197,65 +228,30 @@ def minimize_direct(
     M: int = 401,
     T: float | None = None,
 ) -> DirectMinimizeResult:
-    """Quasi-Newton descent of the discrete cost over the curve samples.
+    """Newton descent of the discrete cost over the curve samples.
 
-    eps > 0 fixes the initial position and velocity; eps = 0 drops both the
-    acceleration term and the initial-velocity constraint. The curve is
-    parametrized by its second differences (first differences for eps = 0), a
-    change of variables that keeps the Hessian well conditioned; the minimized
-    functional is the plain discrete cost of the sampled curve either way.
-    Descent starts from the straight-line curve, which also breaks ties
-    deterministically.
+    eps > 0 fixes the initial position and velocity (the first two samples);
+    eps = 0 drops both the acceleration term and the initial-velocity
+    constraint (only the first sample is fixed). Descent starts from the
+    straight line x + v (t - t0) at eps > 0 and from the constant curve at
+    eps = 0, which also breaks ties deterministically. At eps > 0 this is the
+    arithmetic of solve_el_bvp, so the two do not check each other; the
+    closed-form harmonic minimizer in the test oracles does.
     """
     if T is None:
         T = 1.0 if m_flow is None else float(m_flow.times[-1])
     F = _Functional(np.linspace(t0, T, M), eps, spec, m_flow, g)
-    t = F.t
-
-    # gamma = base + A z: cumulative-sum maps from the difference variables
     if eps > 0:
-        # z holds the M - 2 interior second differences scaled by h^2
-        base = x + v * (t - t0)
-        n_free = M - 2
-
-        def curve_of(z):
-            return base + np.concatenate(([0.0, 0.0], np.cumsum(np.cumsum(z))))
-
-        def chain(grad_gamma):
-            s = np.cumsum(grad_gamma[:1:-1])  # reversed outer cumsum
-            return np.cumsum(s)[::-1]
+        gam, history = _descent(F, x + v * (F.t - t0), 2, BVP_TOL)
     else:
-        base = np.full(M, float(x))
-        n_free = M - 1
-
-        def curve_of(z):
-            return base + np.concatenate(([0.0], np.cumsum(z)))
-
-        def chain(grad_gamma):
-            return np.cumsum(grad_gamma[:0:-1])[::-1]
-
-    def objective(z):
-        gam = curve_of(z)
-        return F.cost(gam), chain(F.grad(gam))
-
-    res = scipy_minimize(
-        objective,
-        np.zeros(n_free),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": 5000, "maxcor": 50, "ftol": 1e-18, "gtol": 1e-12},
-    )
-    # Newton polish: the cumulative-sum variables stall L-BFGS near the optimum
-    # (machine-precision plateau in the cost), so finish in curve variables
-    free = np.arange(M - n_free, M)
-    gam, history = _newton(F, curve_of(res.x), free, 0.1 * DIRECT_GRAD_TOL, 10)
+        gam, history = _descent(F, np.full(M, float(x)), 1, BVP_TOL)
     grad_norm = float(history[-1])
     return DirectMinimizeResult(
-        curve=Curve(t, gam),
+        curve=Curve(F.t, gam),
         cost=F.cost(gam),
         grad_norm=grad_norm,
         converged=bool(grad_norm < DIRECT_GRAD_TOL),
-        n_iter=int(res.nit) + len(history) - 1,
+        n_iter=len(history) - 1,
     )
 
 
@@ -269,12 +265,14 @@ def solve_el_bvp(
     M: int = 401,
     T: float | None = None,
 ) -> BVPSolution:
-    """Newton solve of the discrete fourth-order stationarity equations.
+    """Solve of the discrete fourth-order stationarity equations.
 
     The equations are the gradient of the same discrete functional used by
     minimize_direct for the state-control model form (quadratic kinetic term),
     so the transversality conditions at the right end hold as natural boundary
-    conditions of the discretization.
+    conditions of the discretization. They are solved by minimize_direct's
+    Newton descent from the straight line; converged means their residual is
+    below BVP_TOL.
     """
     if eps <= 0:
         raise InvalidInputError("the fourth-order problem needs eps > 0")
@@ -284,10 +282,7 @@ def solve_el_bvp(
         T = 1.0 if mu_flow is None else float(mu_flow.times[-1])
     F = _Functional(np.linspace(0.0, T, M), eps, spec, mu_flow, g)
     t, h = F.t, F.h
-
-    gam = x + v * t  # straight-line start
-    gam[0], gam[1] = x, x + h * v
-    gam, history = _newton(F, gam, np.arange(2, M), BVP_TOL, BVP_MAX_ITER)
+    gam, history = _descent(F, x + v * t, 2, BVP_TOL)  # straight-line start
     res_norm = history[-1]
 
     curve = Curve(t, gam)

@@ -62,6 +62,35 @@ def lq_limit_feedback(kappa_pot, T, t, x):
     return -r * np.tanh(r * (T - t)) * x
 
 
+def harmonic_minimizer(eps, kappa_pot, T, x, v):
+    """Closed-form minimizer of the integral over [0, T] of
+    eps/2 g''^2 + g'^2/2 + kappa_pot g^2/2 with g(0) = x, g'(0) = v, free right end.
+
+    The Euler-Lagrange equation eps g'''' - g'' + kappa_pot g = 0 has the roots
+    r^2 = (1 +- sqrt(1 - 4 eps kappa_pot)) / (2 eps), so g sums the modes
+    exp(-r t) and exp(-r (T - t)); anchoring the growing ones at T keeps every
+    mode at most 1. The natural conditions g''(T) = 0 and eps g'''(T) = g'(T)
+    close one 4x4 system. Integrating the cost by parts against the equation
+    leaves only its t = 0 terms. Needs 4 eps kappa_pot < 1. Returns
+    (derivative, cost), where derivative(t, k) is the k-th derivative of g.
+    """
+    d = np.sqrt(1.0 - 4.0 * eps * kappa_pot)
+    r = np.sqrt(np.array([1.0 - d, 1.0 + d]) / (2.0 * eps))
+
+    def modes(t, k):
+        t = np.asarray(t, dtype=float)[..., None]
+        return np.concatenate([(-r) ** k * np.exp(-r * t), r**k * np.exp(-r * (T - t))], axis=-1)
+
+    system = np.array([modes(0.0, 0), modes(0.0, 1), modes(T, 2), eps * modes(T, 3) - modes(T, 1)])
+    coef = np.linalg.solve(system, [x, v, 0.0, 0.0])
+
+    def derivative(t, k=0):
+        return modes(t, k) @ coef
+
+    cost = 0.5 * (eps * derivative(0.0, 3) * x - eps * derivative(0.0, 2) * v - v * x)
+    return derivative, float(cost)
+
+
 def w1_cdf_1d(xa, wa, xb, wb):
     """W1 on the line as the integral of |F_a - F_b| between support breakpoints."""
     xa, wa = np.asarray(xa, float), np.asarray(wa, float)

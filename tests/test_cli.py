@@ -150,6 +150,19 @@ def test_traj_resting_start_costs_nothing(runner, tmp_path):
     assert meta["direct_cost"] < 1e-10
 
 
+def test_traj_cosine_hill_converges(runner, tmp_path):
+    # kappa_pot 5 makes the cosine potential's Hessian indefinite near the start
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path, {"model": {"name": "cosine", "kappa_pot": 5}})
+    res = runner.invoke(
+        main,
+        ["--config", cfg, "--out", str(out), "traj", "--eps", "0.01", "--x", "0.7", "--v", "-0.4"],
+    )
+    assert res.exit_code == 0, res.output
+    meta = json.loads((out / "traj.json").read_text())
+    assert meta["direct_converged"] and meta["bvp_converged"]
+
+
 def test_traj_start_outside_box(runner, tmp_path):
     res = runner.invoke(
         main,

@@ -20,6 +20,8 @@ from mfglab import (
 from mfglab.analysis import energy_constant
 from mfglab.measures import MeasureFlow
 from mfglab.model import LagrangianSpec, TerminalCost
+from mfglab.trajectory import _Functional
+from oracles import harmonic_minimizer
 
 ZERO_G = make_terminal("zero")
 KINETIC_ONLY = make_lagrangian("quadratic", kappa_pot=0.0)
@@ -79,6 +81,62 @@ def test_cross_validation_against_bvp():
     bvp = solve_el_bvp(0.05, 1.0, 0.5, QUADRATIC, None, ZERO_G, M=401, T=1.0)
     assert res.converged and bvp.converged
     assert abs(res.cost - eval_cost(bvp.curve, 0.05, QUADRATIC, None, ZERO_G)) < 1e-6
+
+
+def test_harmonic_closed_form_oracle():
+    # the oracle's own checks: the equation, the four conditions, and its cost by quadrature
+    eps, kappa, x, v = 0.05, 0.5, 1.0, 0.5
+    gamma, cost = harmonic_minimizer(eps, kappa, 1.0, x, v)
+    t = np.linspace(0.0, 1.0, 200001)
+    assert np.max(np.abs(eps * gamma(t, 4) - gamma(t, 2) + kappa * gamma(t))) < 1e-9
+    assert gamma(0.0) == pytest.approx(x, abs=1e-14)
+    assert gamma(0.0, 1) == pytest.approx(v, abs=1e-14)
+    assert abs(gamma(1.0, 2)) < 1e-12
+    assert abs(eps * gamma(1.0, 3) - gamma(1.0, 1)) < 1e-12
+    integrand = 0.5 * (eps * gamma(t, 2) ** 2 + gamma(t, 1) ** 2 + kappa * gamma(t) ** 2)
+    assert np.trapezoid(integrand, t) == pytest.approx(cost, abs=1e-9)
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.05, 0.1])
+@pytest.mark.parametrize("x,v", [(1.0, 0.5), (-0.7, 1.2)])
+def test_minimize_direct_first_order_to_harmonic_closed_form(eps, x, v):
+    kappa = 0.5
+    gamma, cost = harmonic_minimizer(eps, kappa, 1.0, x, v)
+    spec = make_lagrangian("quadratic", kappa_pot=kappa)
+    cost_err, curve_err = [], []
+    for M in (101, 201, 401):
+        res = minimize_direct(eps, 0.0, x, v, spec, None, ZERO_G, M=M, T=1.0)
+        assert res.converged
+        cost_err.append(abs(res.cost - cost))
+        curve_err.append(np.max(np.abs(res.curve.x - gamma(res.curve.t))))
+    # halving h halves both errors: first order, from the one-sided end stencils
+    for err in (cost_err, curve_err):
+        orders = np.log2(np.array(err[:-1]) / np.array(err[1:]))
+        assert np.all((orders > 0.9) & (orders < 1.1)), orders
+
+
+# One cosine case (kappa_pot 5, M = 401) per safeguard of the Newton descent, with
+# the cost that the earlier L-BFGS minimizer reached there.
+@pytest.mark.parametrize(
+    "terminal,eps,x,v,earlier_cost",
+    [
+        # a shift started at 1e-8 max|diag| instead of near rounding overshoots and crawls
+        ("atan", 0.1, 0.7, -0.4, 9.101864622221004),
+        # an Armijo test written as a sum lets equal-cost steps pass: the iterates oscillate
+        ("atan", 0.1, 2.5, 0.0, 1.9089254915576395),
+        # the Armijo test alone rejects every step once the decrease is below rounding
+        ("zero", 0.1, 1.0, 0.5, 5.756506684523172),
+    ],
+)
+def test_descent_safeguards_reach_a_minimizer(terminal, eps, x, v, earlier_cost):
+    spec, g = make_lagrangian("cosine", kappa_pot=5.0), make_terminal(terminal)
+    res = minimize_direct(eps, 0.0, x, v, spec, None, g, M=401, T=1.0)
+    bvp = solve_el_bvp(eps, x, v, spec, None, g, M=401, T=1.0)
+    assert res.converged and bvp.converged
+    assert res.cost <= earlier_cost + 1e-10
+    # the free-sample Hessian factors unshifted: a minimizer, not a saddle
+    H = _Functional(res.curve.t, eps, spec, None, g).hess(res.curve.x).toarray()
+    np.linalg.cholesky(H[2:, 2:])
 
 
 def test_bvp_constant_solution():
