@@ -12,7 +12,6 @@ from .analysis import (
     SweepPlan,
     audit_estimates,
     compare_joint_reconstruction,
-    continuity_residuals,
     fit_rate,
     run_sweep,
     sup_marginal_gap,
@@ -56,12 +55,10 @@ from .mfg import (
     transport_eps,
 )
 from .model import (
-    HamiltonianEval,
     LagrangianSpec,
     TerminalCost,
     audit_assumptions,
     eval_L0,
-    legendre_transform,
     make_lagrangian,
     make_terminal,
     optimal_velocity_field,

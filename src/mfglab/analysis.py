@@ -34,7 +34,6 @@ from .hjb import (
     _n_cpus,
     acceleration_controls,
     gradient_x,
-    interp_slice_x,
 )
 from .measures import (
     MeasureFlow,
@@ -46,7 +45,7 @@ from .measures import (
     wasserstein1_joint,
 )
 from .mfg import MFGSolution, solve_eps_system, solve_limit_classical, solve_mfg_of_control
-from .model import LagrangianSpec, TerminalCost, optimal_velocity_field
+from .model import LagrangianSpec, TerminalCost
 
 PROBE_RADIUS = 2.0
 ACCEL_CUTOFF = 0.1  # the acceleration-energy audit runs over [ACCEL_CUTOFF * T, T]
@@ -320,42 +319,6 @@ def _sup_joint_gap(
     return max(solved[p].value for p in sorted(solved))  # in probe order, as the full maximum
 
 
-_CONTINUITY_TESTS = (  # (psi, dpsi)
-    (lambda x: x, lambda x: np.ones_like(x)),
-    (lambda x: x**2, lambda x: 2.0 * x),
-    (lambda x: x**3, lambda x: 3.0 * x**2),
-    (np.sin, np.cos),
-    (np.cos, lambda x: -np.sin(x)),
-)
-
-
-def continuity_residuals(solution: MFGSolution, spec: LagrangianSpec):
-    """Weak-form continuity-equation residuals of a limit solution.
-
-    For each test function (psi, dpsi) of x, x^2, x^3, sin and cos, evaluates
-    |int psi dm_T - int psi dm_0 - int_0^T int dpsi(x) b(t,x) dm_t dt|
-    on the particle flow with the trapezoid rule.
-    """
-    field = solution.value
-    if field.is_phase:
-        raise InvalidInputError("continuity residuals apply to limit solutions")
-    grid = field.grid
-    flow = solution.flow
-    b_field = optimal_velocity_field(spec, gradient_x(field))
-    B = np.stack(
-        [interp_slice_x(b_field[k], grid, flow.positions[k]) for k in range(flow.n_times)]
-    )
-    w = flow.weights
-    out = []
-    for psi, dpsi in _CONTINUITY_TESTS:
-        boundary = float(np.sum(w * psi(flow.positions[-1])) - np.sum(w * psi(flow.positions[0])))
-        interior = float(
-            np.trapezoid(np.sum(w * dpsi(flow.positions) * B, axis=1), flow.times)
-        )
-        out.append(abs(boundary - interior))
-    return np.asarray(out)
-
-
 # -- the sweep ----------------------------------------------------------------
 
 
@@ -402,7 +365,8 @@ def run_sweep(
 
     The limit solves use the velocity axis of the grid as their controls. Each
     eps rung uses ``acceleration_controls(grid, eps, controls)``, so ``controls``
-    is the base acceleration set (default [-8, 8] with 41 points).
+    is the base acceleration set (default: hjb.BASE_N_A points on
+    [-hjb.BASE_A_MAX, hjb.BASE_A_MAX]).
     Non-converged rungs are flagged (converged = 0); a rung whose solve fails on
     its own eps (TransportError, NumericalError, or a widened control set over
     the foot-point budget) becomes a NaN row. Other errors, e.g. bad input, propagate.

@@ -138,7 +138,7 @@ def cmd_traj(ctx, eps, x0, v0):
     out = ctx.obj["out_dir"]
     os.makedirs(out, exist_ok=True)
     try:
-        direct = minimize_direct(eps, 0.0, x0, v0, spec, None, g, T=grid.T)
+        direct = minimize_direct(eps, x0, v0, spec, None, g, T=grid.T)
     except MFGLabError as exc:
         click.echo(f"trajectory solve failed: {exc}", err=True)
         sys.exit(EXIT_CONFIG)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .analysis import SweepPlan
 from .errors import ConfigurationError
-from .hjb import ControlSet, PhaseGrid
+from .hjb import BASE_A_MAX, BASE_N_A, ControlSet, PhaseGrid
 from .measures import ParticleEnsemble, gaussian_ensemble, lattice_ensemble
 from .model import MODELS, TERMINALS, LagrangianSpec, TerminalCost, make_lagrangian, make_terminal
 
@@ -29,8 +29,8 @@ DEFAULTS = {
         "N_x": 101,
         "N_v": 81,
         "N_t": 201,
-        "N_a": 41,
-        "A_max": 8.0,
+        "N_a": BASE_N_A,
+        "A_max": BASE_A_MAX,
         "T": 1.0,
     },
     "measure": {

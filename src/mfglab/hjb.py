@@ -26,6 +26,10 @@ from .errors import ConfigurationError, InvalidInputError, UnsupportedModelError
 from .measures import MeasureFlow, ParticleEnsemble, linear_binning
 from .model import LagrangianSpec, TerminalCost
 
+# the default base acceleration set: BASE_N_A points on [-BASE_A_MAX, BASE_A_MAX]
+BASE_A_MAX = 8.0
+BASE_N_A = 41
+
 
 @dataclass(frozen=True)
 class PhaseGrid:
@@ -82,15 +86,6 @@ class PhaseGrid:
     def R_v(self):
         return float(self.v[-1])
 
-    def velocity_box_margin(self, q1: float, rv0: float) -> float:
-        """Margin of the energy-ball containment rule for the velocity box.
-
-        Positive means the box provably contains the reachable velocities; the
-        theoretical radius is extremely conservative, so this is reported by the
-        audits rather than enforced at construction.
-        """
-        return self.R_v - np.sqrt(q1 * (1.0 + rv0**2)) / np.sqrt(self.T)
-
 
 @dataclass(frozen=True)
 class ControlSet:
@@ -140,13 +135,13 @@ class ValueField:
 def acceleration_controls(
     grid: PhaseGrid, eps: float, base: ControlSet | None = None
 ) -> ControlSet:
-    """Acceleration set for one eps: the base box (default [-8, 8] with 41 points)
-    widened to 0.75 R_v / sqrt(eps), keeping the base point count.
+    """Acceleration set for one eps: the base box (default [-BASE_A_MAX, BASE_A_MAX]
+    with BASE_N_A points) widened to 0.75 R_v / sqrt(eps), keeping the base point count.
 
     The braking layer uses accelerations of order |v - b| / sqrt(eps), so a
     fixed control box would throttle the layer at small eps.
     """
-    a_max, n = (8.0, 41) if base is None else (base.a_max, base.values.size)
+    a_max, n = (BASE_A_MAX, BASE_N_A) if base is None else (base.a_max, base.values.size)
     return ControlSet.symmetric(max(a_max, 0.75 * grid.R_v / np.sqrt(eps)), n)
 
 
@@ -323,20 +318,16 @@ def solve_hjb_limit_classical(
     spec: LagrangianSpec,
     m_flow: MeasureFlow | None,
     g: TerminalCost,
-    controls: ControlSet | None = None,
 ) -> ValueField:
-    """Limit value function on (t, x) with velocity controls b (default: the v axis).
+    """Limit value function on (t, x) with the v axis as the velocity controls b.
 
     Each node minimizes dt (kinetic(b) + potential(x) + coupling(x, m_t))
     + Interp u(t+dt, x+dt b); foot points outside the box pay a per-unit-excess
     penalty above the value's x-Lipschitz bound.
     """
-    if controls is None:
-        controls = ControlSet(grid.v.copy())
-    x, t = grid.x, grid.t
+    x, t, b = grid.x, grid.t, grid.v
     dt = grid.dt
     n_t = t.size
-    b = controls.values
     foot = x[None, :] + dt * b[:, None]  # (n_b, n_x)
     ix0, fx = _stencil_1d(foot, x)
     S = _stencil_operator((b.size * x.size, x.size), 2, [(ix0, 1.0 - fx), (ix0 + 1, fx)])
@@ -358,7 +349,6 @@ def solve_hjb_mfg_control(
     spec: LagrangianSpec,
     mu_flow: MeasureFlow | None,
     g: TerminalCost,
-    controls: ControlSet | None = None,
 ) -> ValueField:
     """Limit value function of the state-control formulation: running cost b^2/2 + L0(x, mu_t).
 
@@ -367,7 +357,7 @@ def solve_hjb_mfg_control(
     """
     if not spec.is_quadratic_kinetic:
         raise UnsupportedModelError("the state-control limit requires the quadratic kinetic term")
-    return solve_hjb_limit_classical(grid, spec, mu_flow, g, controls)
+    return solve_hjb_limit_classical(grid, spec, mu_flow, g)
 
 
 def gradient_v(field: ValueField) -> np.ndarray:

@@ -71,8 +71,8 @@ def curve_csv(curve: Curve) -> str:
     return _csv("t,gamma,dgamma,ddgamma", map(",".join, zip(*map(_fmt, columns), strict=True)))
 
 
-def write_solution_dir(out_dir, solution: MFGSolution, config_dict=None, extra_meta=None):
-    """Write value.csv, flow.csv, meta.json for a solver run."""
+def write_solution_dir(out_dir, solution: MFGSolution, config_dict: dict):
+    """Write value.csv, flow.csv, meta.json (with the run's config) for a solver run."""
     os.makedirs(out_dir, exist_ok=True)
     atomic_write_text(os.path.join(out_dir, "value.csv"), value_csv(solution.value))
     atomic_write_text(os.path.join(out_dir, "flow.csv"), flow_csv(solution.flow))
@@ -83,11 +83,8 @@ def write_solution_dir(out_dir, solution: MFGSolution, config_dict=None, extra_m
         "fixed_point_gap": solution.fixed_point_gap,
         "gap_history": list(solution.gap_history),
         "converged": bool(solution.converged),
+        "config": config_dict,
     }
-    if config_dict is not None:
-        meta["config"] = config_dict
-    if extra_meta:
-        meta.update(extra_meta)
     atomic_write_text(
         os.path.join(out_dir, "meta.json"), json.dumps(meta, indent=2, sort_keys=True) + "\n"
     )

@@ -1,4 +1,4 @@
-"""Lagrangian families, terminal costs, and the velocity Legendre transform.
+"""Lagrangian families, terminal costs, and the optimal velocity at a momentum.
 
 The running cost has the separable form
 
@@ -84,12 +84,6 @@ class TerminalCost:
     g_inf: float = 0.0
 
 
-@dataclass(frozen=True)
-class HamiltonianEval:
-    H0: float
-    v_star: float
-
-
 def eval_L0(spec: LagrangianSpec, x, v, m=None):
     """L0(x, v, m); vectorized over x and v."""
     x = np.asarray(x, dtype=float)
@@ -134,24 +128,6 @@ def _legendre_newton(spec: LagrangianSpec, p):
         better = res < best_res
         best, best_res = np.where(better, v, best), np.where(better, res, best_res)
     return best, best_res
-
-
-def legendre_transform(spec: LagrangianSpec, x, p, m=None) -> HamiltonianEval:
-    """H0(x, p, m) = sup_v { -<p, v> - L0(x, v, m) } with the optimizing velocity.
-
-    The optimizer solves the first-order condition kinetic'(v) + p = 0, found
-    by the Newton iteration of `optimal_velocity_field`.
-    """
-    if not (np.isfinite(x) and np.isfinite(p)):
-        raise InvalidInputError("x and p must be finite")
-    v, res = _legendre_newton(spec, p)
-    v, res = float(v), float(res)
-    h0 = HamiltonianEval(float(-p * v - eval_L0(spec, x, v, m)), v)
-    if not res < LEGENDRE_NEWTON_TOL:
-        raise NumericalError(
-            f"Legendre Newton refinement stalled at residual {res:.3e}", best=h0, residual=res
-        )
-    return h0
 
 
 def optimal_velocity_field(spec: LagrangianSpec, u_grad_x):

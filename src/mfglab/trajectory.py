@@ -4,10 +4,10 @@ fourth-order Euler-Lagrange boundary value problem.
 The cost, the direct minimizer, the BVP solver and the Euler-Lagrange
 residual all evaluate one discrete functional (trapezoid quadrature, shared
 difference operators) and its derivatives, and both solvers run one
-safeguarded Newton descent on it. At eps > 0 they start from the same curve
-and hold the same samples fixed, so their optima agree to the last bit and do
-not check each other; the closed-form minimizer of the harmonic model in the
-test oracles is the independent check.
+safeguarded Newton descent on it. At eps > 0 they share one computation, so
+their optima agree to the last bit and do not check each other; the
+closed-form minimizer of the harmonic model in the test oracles is the
+independent check.
 """
 
 from __future__ import annotations
@@ -153,29 +153,37 @@ class _Functional:
         return H + sp.csr_matrix(([dgg], ([M - 1], [M - 1])), shape=(M, M))
 
 
-def _descent(F: _Functional, x, first: int, tol: float):
-    """Safeguarded Newton descent of F.cost over the samples x[first:], the
-    rest held fixed (Nocedal & Wright, Numerical Optimization, 2nd ed., §3.4).
+def _descent(eps, x, v, spec, m_flow, g, M, T):
+    """Safeguarded Newton descent of the discrete cost on M uniform samples of
+    [0, T] (default: the flow's last time, or 1) (Nocedal & Wright, Numerical
+    Optimization, 2nd ed., §3.4).
 
-    Each step solves (H + tau I) p = -g with the banded Cholesky factor of the
-    free-sample Hessian, which has bandwidth 2 at every eps. tau is zero when H
-    factors; otherwise it starts at machine epsilon times the largest diagonal
-    entry (a larger start overshoots the negative curvature and the descent
-    crawls) and doubles until H + tau I factors. The step is halved until the
-    cost falls by the Armijo fraction of the predicted decrease. Where that
-    decrease is below the cost's rounding, a step that keeps the cost within a
-    few ulp and lowers the gradient's sup norm is taken instead. Stops once
-    that norm over h is below tol; returns the curve and the history of that
-    norm.
+    eps > 0 fixes the first two samples and starts from the straight line
+    x + v t; eps = 0 fixes the first sample only and starts from the constant
+    curve x, which also breaks ties deterministically. Each step solves
+    (H + tau I) p = -g with the banded Cholesky factor of the free-sample
+    Hessian, which has bandwidth 2 at every eps. tau is zero when H factors;
+    otherwise it starts at machine epsilon times the largest diagonal entry (a
+    larger start overshoots the negative curvature and the descent crawls) and
+    doubles until H + tau I factors. The step is halved until the cost falls by
+    the Armijo fraction of the predicted decrease. Where that decrease is below
+    the cost's rounding, a step that keeps the cost within a few ulp and lowers
+    the gradient's sup norm is taken instead. Stops once that norm over h is
+    below BVP_TOL. Returns the functional, the curve, the history of that norm,
+    and whether H factored unshifted at the curve: a zero gradient on a hilltop
+    is a saddle, not a minimizer.
     """
+    if T is None:
+        T = 1.0 if m_flow is None else float(m_flow.times[-1])
+    F = _Functional(np.linspace(0.0, T, M), eps, spec, m_flow, g)
+    first = 2 if eps > 0 else 1
+    x = x + v * F.t if eps > 0 else np.full(M, float(x))
     cost, G = F.cost(x), F.grad(x)[first:]
     history = [np.max(np.abs(G)) / F.h]
-    for _ in range(MAX_STEPS):
-        if history[-1] < tol:
-            break
+    for k in range(MAX_STEPS + 1):
         H = F.hess(x)
-        # upper banded storage of the free block: row 2 - k holds diagonal k
-        ab = np.array([np.pad(H.diagonal(k)[first:], (k, 0)) for k in (2, 1, 0)])
+        # upper banded storage of the free block: row 2 - d holds diagonal d
+        ab = np.array([np.pad(H.diagonal(d)[first:], (d, 0)) for d in (2, 1, 0)])
         diag, shift = ab[2].copy(), 0.0
         floor = _EPS * np.max(np.abs(diag)) or _EPS  # a zero diagonal still gets shifted
         while True:
@@ -185,6 +193,8 @@ def _descent(F: _Functional, x, first: int, tol: float):
                 break
             except LinAlgError:  # not positive definite: shift, then double the shift
                 shift = 2.0 * shift or floor
+        if history[-1] < BVP_TOL or k == MAX_STEPS:
+            break
         step = cho_solve_banded((factor, False), -G)
         slope = G @ step
         alpha = 1.0
@@ -203,7 +213,7 @@ def _descent(F: _Functional, x, first: int, tol: float):
             break
         x, cost, G = trial, trial_cost, trial_G
         history.append(np.max(np.abs(G)) / F.h)
-    return x, history
+    return F, x, history, shift == 0.0
 
 
 def eval_cost(
@@ -219,7 +229,6 @@ def eval_cost(
 
 def minimize_direct(
     eps: float,
-    t0: float,
     x: float,
     v: float,
     spec: LagrangianSpec,
@@ -228,29 +237,23 @@ def minimize_direct(
     M: int = 401,
     T: float | None = None,
 ) -> DirectMinimizeResult:
-    """Newton descent of the discrete cost over the curve samples.
+    """Newton descent of the discrete cost over the curve samples on [0, T].
 
     eps > 0 fixes the initial position and velocity (the first two samples);
     eps = 0 drops both the acceleration term and the initial-velocity
-    constraint (only the first sample is fixed). Descent starts from the
-    straight line x + v (t - t0) at eps > 0 and from the constant curve at
-    eps = 0, which also breaks ties deterministically. At eps > 0 this is the
-    arithmetic of solve_el_bvp, so the two do not check each other; the
-    closed-form harmonic minimizer in the test oracles does.
+    constraint (only the first sample is fixed). Converged means the gradient
+    is below DIRECT_GRAD_TOL and the Hessian factors unshifted there (a
+    minimizer, not a saddle). At eps > 0 this is the computation of
+    solve_el_bvp, so the two do not check each other; the closed-form harmonic
+    minimizer in the test oracles does.
     """
-    if T is None:
-        T = 1.0 if m_flow is None else float(m_flow.times[-1])
-    F = _Functional(np.linspace(t0, T, M), eps, spec, m_flow, g)
-    if eps > 0:
-        gam, history = _descent(F, x + v * (F.t - t0), 2, BVP_TOL)
-    else:
-        gam, history = _descent(F, np.full(M, float(x)), 1, BVP_TOL)
+    F, gam, history, minimum = _descent(eps, x, v, spec, m_flow, g, M, T)
     grad_norm = float(history[-1])
     return DirectMinimizeResult(
         curve=Curve(F.t, gam),
         cost=F.cost(gam),
         grad_norm=grad_norm,
-        converged=bool(grad_norm < DIRECT_GRAD_TOL),
+        converged=bool(grad_norm < DIRECT_GRAD_TOL and minimum),
         n_iter=len(history) - 1,
     )
 
@@ -271,27 +274,22 @@ def solve_el_bvp(
     minimize_direct for the state-control model form (quadratic kinetic term),
     so the transversality conditions at the right end hold as natural boundary
     conditions of the discretization. They are solved by minimize_direct's
-    Newton descent from the straight line; converged means their residual is
-    below BVP_TOL.
+    descent; converged means their residual is below BVP_TOL at a minimizer.
     """
     if eps <= 0:
         raise InvalidInputError("the fourth-order problem needs eps > 0")
     if not spec.is_quadratic_kinetic:
         raise UnsupportedModelError("solve_el_bvp requires the quadratic kinetic term")
-    if T is None:
-        T = 1.0 if mu_flow is None else float(mu_flow.times[-1])
-    F = _Functional(np.linspace(0.0, T, M), eps, spec, mu_flow, g)
-    t, h = F.t, F.h
-    gam, history = _descent(F, x + v * t, 2, BVP_TOL)  # straight-line start
+    F, gam, history, minimum = _descent(eps, x, v, spec, mu_flow, g, M, T)
     res_norm = history[-1]
 
-    curve = Curve(t, gam)
+    curve = Curve(F.t, gam)
     # boundary residuals: initial position/velocity and the two natural conditions;
     # the third derivative comes from interior second differences (the copied end
     # row of the acceleration stencil would force it to zero)
     vel = curve.velocity
     acc = curve.acceleration
-    third_T = (acc[-2] - acc[-3]) / h
+    third_T = (acc[-2] - acc[-3]) / F.h
     boundary = (
         abs(gam[0] - x),
         abs(vel[0] - v),
@@ -302,7 +300,7 @@ def solve_el_bvp(
         curve=curve,
         residual_norm=float(res_norm),
         boundary_residuals=boundary,
-        converged=bool(res_norm < BVP_TOL),
+        converged=bool(res_norm < BVP_TOL and minimum),
         residual_history=tuple(history),
     )
 

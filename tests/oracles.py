@@ -1,12 +1,14 @@
 """Independent reference computations for the test suite.
 
-Everything here comes from closed forms, direct quadrature, or exhaustive
-enumeration, and shares no numerical code with the package under test.
+Everything here comes from closed forms, direct quadrature, scalar root
+bracketing, or exhaustive enumeration, and shares no numerical code with the
+package under test.
 """
 
 import itertools
 
 import numpy as np
+from scipy.optimize import brentq
 
 
 def lq_phase_value_table(eps, kappa_pot, T, dt=1e-4):
@@ -116,3 +118,38 @@ def w1_permutation(cost):
         if c < best:
             best = c
     return float(best)
+
+
+def legendre_velocity(kinetic_d, p):
+    """The velocity v with kinetic_d(v) + p = 0, by Brent's method on the bracket
+    [-(|p| + 1), |p| + 1], which holds the root of any kinetic term with
+    kinetic_d(v) >= v for v >= 0 and odd kinetic_d (the catalog's)."""
+    r = abs(p) + 1.0
+    return brentq(lambda v: float(kinetic_d(v)) + p, -r, r, xtol=1e-14)
+
+
+_CONTINUITY_TESTS = (  # (psi, dpsi)
+    (lambda x: x, lambda x: np.ones_like(x)),
+    (lambda x: x**2, lambda x: 2.0 * x),
+    (lambda x: x**3, lambda x: 3.0 * x**2),
+    (np.sin, np.cos),
+    (np.cos, lambda x: -np.sin(x)),
+)
+
+
+def continuity_residuals(times, positions, weights, x_nodes, b):
+    """Weak-form continuity-equation residuals of a particle flow.
+
+    The flow has `positions[k]` with `weights` at `times[k]`; the velocity field
+    b[k] is tabulated on `x_nodes` and read at the particles by clamped linear
+    interpolation. For each test function psi of x, x^2, x^3, sin and cos,
+    returns |int psi dm_T - int psi dm_0 - int_0^T int psi'(x) b(t, x) dm_t dt|
+    with the trapezoid rule in time.
+    """
+    B = np.stack([np.interp(X, x_nodes, bk) for X, bk in zip(positions, b, strict=True)])
+    out = []
+    for psi, dpsi in _CONTINUITY_TESTS:
+        boundary = np.sum(weights * psi(positions[-1])) - np.sum(weights * psi(positions[0]))
+        interior = np.trapezoid(np.sum(weights * dpsi(positions) * B, axis=1), times)
+        out.append(abs(boundary - interior))
+    return np.asarray(out)

@@ -266,7 +266,7 @@ def test_criterion_8_trajectory_cross_validation():
     g = make_terminal("zero")
     worst_gap = 0.0
     for eps in (0.05, 0.1):
-        direct = minimize_direct(eps, 0.0, 1.0, 0.5, spec, None, g, M=401, T=1.0)
+        direct = minimize_direct(eps, 1.0, 0.5, spec, None, g, M=401, T=1.0)
         bvp = solve_el_bvp(eps, 1.0, 0.5, spec, None, g, M=401, T=1.0)
         assert direct.converged and bvp.converged
         worst_gap = max(worst_gap, abs(direct.cost - eval_cost(bvp.curve, eps, spec, None, g)))

@@ -16,7 +16,6 @@ from mfglab import (
     ValueField,
     audit_estimates,
     compare_joint_reconstruction,
-    continuity_residuals,
     fit_rate,
     gaussian_ensemble,
     lattice_ensemble,
@@ -163,13 +162,6 @@ def test_pruned_holder_margin_equals_all_pairs(uniform, shape):
     first_pair = _all_pairs_holder_margin(MeasureFlow(t[:2], X[:2], None, flow.weights), q2)
     assert first_pair > expected  # the minimum is not at pair (0, 1)
     assert analysis._pairwise_holder_margin(flow, q2) == expected
-
-
-def test_continuity_residuals_rejects_phase_solution():
-    spec = make_lagrangian("quadratic")
-    sol = solve_eps_system(spec, ZERO_G, SMALL, lattice_ensemble(16), 0.1)
-    with pytest.raises(InvalidInputError):
-        continuity_residuals(sol, spec)
 
 
 @pytest.fixture(scope="module")

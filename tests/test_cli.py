@@ -163,6 +163,19 @@ def test_traj_cosine_hill_converges(runner, tmp_path):
     assert meta["direct_converged"] and meta["bvp_converged"]
 
 
+def test_traj_cosine_hilltop_is_not_converged(runner, tmp_path):
+    # zero gradient on the hilltop is a saddle: both solves stop there, unconverged
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path, {"model": {"name": "cosine", "kappa_pot": 5}})
+    res = runner.invoke(
+        main,
+        ["--config", cfg, "--out", str(out), "traj", "--eps", "0.01", "--x", "0", "--v", "0"],
+    )
+    assert res.exit_code == 3, res.output
+    meta = json.loads((out / "traj.json").read_text())
+    assert not meta["direct_converged"] and not meta["bvp_converged"]
+
+
 def test_traj_start_outside_box(runner, tmp_path):
     res = runner.invoke(
         main,

@@ -198,11 +198,10 @@ def test_write_solution_dir_round_trip(tmp_path):
     sol = solve_eps_system(spec, make_terminal("zero"), grid, lattice_ensemble(9), 0.2)
     cfg = RunConfig.default().to_dict()
     out = tmp_path / "run"
-    write_solution_dir(out, sol, config_dict=cfg, extra_meta={"note": "x"})
+    write_solution_dir(out, sol, cfg)
     assert sorted(os.listdir(out)) == ["flow.csv", "meta.json", "value.csv"]
     meta = json.loads((out / "meta.json").read_text())
     assert meta["kind"] == "eps_system"
     assert meta["eps"] == 0.2
     assert meta["converged"] is True
     assert meta["config"] == cfg
-    assert meta["note"] == "x"

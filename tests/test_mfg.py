@@ -12,7 +12,6 @@ from mfglab import (
     TransportError,
     UnsupportedModelError,
     ValueField,
-    continuity_residuals,
     gaussian_ensemble,
     lattice_ensemble,
     make_lagrangian,
@@ -28,7 +27,7 @@ from mfglab.measures import ParticleEnsemble, sup_w1_marginal
 from mfglab.mfg import free_transport_flow
 from mfglab.model import optimal_velocity_field
 
-from oracles import lq_limit_feedback, lq_limit_path
+from oracles import continuity_residuals, lq_limit_feedback, lq_limit_path
 
 SMALL = PhaseGrid.regular(N_x=41, N_v=31, N_t=51)
 ZERO_G = make_terminal("zero")
@@ -193,7 +192,9 @@ def test_limit_classical_continuity_residuals():
     grid = PhaseGrid.regular(N_x=201)
     mu0 = lattice_ensemble(400)
     sol = solve_limit_classical(spec, ZERO_G, grid, mu0)
-    res = continuity_residuals(sol, spec)
+    b = -np.gradient(sol.value.values, grid.dx, axis=1)  # quadratic kinetic term: b = -D_x u
+    flow = sol.flow
+    res = continuity_residuals(flow.times, flow.positions, flow.weights, grid.x, b)
     assert res.shape == (5,)
     assert np.all(res < 1e-2)
 

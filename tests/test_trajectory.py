@@ -52,7 +52,7 @@ def test_eval_cost_cubic_closed_form():
 
 
 def test_minimize_direct_zero_velocity_stays_put():
-    res = minimize_direct(0.1, 0.0, 0.8, 0.0, KINETIC_ONLY, None, ZERO_G, M=201, T=1.0)
+    res = minimize_direct(0.1, 0.8, 0.0, KINETIC_ONLY, None, ZERO_G, M=201, T=1.0)
     assert res.converged
     assert res.cost < 1e-12
     assert np.max(np.abs(res.curve.x - 0.8)) < 1e-9
@@ -61,7 +61,7 @@ def test_minimize_direct_zero_velocity_stays_put():
 def test_minimize_direct_eps0_matches_riccati():
     spec = make_lagrangian("quadratic", kappa_pot=1.0)
     for x in (0.5, 1.0, -1.5):
-        res = minimize_direct(0.0, 0.0, x, 0.0, spec, None, ZERO_G, M=401, T=1.0)
+        res = minimize_direct(0.0, x, 0.0, spec, None, ZERO_G, M=401, T=1.0)
         oracle = 0.5 * np.tanh(1.0) * x**2
         assert res.converged
         assert abs(res.cost - oracle) < 0.01 * abs(oracle)
@@ -69,15 +69,15 @@ def test_minimize_direct_eps0_matches_riccati():
 
 def test_minimize_direct_rejects_negative_eps():
     with pytest.raises(InvalidInputError):
-        minimize_direct(-0.1, 0.0, 0.0, 0.0, QUADRATIC, None, ZERO_G)
+        minimize_direct(-0.1, 0.0, 0.0, QUADRATIC, None, ZERO_G)
     with pytest.raises(InvalidInputError):
-        minimize_direct(0.1, 0.0, 0.0, 0.0, QUADRATIC, None, ZERO_G, M=2)
+        minimize_direct(0.1, 0.0, 0.0, QUADRATIC, None, ZERO_G, M=2)
     with pytest.raises(InvalidInputError):
-        minimize_direct(0.1, 0.5, 0.0, 0.0, QUADRATIC, None, ZERO_G, T=0.5)
+        minimize_direct(0.1, 0.0, 0.0, QUADRATIC, None, ZERO_G, T=0.0)
 
 
 def test_cross_validation_against_bvp():
-    res = minimize_direct(0.05, 0.0, 1.0, 0.5, QUADRATIC, None, ZERO_G, M=401, T=1.0)
+    res = minimize_direct(0.05, 1.0, 0.5, QUADRATIC, None, ZERO_G, M=401, T=1.0)
     bvp = solve_el_bvp(0.05, 1.0, 0.5, QUADRATIC, None, ZERO_G, M=401, T=1.0)
     assert res.converged and bvp.converged
     assert abs(res.cost - eval_cost(bvp.curve, 0.05, QUADRATIC, None, ZERO_G)) < 1e-6
@@ -105,7 +105,7 @@ def test_minimize_direct_first_order_to_harmonic_closed_form(eps, x, v):
     spec = make_lagrangian("quadratic", kappa_pot=kappa)
     cost_err, curve_err = [], []
     for M in (101, 201, 401):
-        res = minimize_direct(eps, 0.0, x, v, spec, None, ZERO_G, M=M, T=1.0)
+        res = minimize_direct(eps, x, v, spec, None, ZERO_G, M=M, T=1.0)
         assert res.converged
         cost_err.append(abs(res.cost - cost))
         curve_err.append(np.max(np.abs(res.curve.x - gamma(res.curve.t))))
@@ -130,13 +130,36 @@ def test_minimize_direct_first_order_to_harmonic_closed_form(eps, x, v):
 )
 def test_descent_safeguards_reach_a_minimizer(terminal, eps, x, v, earlier_cost):
     spec, g = make_lagrangian("cosine", kappa_pot=5.0), make_terminal(terminal)
-    res = minimize_direct(eps, 0.0, x, v, spec, None, g, M=401, T=1.0)
+    res = minimize_direct(eps, x, v, spec, None, g, M=401, T=1.0)
     bvp = solve_el_bvp(eps, x, v, spec, None, g, M=401, T=1.0)
     assert res.converged and bvp.converged
     assert res.cost <= earlier_cost + 1e-10
     # the free-sample Hessian factors unshifted: a minimizer, not a saddle
     H = _Functional(res.curve.t, eps, spec, None, g).hess(res.curve.x).toarray()
     np.linalg.cholesky(H[2:, 2:])
+
+
+def test_hilltop_start_is_a_saddle_not_a_minimizer():
+    # the cosine hilltop x = 0 has zero gradient and an indefinite Hessian; a start
+    # just beside it descends to a lower cost
+    spec = make_lagrangian("cosine", kappa_pot=5.0)
+    for eps in (0.0, 0.01):
+        top = minimize_direct(eps, 0.0, 0.0, spec, None, ZERO_G, M=401, T=1.0)
+        assert top.n_iter == 0 and top.grad_norm == 0.0 and top.cost == 10.0
+        assert not top.converged
+        beside = minimize_direct(eps, 1e-3, 0.0, spec, None, ZERO_G, M=401, T=1.0)
+        assert beside.converged and beside.cost < 9.3
+    bvp = solve_el_bvp(0.01, 0.0, 0.0, spec, None, ZERO_G, M=401, T=1.0)
+    assert bvp.residual_norm == 0.0 and not bvp.converged
+
+
+@pytest.mark.parametrize("model,terminal", [("quadratic", "atan"), ("cosine", "zero")])
+def test_direct_and_bvp_share_one_descent(model, terminal):
+    spec, g = make_lagrangian(model, kappa_pot=5.0), make_terminal(terminal)
+    direct = minimize_direct(0.05, 0.7, -0.4, spec, None, g, M=401, T=1.0)
+    bvp = solve_el_bvp(0.05, 0.7, -0.4, spec, None, g, M=401, T=1.0)
+    assert np.array_equal(direct.curve.x, bvp.curve.x)
+    assert direct.n_iter == len(bvp.residual_history) - 1 > 0
 
 
 def test_bvp_constant_solution():
@@ -168,12 +191,12 @@ def test_bvp_constant_forcing_linear_terminal():
     # a single exact Newton step lands on the rounding floor of the assembly
     assert len(bvp.residual_history) == 2
     assert bvp.residual_norm < 1e-5
-    direct = minimize_direct(0.05, 0.0, 0.2, 0.1, spec, None, g, M=401, T=1.0)
+    direct = minimize_direct(0.05, 0.2, 0.1, spec, None, g, M=401, T=1.0)
     assert abs(direct.cost - eval_cost(bvp.curve, 0.05, spec, None, g)) < 1e-8
 
 
 def test_el_residual_of_direct_minimizer():
-    res = minimize_direct(0.1, 0.0, 0.5, -0.5, QUADRATIC, None, ZERO_G, M=201, T=1.0)
+    res = minimize_direct(0.1, 0.5, -0.5, QUADRATIC, None, ZERO_G, M=201, T=1.0)
     assert res.converged
     r = el_residual(res.curve, 0.1, QUADRATIC, None, ZERO_G)
     assert np.max(np.abs(r)) < 10 * 1e-4
@@ -246,17 +269,17 @@ def test_cost_monotone_in_eps():
     for _ in range(5):
         x, v = rng.uniform(-1.5, 1.5, size=2)
         costs = [
-            minimize_direct(eps, 0.0, x, v, QUADRATIC, None, ZERO_G, M=201, T=1.0).cost
+            minimize_direct(eps, x, v, QUADRATIC, None, ZERO_G, M=201, T=1.0).cost
             for eps in (0.0, 0.01, 0.05, 0.1, 0.5)
         ]
         assert all(costs[i + 1] >= costs[i] - 1e-10 for i in range(len(costs) - 1))
 
 
 def test_minimizer_converges_to_limit_minimizer():
-    limit = minimize_direct(0.0, 0.0, 1.0, 1.0, QUADRATIC, None, ZERO_G, M=401, T=1.0)
+    limit = minimize_direct(0.0, 1.0, 1.0, QUADRATIC, None, ZERO_G, M=401, T=1.0)
     gaps = []
     for eps in (0.5, 0.1, 0.02):
-        res = minimize_direct(eps, 0.0, 1.0, 1.0, QUADRATIC, None, ZERO_G, M=401, T=1.0)
+        res = minimize_direct(eps, 1.0, 1.0, QUADRATIC, None, ZERO_G, M=401, T=1.0)
         gaps.append(float(np.max(np.abs(res.curve.x - limit.curve.x))))
     assert gaps[2] < gaps[1] < gaps[0]
 
@@ -266,7 +289,7 @@ def test_energy_bound_of_minimizers():
     rng = np.random.default_rng(13)
     for _ in range(3):
         x, v = rng.uniform(-1.5, 1.5, size=2)
-        res = minimize_direct(0.05, 0.0, x, v, QUADRATIC, None, ZERO_G, M=201, T=1.0)
+        res = minimize_direct(0.05, x, v, QUADRATIC, None, ZERO_G, M=201, T=1.0)
         assert res.converged
         assert energy(res.curve) <= q1 * (1.0 + v**2)
 
