@@ -11,30 +11,22 @@ uniform), and the acceleration energy on [0.1 T, T].
 Two measurements skip exact work that cannot change their number. The Hoelder
 audit skips every node pair whose triangle-inequality bound cannot go below the
 minimum found so far. A sweep's sup_d1_joint brackets each joint-W1 probe
-between two rank-pairing bounds, skips every probe whose upper bound is below
-the largest lower bound, and solves the rest concurrently in descending upper
-bound, skipping those whose upper bound falls below a W1 already found. Both
-report the same float as the full computation.
+between two rank-pairing bounds and solves the probes one after another on the
+calling thread, in descending upper bound, until the next upper bound is below
+the largest lower bound or a W1 already found. Both report the same float as
+the full computation.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError, InvalidInputError, NumericalError, TransportError
-from .hjb import (
-    ControlSet,
-    PhaseGrid,
-    ValueField,
-    _n_cpus,
-    acceleration_controls,
-    gradient_x,
-)
+from .hjb import ControlSet, PhaseGrid, ValueField, acceleration_controls, gradient_x
 from .measures import (
     MeasureFlow,
     ParticleEnsemble,
@@ -255,37 +247,6 @@ def _joint_probes(eps_solution: MFGSolution, control_solution: MFGSolution, frac
     return [(float(fa.times[ka]), fa.ensemble(ka), fb.ensemble(kb)) for ka, kb in probes]
 
 
-def _solve_probes(probes, bounds, n_exact: int) -> dict:
-    """{p: W1Result} for the probes that can hold the largest joint W1.
-
-    ``bounds[p] = (lower, upper)`` brackets probe p's W1. A probe whose upper
-    bound, plus a relative slack for the rounding of both sides, is below the
-    largest lower bound or below a W1 already found cannot hold the maximum and
-    is skipped. The others are solved in descending upper bound, up to one per
-    usable CPU at a time (linear_sum_assignment releases the GIL); each probe's
-    result does not depend on the order or the CPU count.
-    """
-    queue = sorted(range(len(probes)), key=lambda p: bounds[p][1], reverse=True)
-    best = max((lower for lower, _ in bounds), default=0.0)
-    workers = max(1, min(len(probes), _n_cpus()))
-    solved, running = {}, {}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        while queue or running:
-            while queue and len(running) < workers:
-                p = queue.pop(0)
-                if bounds[p][1] * (1.0 + _BOUND_SLACK) < best:
-                    queue.clear()  # the bounds descend: no later probe can reach best
-                    break
-                _, a, b = probes[p]
-                running[pool.submit(wasserstein1_joint, a, b, n_exact=n_exact)] = p
-            done, _ = wait(running, return_when=FIRST_COMPLETED)
-            for future in done:
-                p = running.pop(future)
-                solved[p] = future.result()
-                best = max(best, solved[p].value)
-    return solved
-
-
 def compare_joint_reconstruction(
     eps_solution: MFGSolution,
     control_solution: MFGSolution,
@@ -294,14 +255,13 @@ def compare_joint_reconstruction(
 ):
     """d1 between the joint flows at probe times, exact up to n_exact support points.
 
-    The probes are solved concurrently, one thread per usable CPU; each is
-    independent of the others, so the result does not depend on the CPU count.
     Returns a list of (t, W1Result) in ``fractions`` order; approximate entries
     carry exact=False.
     """
-    probes = _joint_probes(eps_solution, control_solution, fractions)
-    solved = _solve_probes(probes, [(0.0, np.inf)] * len(probes), n_exact)
-    return [(t, solved[p]) for p, (t, _, _) in enumerate(probes)]
+    return [
+        (t, wasserstein1_joint(a, b, n_exact=n_exact))
+        for t, a, b in _joint_probes(eps_solution, control_solution, fractions)
+    ]
 
 
 def _sup_joint_gap(
@@ -309,14 +269,24 @@ def _sup_joint_gap(
 ) -> float:
     """max over probes of compare_joint_reconstruction's d1, solving only probes that can hold it.
 
-    Each probe's rank-pairing bounds (a few milliseconds) let _solve_probes
-    skip the probes that cannot hold the maximum, so the result is the same
-    float as the maximum over every probe.
+    Each probe's rank-pairing bounds (a few milliseconds) bracket its W1. The
+    probes are solved in descending upper bound, and the walk stops at the
+    first whose upper bound, plus a relative slack for the rounding of both
+    sides, is below the largest lower bound or the largest W1 found so far: no
+    later probe can hold the maximum. The result is the same float as the
+    maximum over every probe.
     """
     probes = _joint_probes(eps_solution, control_solution, _PROBE_FRACTIONS)
     bounds = [_joint_w1_bounds(a, b, n_exact) for _, a, b in probes]
-    solved = _solve_probes(probes, bounds, n_exact)
-    return max(solved[p].value for p in sorted(solved))  # in probe order, as the full maximum
+    best = max(lower for lower, _ in bounds)
+    solved = {}
+    for p in sorted(range(len(probes)), key=lambda p: bounds[p][1], reverse=True):
+        if bounds[p][1] * (1.0 + _BOUND_SLACK) < best:
+            break
+        _, a, b = probes[p]
+        solved[p] = wasserstein1_joint(a, b, n_exact=n_exact).value
+        best = max(best, solved[p])
+    return max(solved[p] for p in sorted(solved))  # in probe order, as the full maximum
 
 
 # -- the sweep ----------------------------------------------------------------

@@ -4,13 +4,16 @@ The penalized problem is solved on a (t, x, v) box with a discrete acceleration
 control set; the limit problems are solved on (t, x) with velocity controls.
 Foot points fall on fixed offsets of the grid, so the multilinear interpolation
 stencils form time-independent sparse operators, built once per solve, and
-each backward step is a sparse matvec plus a min over controls. The penalized
-solver splits its acceleration controls into one contiguous block per CPU of
-the process's affinity mask, each block with its own operator, and takes the
-minimum over each block on its own thread; the exact `np.minimum` of the block
-minima makes the values independent of the CPU count. A coupled running cost
-sees the measure flow through its position marginals, binned once per solve on
-the lattice of the x axis (`measures.linear_binning`).
+each backward step is a sparse matvec plus a min over controls. Both solvers
+run one backward sweep (`_backward_sweep`) over blocks of controls, each with
+its own operator. The penalized solver makes one contiguous block per CPU of
+the process's affinity mask, and the sweep takes the minimum over each block
+but the first on a worker thread; the exact `np.minimum` of the block minima
+makes the values independent of the CPU count. The limit solver has one block,
+so it runs on the calling thread. This is the only module of the package that
+starts threads. A coupled running cost sees the measure flow through its
+position marginals, binned once per solve on the lattice of the x axis
+(`measures.linear_binning`).
 """
 
 from __future__ import annotations
@@ -89,12 +92,14 @@ class PhaseGrid:
 
 @dataclass(frozen=True)
 class ControlSet:
-    """Symmetric discrete control values containing 0."""
+    """Strictly increasing, symmetric discrete control values containing 0."""
 
     values: np.ndarray
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
+        if not np.all(np.diff(vals) > 0):  # a_max reads the last value
+            raise ConfigurationError("control values must be strictly increasing")
         if vals.size % 2 == 0:
             raise ConfigurationError("control set must have an odd point count (0 must be a node)")
         if not np.allclose(vals, -vals[::-1]):
@@ -179,21 +184,6 @@ def _stencil_operator(shape, n_corners, corners):
     return sparse.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=shape)
 
 
-def _binned_marginals(spec: LagrangianSpec, x, m_flow: MeasureFlow | None):
-    """The flow's position marginals binned on the lattice of x, once per solve;
-    None when the running cost does not see the measure."""
-    if m_flow is None or not spec.is_coupled:
-        return None
-    return linear_binning(m_flow, x)
-
-
-def _coupling_slice(spec: LagrangianSpec, x, binned, k: int):
-    if binned is None:
-        return np.zeros_like(x)
-    lattice, table = binned
-    return spec.coupling_value(x, ParticleEnsemble(lattice, None, table[k]))
-
-
 def _n_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the OS has one."""
     if hasattr(os, "sched_getaffinity"):
@@ -249,6 +239,37 @@ def _block_min(S, const, u_next):
     return cand.min(axis=0)
 
 
+def _backward_sweep(grid: PhaseGrid, spec: LagrangianSpec, m_flow, g, blocks, node_running):
+    """Values on every time node, shaped (N_t,) + node_running.shape.
+
+    u(T) is the terminal cost. Each step back takes the smallest candidate of
+    the control blocks `(S, const)` at u(t+dt), every block but the first on a
+    worker thread, and adds dt times the running cost at the node:
+    `node_running`, which does not depend on t, plus the binned coupling at t.
+    The workers run only `_block_min`, so `coupling_value` stays on this
+    thread, as perfbench's tracer keeps one span stack for all threads.
+    """
+    x, n_t, dt = grid.x, grid.t.size, grid.dt
+    x_col = (-1,) + (1,) * (node_running.ndim - 1)  # an x vector along the first axis of a slice
+    u = np.empty((n_t,) + node_running.shape)
+    m_terminal = None if m_flow is None else m_flow.marginal(n_t - 1)
+    u[-1] = np.asarray(g.g(x, m_terminal), dtype=float).reshape(x_col)
+    binned = linear_binning(m_flow, x) if m_flow is not None and spec.is_coupled else None
+    coupling = np.zeros_like(x)
+    with ThreadPoolExecutor(max_workers=max(1, len(blocks) - 1)) as pool:
+        for k in range(n_t - 2, -1, -1):
+            u_next = u[k + 1].ravel()
+            rest = [pool.submit(_block_min, S, const, u_next) for S, const in blocks[1:]]
+            best = _block_min(*blocks[0], u_next)
+            for part in rest:
+                np.minimum(best, part.result(), out=best)
+            if binned is not None:
+                lattice, table = binned
+                coupling = spec.coupling_value(x, ParticleEnsemble(lattice, None, table[k]))
+            u[k] = best.reshape(node_running.shape) + dt * (node_running + coupling.reshape(x_col))
+    return u
+
+
 def solve_hjb_acceleration(
     grid: PhaseGrid,
     spec: LagrangianSpec,
@@ -269,48 +290,25 @@ def solve_hjb_acceleration(
     outward excursions are suboptimal.
 
     The controls are split into min(CPUs, controls) contiguous blocks whose
-    sizes differ by at most one, each with its own operator. At every step a
-    worker thread takes the minimum over each block but the first, which the
-    calling thread does; the partial minima are combined with `np.minimum`,
-    which is exact, so the values do not depend on the CPU count.
+    sizes differ by at most one, each with its own operator, so
+    `_backward_sweep` minimizes one block per CPU at every step.
     """
     if eps <= 0:
         raise InvalidInputError("eps must be positive; use a limit solver for eps = 0")
     if controls is None:
         controls = acceleration_controls(grid, eps)
-    x, v, t = grid.x, grid.v, grid.t
-    dt = grid.dt
-    if dt * controls.a_max > 10.0 * max(grid.dx, grid.dv):
+    if grid.dt * controls.a_max > 10.0 * max(grid.dx, grid.dv):
         raise ConfigurationError(
             "time step moves the velocity foot point more than 10 grid cells; refine t or coarsen a"
         )
-    n_x, n_v, n_t = x.size, v.size, t.size
     a = controls.values
     blocks = [
         _acceleration_block(grid, spec, eps, a_b)
         for a_b in np.array_split(a, min(_n_cpus(), a.size))
     ]
-
     # trapezoid rule: half the running cost at the node, half at the foot point
-    kinetic_term = 0.5 * spec.kinetic(v)[None, :]
-    potential_term = 0.5 * spec.potential(x)[:, None]
-
-    u = np.empty((n_t, n_x, n_v))
-    m_terminal = None if m_flow is None else m_flow.marginal(n_t - 1)
-    u[-1] = np.broadcast_to(np.asarray(g.g(x, m_terminal), dtype=float)[:, None], (n_x, n_v))
-    binned = _binned_marginals(spec, x, m_flow)
-    # workers run only `_block_min`; `coupling_value` stays on this thread, as
-    # perfbench's tracer keeps one span stack for all threads
-    with ThreadPoolExecutor(max_workers=max(1, len(blocks) - 1)) as pool:
-        for k in range(n_t - 2, -1, -1):
-            u_next = u[k + 1].ravel()
-            rest = [pool.submit(_block_min, S, const, u_next) for S, const in blocks[1:]]
-            best = _block_min(*blocks[0], u_next)
-            for part in rest:
-                np.minimum(best, part.result(), out=best)
-            running = kinetic_term + potential_term + _coupling_slice(spec, x, binned, k)[:, None]
-            u[k] = best.reshape(n_x, n_v) + dt * running
-    return ValueField(u, grid, eps)
+    node_running = 0.5 * spec.kinetic(grid.v)[None, :] + 0.5 * spec.potential(grid.x)[:, None]
+    return ValueField(_backward_sweep(grid, spec, m_flow, g, blocks, node_running), grid, eps)
 
 
 def solve_hjb_limit_classical(
@@ -325,22 +323,13 @@ def solve_hjb_limit_classical(
     + Interp u(t+dt, x+dt b); foot points outside the box pay a per-unit-excess
     penalty above the value's x-Lipschitz bound.
     """
-    x, t, b = grid.x, grid.t, grid.v
-    dt = grid.dt
-    n_t = t.size
+    x, b, dt = grid.x, grid.v, grid.dt
     foot = x[None, :] + dt * b[:, None]  # (n_b, n_x)
     ix0, fx = _stencil_1d(foot, x)
     S = _stencil_operator((b.size * x.size, x.size), 2, [(ix0, 1.0 - fx), (ix0 + 1, fx)])
     pen_rate = spec.M0 * (1.0 + grid.T) * (1.0 + grid.R_v**2) + g.dg_bound
     const = dt * spec.kinetic(b)[:, None] + pen_rate * _excess(foot, x)
-
-    u = np.empty((n_t, x.size))
-    terminal_m = None if m_flow is None else m_flow.marginal(n_t - 1)
-    u[-1] = np.asarray(g.g(x, terminal_m), dtype=float)
-    binned = _binned_marginals(spec, x, m_flow)
-    for k in range(n_t - 2, -1, -1):
-        cand = (S @ u[k + 1]).reshape(b.size, -1) + const
-        u[k] = cand.min(axis=0) + dt * (spec.potential(x) + _coupling_slice(spec, x, binned, k))
+    u = _backward_sweep(grid, spec, m_flow, g, [(S, const)], spec.potential(x))
     return ValueField(u, grid, 0.0)
 
 

@@ -72,7 +72,7 @@ class ParticleEnsemble:
             self.velocities is not None and not np.all(np.isfinite(self.velocities))
         ):
             raise InvalidInputError("particle coordinates must be finite")
-        if np.any(w < 0) or abs(w.sum() - 1.0) > _WEIGHT_TOL:
+        if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= _WEIGHT_TOL):  # NaN fails too
             raise InvalidInputError("weights must be nonnegative and sum to 1")
         object.__setattr__(self, "weights", w)
 
@@ -106,8 +106,8 @@ class MeasureFlow:
         if t.size < 2 or np.any(np.diff(t) <= 0):
             raise InvalidInputError("times must be strictly increasing with at least 2 nodes")
         pos = np.asarray(self.positions, dtype=float)
-        if pos.shape[0] != t.size:
-            raise InvalidInputError("positions must have one row per time node")
+        if pos.ndim != 2 or pos.shape[0] != t.size:
+            raise InvalidInputError("positions must have shape (n_times, n_particles)")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "positions", pos)
         if self.velocities is not None:

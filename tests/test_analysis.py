@@ -1,9 +1,7 @@
 """Rate fitting, estimate audits, comparisons, and the sweep harness."""
 
 import json
-import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -179,12 +177,9 @@ def test_compare_joint_reconstruction_zero_at_start(joint_pair):
     assert all(float(r) >= 0 for _, r in pairs)
 
 
-@pytest.mark.parametrize("n_cpus", [1, 4, 8])  # 8 > 5 probes: capped at one per probe
 @pytest.mark.parametrize("n_exact", [2000, 10])  # 10 < 49 particles: sliced fallback
-def test_compare_joint_reconstruction_equals_sequential_probes(
-    monkeypatch, joint_pair, n_exact, n_cpus
-):
-    """Concurrent probes give the sequential per-probe results, whatever the worker count."""
+def test_compare_joint_reconstruction_equals_sequential_probes(joint_pair, n_exact):
+    """The probes give the per-probe results, in ``fractions`` order."""
     fa, fb = joint_pair[0].flow, joint_pair[1].flow
     fractions = (0.0, 0.25, 0.5, 0.75, 1.0)
     expected = []
@@ -193,24 +188,14 @@ def test_compare_joint_reconstruction_equals_sequential_probes(
         res = wasserstein1_joint(fa.ensemble(ka), fb.ensemble(kb), n_exact=n_exact)
         expected.append((float(fa.times[ka]), res))
     assert all(res.exact == (n_exact == 2000) for _, res in expected)
+    assert compare_joint_reconstruction(*joint_pair, fractions, n_exact=n_exact) == expected
 
-    workers = []
 
-    class RecordingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(analysis, "_n_cpus", lambda: n_cpus)
-    monkeypatch.setattr(analysis, "ThreadPoolExecutor", RecordingPool)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # interleave the worker threads as finely as possible
-    try:
-        got = compare_joint_reconstruction(*joint_pair, fractions, n_exact=n_exact)
-    finally:
-        sys.setswitchinterval(interval)
-    assert got == expected
-    assert workers == [min(len(fractions), n_cpus)]
+def test_joint_w1_runs_on_the_calling_thread(monkeypatch, joint_pair):
+    threads = _count_w1_calls(monkeypatch)
+    analysis._sup_joint_gap(*joint_pair)
+    compare_joint_reconstruction(*joint_pair)
+    assert len(threads) > 5 and set(threads) == {threading.get_ident()}
 
 
 def _flows(positions_a, velocities_a, positions_b, velocities_b, weights=None):
@@ -229,22 +214,21 @@ def _max_over_probes(*pair, **kwargs):
 
 
 def _count_w1_calls(monkeypatch):
+    """The list of threads that called wasserstein1_joint through analysis, one per call."""
     calls = []
     w1 = analysis.wasserstein1_joint
 
     def counting(a, b, **kwargs):
-        calls.append(1)
+        calls.append(threading.get_ident())
         return w1(a, b, **kwargs)
 
     monkeypatch.setattr(analysis, "wasserstein1_joint", counting)
     return calls
 
 
-@pytest.mark.parametrize("n_cpus", [1, 4])
 @pytest.mark.parametrize("n_exact", [2000, 10])  # 10 < 49 particles: sliced fallback
-def test_sup_joint_gap_equals_max_over_probes(monkeypatch, joint_pair, n_exact, n_cpus):
+def test_sup_joint_gap_equals_max_over_probes(joint_pair, n_exact):
     expected = _max_over_probes(*joint_pair, n_exact=n_exact)
-    monkeypatch.setattr(analysis, "_n_cpus", lambda: n_cpus)
     assert analysis._sup_joint_gap(*joint_pair, n_exact=n_exact) == expected
 
 
@@ -270,7 +254,6 @@ def test_sup_joint_gap_solves_past_a_loose_bound(monkeypatch):
     pair = _flows(X, V, Xb, Vb)
     expected = _max_over_probes(*pair)
     calls = _count_w1_calls(monkeypatch)
-    monkeypatch.setattr(analysis, "_n_cpus", lambda: 1)  # one probe at a time: a fixed count
     assert analysis._sup_joint_gap(*pair) == expected
     assert len(calls) == 2
 
@@ -291,14 +274,13 @@ def _one_particle_probes():
     return _flows(np.zeros((5, 1)), np.zeros((5, 1)), np.arange(5.0)[:, None], np.zeros((5, 1)))
 
 
-def _fake_probes(monkeypatch, bounds, values, n_cpus, on_solve=lambda k: None):
+def _fake_probes(monkeypatch, bounds, values):
     """Stand-in bounds and W1 values per probe; returns the list of probes solved."""
     solved = []
 
     def fake_w1(a, b, n_exact):
         k = int(b.positions[0])
         solved.append(k)
-        on_solve(k)
         return analysis.W1Result(values[k], True)
 
     def fake_bounds(a, b, n_exact):
@@ -306,7 +288,6 @@ def _fake_probes(monkeypatch, bounds, values, n_cpus, on_solve=lambda k: None):
 
     monkeypatch.setattr(analysis, "_joint_w1_bounds", fake_bounds)
     monkeypatch.setattr(analysis, "wasserstein1_joint", fake_w1)
-    monkeypatch.setattr(analysis, "_n_cpus", lambda: n_cpus)
     return solved
 
 
@@ -315,19 +296,19 @@ def test_sup_joint_gap_stop_rule_has_a_relative_slack(monkeypatch, first_lower):
     """An upper bound that rounds just below a W1 or a lower bound still gets its probe solved."""
     bounds = [(first_lower, 1.0), (0.0, 0.6 * (1.0 - 1e-12))] + [(0.0, 0.0)] * 3
     values = [0.6 * (1.0 - 1e-13), 0.6, 0.0, 0.0, 0.0]
-    solved = _fake_probes(monkeypatch, bounds, values, n_cpus=1)
+    solved = _fake_probes(monkeypatch, bounds, values)
     assert analysis._sup_joint_gap(*_one_particle_probes()) == 0.6
     assert solved == [0, 1]  # descending bounds, stopped at the first that cannot reach 0.6
 
 
-def test_sup_joint_gap_solves_the_probes_left_by_the_bounds_concurrently(monkeypatch):
-    """Upper bounds below the largest lower bound are skipped; the other probes run at once."""
+def test_sup_joint_gap_solves_the_probes_left_by_the_bounds_in_turn(monkeypatch):
+    """Upper bounds below the largest lower bound (0.5) are never reached; the
+    others are solved in descending upper bound until one is below a W1 found."""
     bounds = [(0.0, 0.0), (0.5, 0.9), (0.1, 0.45), (0.2, 0.7), (0.1, 0.6)]
     values = [0.0, 0.55, 0.3, 0.65, 0.4]
-    barrier = threading.Barrier(3, timeout=30)  # broken unless three probes are in flight together
-    solved = _fake_probes(monkeypatch, bounds, values, n_cpus=4, on_solve=lambda k: barrier.wait())
+    solved = _fake_probes(monkeypatch, bounds, values)
     assert analysis._sup_joint_gap(*_one_particle_probes()) == 0.65
-    assert sorted(solved) == [1, 3, 4]
+    assert solved == [1, 3]  # probe 4's bound 0.6 is below the 0.65 of probe 3
 
 
 def test_sup_joint_gap_solves_fewer_probes_on_a_gaussian_sweep(monkeypatch):

@@ -65,6 +65,8 @@ def test_grid_and_control_validation():
         ControlSet(np.linspace(-1.0, 1.0, 4))  # even count, 0 not a node
     with pytest.raises(ConfigurationError):
         ControlSet(np.array([-1.0, 0.0, 2.0]))  # asymmetric
+    with pytest.raises(ConfigurationError, match="strictly increasing"):
+        ControlSet(np.linspace(2000.0, -2000.0, 41))  # descending: a_max would read -2000
     cs = ControlSet.symmetric(3.0, 7)
     assert cs.a_max == 3.0 and 0.0 in cs.values
 

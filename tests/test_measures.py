@@ -36,7 +36,15 @@ def test_ensemble_validation():
     with pytest.raises(InvalidInputError):
         ParticleEnsemble(np.array([0.0, 1.0]), weights=np.array([0.5, 0.6]))
     with pytest.raises(InvalidInputError):
+        ParticleEnsemble(np.array([0.0, 1.0]), weights=np.array([np.nan, 1.0]))
+    with pytest.raises(InvalidInputError):
         ParticleEnsemble(np.array([0.0, 1.0]), np.array([0.0]))
+
+
+def test_flow_rejects_one_dimensional_positions():
+    """One position per time node is not a (n_times, n_particles) array."""
+    with pytest.raises(InvalidInputError, match=r"shape \(n_times, n_particles\)"):
+        MeasureFlow([0.0, 1.0], [1.0, 2.0], None, [1.0])
 
 
 def test_w1_1d_examples():
@@ -131,7 +139,7 @@ _COORD = st.floats(-5.0, 5.0, allow_nan=False)
 def test_rank_pairing_bounds_bracket_exact_and_sliced_w1(points):
     xa, va, xb, vb = np.array(points).T
     a, b = ParticleEnsemble(xa, va), ParticleEnsemble(xb, vb)
-    slack = 1.0 + 1e-9  # the relative slack of analysis._solve_probes
+    slack = 1.0 + 1e-9  # the relative slack of analysis._sup_joint_gap
     lower, upper = _joint_w1_bounds(a, b)
     exact = wasserstein1_joint(a, b)
     sliced_lower, sliced_upper = _joint_w1_bounds(a, b, n_exact=0)
