@@ -1,6 +1,7 @@
 """Rate fitting, estimate audits, comparisons, and the sweep harness."""
 
 import json
+import os
 import threading
 from types import SimpleNamespace
 
@@ -177,9 +178,19 @@ def test_compare_joint_reconstruction_zero_at_start(joint_pair):
     assert all(float(r) >= 0 for _, r in pairs)
 
 
+def _report_cpus(monkeypatch, n_cpus):
+    """Make the machine report ``n_cpus`` usable CPUs to every caller of ``os``."""
+    monkeypatch.setattr(os, "cpu_count", lambda: n_cpus)
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
+
+
+@pytest.mark.parametrize("n_cpus", [1, 4, 8])  # 8 > 5 probes
 @pytest.mark.parametrize("n_exact", [2000, 10])  # 10 < 49 particles: sliced fallback
-def test_compare_joint_reconstruction_equals_sequential_probes(joint_pair, n_exact):
-    """The probes give the per-probe results, in ``fractions`` order."""
+def test_compare_joint_reconstruction_equals_sequential_probes(
+    monkeypatch, joint_pair, n_exact, n_cpus
+):
+    """The probes give the per-probe results, in ``fractions`` order, whatever the CPU count."""
     fa, fb = joint_pair[0].flow, joint_pair[1].flow
     fractions = (0.0, 0.25, 0.5, 0.75, 1.0)
     expected = []
@@ -188,6 +199,7 @@ def test_compare_joint_reconstruction_equals_sequential_probes(joint_pair, n_exa
         res = wasserstein1_joint(fa.ensemble(ka), fb.ensemble(kb), n_exact=n_exact)
         expected.append((float(fa.times[ka]), res))
     assert all(res.exact == (n_exact == 2000) for _, res in expected)
+    _report_cpus(monkeypatch, n_cpus)
     assert compare_joint_reconstruction(*joint_pair, fractions, n_exact=n_exact) == expected
 
 
@@ -226,9 +238,11 @@ def _count_w1_calls(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize("n_cpus", [1, 4])
 @pytest.mark.parametrize("n_exact", [2000, 10])  # 10 < 49 particles: sliced fallback
-def test_sup_joint_gap_equals_max_over_probes(joint_pair, n_exact):
+def test_sup_joint_gap_equals_max_over_probes(monkeypatch, joint_pair, n_exact, n_cpus):
     expected = _max_over_probes(*joint_pair, n_exact=n_exact)
+    _report_cpus(monkeypatch, n_cpus)
     assert analysis._sup_joint_gap(*joint_pair, n_exact=n_exact) == expected
 
 
