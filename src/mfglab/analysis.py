@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, InvalidInputError, NumericalError, TransportError
-from .hjb import ControlSet, PhaseGrid, ValueField, acceleration_controls, gradient_x
+from .hjb import ControlSet, PhaseGrid, ValueField, gradient_x
 from .measures import (
     MeasureFlow,
     ParticleEnsemble,
@@ -334,9 +334,8 @@ def run_sweep(
     """Solve the limit system once, then every eps rung, and assemble the report.
 
     The limit solves use the velocity axis of the grid as their controls. Each
-    eps rung uses ``acceleration_controls(grid, eps, controls)``, so ``controls``
-    is the base acceleration set (default: hjb.BASE_N_A points on
-    [-hjb.BASE_A_MAX, hjb.BASE_A_MAX]).
+    eps rung passes ``controls``, the base acceleration set, to
+    ``solve_eps_system``, which widens it for the rung's eps.
     Non-converged rungs are flagged (converged = 0); a rung whose solve fails on
     its own eps (TransportError, NumericalError, or a widened control set over
     the foot-point budget) becomes a NaN row. Other errors, e.g. bad input, propagate.
@@ -355,9 +354,7 @@ def run_sweep(
     for eps in plan.eps_ladder:
         try:
             sol = solve_eps_system(
-                spec, g, grid, mu0, eps,
-                controls=acceleration_controls(grid, eps, controls),
-                tol_fp=tol_fp, max_iter=max_iter,
+                spec, g, grid, mu0, eps, controls, tol_fp=tol_fp, max_iter=max_iter
             )
         except (TransportError, NumericalError, ConfigurationError):
             rows.append(_nan_row(eps))

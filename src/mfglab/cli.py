@@ -15,7 +15,6 @@ import click
 from . import analysis, io
 from .config import RunConfig
 from .errors import MFGLabError
-from .hjb import acceleration_controls
 from .mfg import solve_eps_system, solve_limit_classical, solve_mfg_of_control
 from .model import audit_assumptions
 from .trajectory import eval_cost, minimize_direct, solve_el_bvp
@@ -24,29 +23,38 @@ EXIT_CONFIG = 2
 EXIT_NOCONV = 3
 
 
-def _load_config(ctx) -> RunConfig:
+def _build(ctx):
+    """The run config and the objects it builds; any bad value exits EXIT_CONFIG."""
     path = ctx.obj["config_path"]
     try:
-        return RunConfig.default() if path is None else RunConfig.from_file(path)
+        cfg = RunConfig.default() if path is None else RunConfig.from_file(path)
+        return (
+            cfg, cfg.build_spec(), cfg.build_terminal(), cfg.build_grid(),
+            cfg.build_controls(), cfg.build_mu0(seed=ctx.obj["seed"]),
+        )
     except MFGLabError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
 
 
-def _build(ctx):
-    cfg = _load_config(ctx)
-    spec = cfg.build_spec()
-    g = cfg.build_terminal()
-    grid = cfg.build_grid()
-    controls = cfg.build_controls()
-    mu0 = cfg.build_mu0(seed=ctx.obj["seed"])
-    return cfg, spec, g, grid, controls, mu0
+def _solve_and_write(ctx, cfg, label, solver, *args):
+    """Run solver(*args) with the configured solver settings, write the solution
+    directory, and exit EXIT_NOCONV when the solve did not converge."""
+    try:
+        sol = solver(*args, **cfg.solver)
+    except MFGLabError as exc:
+        click.echo(f"solve failed: {exc}", err=True)
+        sys.exit(EXIT_CONFIG)
+    io.write_solution_dir(ctx.obj["out_dir"], sol, cfg.to_dict())
+    click.echo(f"{label}: {sol.iterations} iterations, gap={sol.fixed_point_gap:.3e}")
+    if not sol.converged:
+        sys.exit(EXIT_NOCONV)
 
 
 @click.group()
 @click.option("--config", "config_path", type=click.Path(), default=None, help="JSON run config.")
 @click.option("--out", "out_dir", type=click.Path(), default="out", help="Output directory.")
-@click.option("--seed", type=int, default=None, help="Seed override for sampled measures.")
+@click.option("--seed", type=click.IntRange(min=0), help="Seed override for sampled measures.")
 @click.pass_context
 def main(ctx, config_path, out_dir, seed):
     """Solver laboratory for acceleration-penalized mean field games."""
@@ -63,21 +71,7 @@ def cmd_solve_eps(ctx, eps):
         click.echo("eps must be positive; use solve-limit for the eps = 0 system", err=True)
         sys.exit(EXIT_CONFIG)
     cfg, spec, g, grid, controls, mu0 = _build(ctx)
-    s = cfg.solver
-    try:
-        sol = solve_eps_system(
-            spec, g, grid, mu0, eps,
-            controls=acceleration_controls(grid, eps, controls),
-            tol_fp=float(s["tol_fp"]),
-            max_iter=int(s["max_iter"]),
-        )
-    except MFGLabError as exc:
-        click.echo(f"solve failed: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    io.write_solution_dir(ctx.obj["out_dir"], sol, cfg.to_dict())
-    click.echo(f"eps={eps}: {sol.iterations} iterations, gap={sol.fixed_point_gap:.3e}")
-    if not sol.converged:
-        sys.exit(EXIT_NOCONV)
+    _solve_and_write(ctx, cfg, f"eps={eps}", solve_eps_system, spec, g, grid, mu0, eps, controls)
 
 
 @main.command("solve-limit")
@@ -86,17 +80,8 @@ def cmd_solve_eps(ctx, eps):
 def cmd_solve_limit(ctx, kind):
     """Solve a limit system (classical or state-control form)."""
     cfg, spec, g, grid, controls, mu0 = _build(ctx)
-    s = cfg.solver
     solver = solve_limit_classical if kind == "classical" else solve_mfg_of_control
-    try:
-        sol = solver(spec, g, grid, mu0, tol_fp=float(s["tol_fp"]), max_iter=int(s["max_iter"]))
-    except MFGLabError as exc:
-        click.echo(f"solve failed: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    io.write_solution_dir(ctx.obj["out_dir"], sol, cfg.to_dict())
-    click.echo(f"{kind} limit: {sol.iterations} iterations, gap={sol.fixed_point_gap:.3e}")
-    if not sol.converged:
-        sys.exit(EXIT_NOCONV)
+    _solve_and_write(ctx, cfg, f"{kind} limit", solver, spec, g, grid, mu0)
 
 
 @main.command("sweep")
@@ -104,14 +89,10 @@ def cmd_solve_limit(ctx, kind):
 def cmd_sweep(ctx):
     """Run the eps ladder against the limit solution and write report.csv / rates.json."""
     cfg, spec, g, grid, controls, mu0 = _build(ctx)
-    s = cfg.solver
     try:
         report = analysis.run_sweep(
             cfg.build_plan(), spec, g, grid, mu0,
-            variant=cfg.sweep["variant"],
-            controls=controls,
-            tol_fp=float(s["tol_fp"]),
-            max_iter=int(s["max_iter"]),
+            variant=cfg.sweep["variant"], controls=controls, **cfg.solver,
         )
     except MFGLabError as exc:
         click.echo(f"sweep failed: {exc}", err=True)

@@ -3,9 +3,9 @@ factories for the objects the solvers consume."""
 
 from __future__ import annotations
 
-import copy
+import dataclasses
 import json
-from dataclasses import dataclass
+import math
 
 from .analysis import SweepPlan
 from .errors import ConfigurationError
@@ -50,17 +50,26 @@ DEFAULTS = {
 }
 
 
+# what a value must be, by the type of its default
+_KINDS = {list: "a list of numbers", str: "a string", int: "an integer", float: "a number"}
+
+
 def _as_default_type(value, default):
-    """Cast value to the type of its default (float, int, or nested lists of them);
-    raises TypeError, ValueError or OverflowError when it cannot, and ValueError
-    when an int default is given a value with a fractional part."""
+    """Cast value to the type of its default (str, float, int, or nested lists of
+    them); raises TypeError, ValueError or OverflowError when it cannot: a string
+    where the default is a number or the reverse, a fractional value where it is
+    an int, and a NaN or an infinity (Python's json parses both)."""
     if isinstance(default, list):
         if not isinstance(value, list):
             raise TypeError(f"expected a list, got {type(value).__name__}")
         return [_as_default_type(item, default[0]) for item in value]
+    if isinstance(value, str) != isinstance(default, str):
+        raise TypeError(f"expected {type(default).__name__}, got {type(value).__name__}")
     cast = type(default)(value)
     if isinstance(default, int) and cast != float(value):
         raise ValueError(f"{value!r} is not an integer")
+    if isinstance(default, float) and not math.isfinite(cast):
+        raise ValueError(f"{value!r} is not finite")
     return cast
 
 
@@ -75,7 +84,7 @@ def _merge_block(name, defaults, given):
     return merged
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     model: dict
     grid: dict
@@ -112,50 +121,48 @@ class RunConfig:
         return cls.from_dict({})
 
     def validate(self):
+        """Check every value and store each as the type of its default."""
         for block, defaults in DEFAULTS.items():
+            values = getattr(self, block)
             for key, default in defaults.items():
-                if isinstance(default, str):
-                    continue
-                value = getattr(self, block)[key]
                 try:
-                    _as_default_type(value, default)
+                    values[key] = _as_default_type(values[key], default)
                 except (TypeError, ValueError, OverflowError):
-                    kind = (
-                        "a list of numbers" if isinstance(default, list)
-                        else "an integer" if isinstance(default, int) else "a number"
-                    )
-                    raise ConfigurationError(f"{block}.{key} must be {kind}, got {value!r}") from None
-        if self.model["name"] not in MODELS:
-            raise ConfigurationError(f"unknown model.name {self.model['name']!r}")
-        if self.model["terminal"] not in TERMINALS:
-            raise ConfigurationError(f"unknown model.terminal {self.model['terminal']!r}")
+                    raise ConfigurationError(
+                        f"{block}.{key} must be {_KINDS[type(default)]}, got {values[key]!r}"
+                    ) from None
+        model, grid, measure, s = self.model, self.grid, self.measure, self.solver
+        if model["name"] not in MODELS:
+            raise ConfigurationError(f"unknown model.name {model['name']!r}")
+        if model["terminal"] not in TERMINALS:
+            raise ConfigurationError(f"unknown model.terminal {model['terminal']!r}")
         for key in ("M0", "sigma"):
-            if not float(self.model[key]) > 0:
+            if model[key] <= 0:
                 raise ConfigurationError(f"model.{key} must be positive")
-        if not float(self.model["kappa_c"]) >= 0:
+        if model["kappa_c"] < 0:
             raise ConfigurationError("model.kappa_c must be nonnegative")
-        grid = self.grid
         for key in ("N_x", "N_v", "N_t", "N_a"):
-            if int(grid[key]) < 3:
+            if grid[key] < 3:
                 raise ConfigurationError(f"grid.{key} must be at least 3")
         for key in ("R_x", "R_v", "T", "A_max"):
-            if float(grid[key]) <= 0:
+            if grid[key] <= 0:
                 raise ConfigurationError(f"grid.{key} must be positive")
-        if int(grid["N_a"]) % 2 == 0:
+        if grid["N_a"] % 2 == 0:
             raise ConfigurationError("grid.N_a must be odd so 0 is a control node")
-        if self.measure["kind"] not in ("lattice", "gaussian"):
-            raise ConfigurationError(f"unknown measure kind {self.measure['kind']!r}")
-        if int(self.measure["n"]) < 1:
+        if measure["kind"] not in ("lattice", "gaussian"):
+            raise ConfigurationError(f"unknown measure kind {measure['kind']!r}")
+        if measure["n"] < 1:
             raise ConfigurationError("measure.n must be positive")
-        box = [[float(c) for c in pair] for pair in self.measure["box"]]
+        if measure["seed"] < 0:
+            raise ConfigurationError("measure.seed must be nonnegative")
+        box = measure["box"]
         if len(box) != 2 or any(len(pair) != 2 or not pair[0] < pair[1] for pair in box):
             raise ConfigurationError("measure.box must be two [lo, hi] pairs with lo < hi")
-        s = self.solver
-        if float(s["tol_fp"]) <= 0 or int(s["max_iter"]) < 1:
+        if s["tol_fp"] <= 0 or s["max_iter"] < 1:
             raise ConfigurationError("solver.tol_fp must be positive and max_iter >= 1")
         if self.sweep["variant"] not in ("classical", "control"):
             raise ConfigurationError(f"unknown sweep variant {self.sweep['variant']!r}")
-        ladder = [float(e) for e in self.sweep["eps_ladder"]]
+        ladder = self.sweep["eps_ladder"]
         if not ladder or any(e <= 0 for e in ladder):
             raise ConfigurationError("sweep.eps_ladder must be positive")
         if any(ladder[i + 1] >= ladder[i] for i in range(len(ladder) - 1)):
@@ -166,47 +173,29 @@ class RunConfig:
     def build_spec(self) -> LagrangianSpec:
         m = self.model
         return make_lagrangian(
-            m["name"],
-            kappa_pot=float(m["kappa_pot"]),
-            kappa_c=float(m["kappa_c"]),
-            sigma=float(m["sigma"]),
-            M0=float(m["M0"]),
+            m["name"], kappa_pot=m["kappa_pot"], kappa_c=m["kappa_c"], sigma=m["sigma"], M0=m["M0"]
         )
 
     def build_terminal(self) -> TerminalCost:
-        return make_terminal(self.model["terminal"], float(self.model["terminal_amplitude"]))
+        return make_terminal(self.model["terminal"], self.model["terminal_amplitude"])
 
     def build_grid(self) -> PhaseGrid:
         g = self.grid
         return PhaseGrid.regular(
-            R_x=float(g["R_x"]),
-            R_v=float(g["R_v"]),
-            T=float(g["T"]),
-            N_x=int(g["N_x"]),
-            N_v=int(g["N_v"]),
-            N_t=int(g["N_t"]),
+            R_x=g["R_x"], R_v=g["R_v"], T=g["T"], N_x=g["N_x"], N_v=g["N_v"], N_t=g["N_t"]
         )
 
     def build_controls(self) -> ControlSet:
-        return ControlSet.symmetric(float(self.grid["A_max"]), int(self.grid["N_a"]))
+        return ControlSet.symmetric(self.grid["A_max"], self.grid["N_a"])
 
     def build_mu0(self, seed=None) -> ParticleEnsemble:
         m = self.measure
-        box = tuple(tuple(float(c) for c in pair) for pair in m["box"])
         if m["kind"] == "lattice":
-            return lattice_ensemble(int(m["n"]), box)
-        return gaussian_ensemble(int(m["n"]), box, int(m["seed"] if seed is None else seed))
+            return lattice_ensemble(m["n"], m["box"])
+        return gaussian_ensemble(m["n"], m["box"], m["seed"] if seed is None else seed)
 
     def build_plan(self) -> SweepPlan:
-        return SweepPlan(eps_ladder=tuple(float(e) for e in self.sweep["eps_ladder"]))
+        return SweepPlan(eps_ladder=tuple(self.sweep["eps_ladder"]))
 
     def to_dict(self) -> dict:
-        return copy.deepcopy(
-            {
-                "model": self.model,
-                "grid": self.grid,
-                "measure": self.measure,
-                "solver": self.solver,
-                "sweep": self.sweep,
-            }
-        )
+        return dataclasses.asdict(self)

@@ -20,6 +20,7 @@ from .hjb import (
     ControlSet,
     PhaseGrid,
     ValueField,
+    acceleration_controls,
     gradient_v,
     gradient_x,
     interp_slice_x,
@@ -238,10 +239,15 @@ def solve_eps_system(
     tol_fp: float = 1e-3,
     max_iter: int = 60,
 ) -> MFGSolution:
-    """Anderson-accelerated Picard iteration for the penalized system."""
+    """Anderson-accelerated Picard iteration for the penalized system.
+
+    ``controls`` is the base acceleration set; the HJB solves use
+    ``acceleration_controls(grid, eps, controls)``, which leaves a widened set as it is.
+    """
     if eps <= 0:
         raise InvalidInputError("eps must be positive")
     _require_velocities(mu0)
+    controls = acceleration_controls(grid, eps, controls)
     return _picard(
         spec,
         lambda flow: solve_hjb_acceleration(grid, spec, flow, g, eps, controls),

@@ -41,8 +41,9 @@ class LagrangianSpec:
     kinetic_name: str = "quadratic"
 
     def __post_init__(self):
-        if self.coupling_strength < 0 or self.M0 <= 0 or not self.coupling_sigma > 0:
-            raise InvalidInputError("need coupling_strength >= 0, coupling_sigma > 0, M0 > 0")
+        c, sigma, M0 = self.coupling_strength, self.coupling_sigma, self.M0
+        if not (0 <= c < np.inf and 0 < sigma < np.inf and 0 < M0 < np.inf):
+            raise InvalidInputError("need finite coupling_strength >= 0, coupling_sigma > 0, M0 > 0")
 
     @property
     def is_quadratic_kinetic(self) -> bool:
@@ -236,6 +237,8 @@ def make_lagrangian(
     potentials = {"harmonic": harmonic, "cosine": cosine}
     if name not in MODELS:
         raise UnsupportedModelError(f"unknown catalog model {name!r}")
+    if not np.isfinite(kappa_pot):
+        raise InvalidInputError("kappa_pot must be finite")
     kinetic, potential = MODELS[name]
     return LagrangianSpec(
         **kinetics[kinetic], **potentials[potential],
@@ -246,6 +249,8 @@ def make_lagrangian(
 def make_terminal(name: str = "zero", amplitude: float = 1.0) -> TerminalCost:
     if name not in TERMINALS:
         raise UnsupportedModelError(f"unknown terminal cost {name!r}")
+    if not np.isfinite(amplitude):
+        raise InvalidInputError("the terminal amplitude must be finite")
     if name == "zero":
         zero = lambda x, m=None: np.zeros_like(np.asarray(x, dtype=float))
         return TerminalCost(g=zero, dg=zero, dgg=zero, dg_bound=0.0, g_inf=0.0)
@@ -254,6 +259,6 @@ def make_terminal(name: str = "zero", amplitude: float = 1.0) -> TerminalCost:
         dg=lambda x, m=None: amplitude / (1.0 + np.asarray(x, dtype=float) ** 2),
         dgg=lambda x, m=None: -2.0 * amplitude * np.asarray(x, dtype=float)
         / (1.0 + np.asarray(x, dtype=float) ** 2) ** 2,
-        dg_bound=amplitude,
-        g_inf=amplitude * np.pi / 2.0,
+        dg_bound=abs(amplitude),
+        g_inf=abs(amplitude) * np.pi / 2.0,
     )

@@ -260,6 +260,8 @@ def test_removed_damping_key_is_config_error(runner, tmp_path, block, key, value
         ("grid", "N_x", "ten"),
         ("solver", "tol_fp", None),
         ("sweep", "eps_ladder", ["a"]),
+        ("model", "M0", "60"),
+        ("model", "name", [1]),
     ],
 )
 def test_non_numeric_value_is_config_error(runner, tmp_path, block, key, value):
@@ -304,6 +306,9 @@ def test_non_integral_value_of_integer_key_is_config_error(runner, tmp_path, blo
             "measure", "box", [[-1.0, 1.0], [0.0]], "be two [lo, hi] pairs", ["solve-limit"],
             id="box-short-pair",
         ),
+        pytest.param(
+            "measure", "seed", -1, "be nonnegative", ["solve-limit"], id="seed-negative"
+        ),
     ],
 )
 def test_out_of_range_value_is_config_error(runner, tmp_path, block, key, value, rule, command):
@@ -315,6 +320,50 @@ def test_out_of_range_value_is_config_error(runner, tmp_path, block, key, value,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "block, key, value",
+    [
+        ("model", "kappa_pot", float("nan")),
+        ("grid", "R_x", float("inf")),
+        ("solver", "tol_fp", float("nan")),
+        ("sweep", "eps_ladder", [0.5, float("nan"), 0.1]),
+        ("measure", "box", [[-1.0, 1.0], [float("-inf"), 1.0]]),
+    ],
+)
+def test_non_finite_value_is_config_error(runner, tmp_path, block, key, value):
+    """Python's json reads NaN and Infinity; the config rejects them as non-numbers."""
+    cfg = _write_cfg(tmp_path, {block: {key: value}})
+    res = runner.invoke(
+        main, ["--config", cfg, "--out", str(tmp_path / "out"), "solve-eps", "--eps", "0.2"]
+    )
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert f"config error: {block}.{key} must be a" in res.output
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [("R_x", "grid axis x must be increasing"), ("A_max", "control values must be")],
+)
+def test_unbuildable_value_is_config_error(runner, tmp_path, key, message):
+    """A value that passes the range checks but cannot build its object exits 2."""
+    cfg = _write_cfg(tmp_path, {"grid": {key: 1e308}})
+    res = runner.invoke(
+        main, ["--config", cfg, "--out", str(tmp_path / "out"), "solve-eps", "--eps", "0.2"]
+    )
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)  # not an uncaught ConfigurationError
+    assert f"config error: {message}" in res.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_option_is_usage_error(runner, tmp_path):
+    res = runner.invoke(main, ["--config", _write_cfg(tmp_path), "--seed", "-3", "audit"])
+    assert res.exit_code == 2
+    assert "Invalid value for '--seed'" in res.output
+
+
 @pytest.mark.parametrize("variant", ["classical", "control"])
 def test_cli_matches_api(runner, tmp_path, variant):
     """sweep, solve-eps and solve-limit give the API's bytes, and the sweep's rungs agree."""
@@ -324,8 +373,7 @@ def test_cli_matches_api(runner, tmp_path, variant):
     path.write_text(json.dumps(data))
     cfg = RunConfig.from_dict(data)
     spec, g, grid = cfg.build_spec(), cfg.build_terminal(), cfg.build_grid()
-    mu0, plan, s = cfg.build_mu0(seed=11), cfg.build_plan(), cfg.solver
-    solver = dict(tol_fp=float(s["tol_fp"]), max_iter=int(s["max_iter"]))
+    mu0, plan, solver = cfg.build_mu0(seed=11), cfg.build_plan(), cfg.solver
 
     out = tmp_path / "sweep"
     res = runner.invoke(main, ["--config", str(path), "--out", str(out), "--seed", "11", "sweep"])
@@ -341,12 +389,26 @@ def test_cli_matches_api(runner, tmp_path, variant):
         main, ["--config", str(path), "--out", str(out), "--seed", "11", "solve-eps", "--eps", "0.2"]
     )
     assert res.exit_code == 0, res.output
+    # widening a set that is already widened for this eps changes nothing
     sol = solve_eps_system(
         spec, g, grid, mu0, 0.2,
         controls=acceleration_controls(grid, 0.2, cfg.build_controls()),
         **solver,
     )
     assert (out / "value.csv").read_text() == value_csv(sol.value)
+
+    # at eps = 0.05 the widening binds (0.75 R_v / sqrt(eps) = 13.4 > A_max = 8), and
+    # the API widens the base set as the CLI does
+    assert acceleration_controls(grid, 0.05, cfg.build_controls()).a_max > cfg.grid["A_max"]
+    out = tmp_path / "eps_small"
+    res = runner.invoke(
+        main,
+        ["--config", str(path), "--out", str(out), "--seed", "11", "solve-eps", "--eps", "0.05"],
+    )
+    assert res.exit_code == 0, res.output
+    small = solve_eps_system(spec, g, grid, mu0, 0.05, cfg.build_controls(), **solver)
+    assert (out / "value.csv").read_text() == value_csv(small.value)
+    assert (out / "flow.csv").read_text() == flow_csv(small.flow)
 
     solve_limit = solve_limit_classical if variant == "classical" else solve_mfg_of_control
     limit = solve_limit(spec, g, grid, mu0, **solver)

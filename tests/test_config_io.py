@@ -35,6 +35,21 @@ def test_default_config_round_trip():
     assert again.to_dict() == cfg.to_dict()
 
 
+def test_values_are_stored_as_the_default_types():
+    cfg = RunConfig.from_dict({"model": {"kappa_pot": 5}, "grid": {"N_x": 41.0}})
+    data = cfg.to_dict()
+    assert type(data["model"]["kappa_pot"]) is float and data["model"]["kappa_pot"] == 5.0
+    assert type(data["grid"]["N_x"]) is int and data["grid"]["N_x"] == 41
+    # to_dict is a deep copy
+    data["model"]["kappa_pot"] = 7.0
+    data["measure"]["box"][0][0] = -9.0
+    data["sweep"]["eps_ladder"].append(0.001)
+    assert cfg.model["kappa_pot"] == 5.0
+    assert cfg.measure["box"] == [[-1.0, 1.0], [-1.0, 1.0]]
+    assert cfg.sweep["eps_ladder"] == [0.5, 0.2, 0.1, 0.05, 0.02, 0.01]
+    assert RunConfig.default().measure["box"] == [[-1.0, 1.0], [-1.0, 1.0]]
+
+
 def test_unknown_block_and_key_rejected():
     with pytest.raises(ConfigurationError, match="unknown config blocks"):
         RunConfig.from_dict({"nope": {}})

@@ -163,6 +163,11 @@ def test_terminal_catalog():
     assert g.g(1.0) == pytest.approx(2.0 * np.arctan(1.0))
     assert g.dg(0.0) == pytest.approx(2.0)
     assert g.dg_bound == 2.0
+    assert g.g_inf == np.pi
+    # the sup-norm bounds are of |g'| and |g|, so a negative amplitude has the same ones
+    g = make_terminal("atan", amplitude=-2.0)
+    assert g.dg(0.0) == pytest.approx(-2.0)
+    assert (g.dg_bound, g.g_inf) == (2.0, np.pi)
     xs, h = np.linspace(-3.0, 3.0, 13), 1e-5
     for name, amplitude in (("zero", 1.0), ("atan", 0.5), ("atan", 2.0), ("atan", 7.0)):
         g = make_terminal(name, amplitude=amplitude)
@@ -170,6 +175,10 @@ def test_terminal_catalog():
         assert np.max(np.abs(g.dgg(xs) - fd)) < 1e-9 * max(1.0, amplitude)
     with pytest.raises(UnsupportedModelError):
         make_terminal("nope")
+    for name in ("zero", "atan"):
+        for amplitude in (float("nan"), float("inf")):
+            with pytest.raises(InvalidInputError, match="finite"):
+                make_terminal(name, amplitude)
 
 
 def test_unknown_catalog_model():
@@ -183,6 +192,11 @@ def test_spec_validation():
     for sigma in (0.0, -0.3, float("nan")):
         with pytest.raises(InvalidInputError, match="coupling_sigma > 0"):
             make_lagrangian("quadratic", kappa_c=0.5, sigma=sigma)
+    # non-finite constants are rejected as the config rejects them
+    for key in ("kappa_pot", "kappa_c", "sigma", "M0"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(InvalidInputError):
+                make_lagrangian("cosine", **{key: value})
 
 
 def test_constant_lagrangian_helper():
