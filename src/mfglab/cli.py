@@ -7,6 +7,7 @@ non-convergence (artifacts are still written).
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 
@@ -51,6 +52,13 @@ def _solve_and_write(ctx, cfg, label, solver, *args):
         sys.exit(EXIT_NOCONV)
 
 
+def _finite(ctx, param, value):
+    """Click callback: reject NaN and infinities (exit EXIT_CONFIG, click's usage error)."""
+    if not math.isfinite(value):
+        raise click.BadParameter(f"{value} is not a finite number")
+    return value
+
+
 @click.group()
 @click.option("--config", "config_path", type=click.Path(), default=None, help="JSON run config.")
 @click.option("--out", "out_dir", type=click.Path(), default="out", help="Output directory.")
@@ -63,7 +71,7 @@ def main(ctx, config_path, out_dir, seed):
 
 
 @main.command("solve-eps")
-@click.option("--eps", type=float, required=True)
+@click.option("--eps", type=float, required=True, callback=_finite)
 @click.pass_context
 def cmd_solve_eps(ctx, eps):
     """Solve the acceleration-penalized system at one eps."""
@@ -106,9 +114,9 @@ def cmd_sweep(ctx):
 
 
 @main.command("traj")
-@click.option("--eps", type=float, required=True)
-@click.option("--x", "x0", type=float, required=True)
-@click.option("--v", "v0", type=float, required=True)
+@click.option("--eps", type=float, required=True, callback=_finite)
+@click.option("--x", "x0", type=float, required=True, callback=_finite)
+@click.option("--v", "v0", type=float, required=True, callback=_finite)
 @click.pass_context
 def cmd_traj(ctx, eps, x0, v0):
     """Emit the direct-minimizer curve and, for eps > 0, the stationarity BVP curve."""

@@ -49,6 +49,10 @@ DEFAULTS = {
     },
 }
 
+# bytes a grid's arrays may take, as RunConfig.validate estimates them: values
+# (8 per node) plus the semi-Lagrangian operators (about 60 per phase node and
+# control); a larger grid is a configuration error, not an allocation failure
+GRID_MEMORY_BUDGET = 8 * 2**30
 
 # what a value must be, by the type of its default
 _KINDS = {list: "a list of numbers", str: "a string", int: "an integer", float: "a number"}
@@ -149,6 +153,12 @@ class RunConfig:
                 raise ConfigurationError(f"grid.{key} must be positive")
         if grid["N_a"] % 2 == 0:
             raise ConfigurationError("grid.N_a must be odd so 0 is a control node")
+        need = grid["N_x"] * grid["N_v"] * (8 * grid["N_t"] + 60 * grid["N_a"])
+        if need > GRID_MEMORY_BUDGET:
+            raise ConfigurationError(
+                f"grid needs about {need / 2**30:.3g} GiB (N_x N_v (8 N_t + 60 N_a) bytes), "
+                f"more than the {GRID_MEMORY_BUDGET / 2**30:.3g} GiB budget"
+            )
         if measure["kind"] not in ("lattice", "gaussian"):
             raise ConfigurationError(f"unknown measure kind {measure['kind']!r}")
         if measure["n"] < 1:

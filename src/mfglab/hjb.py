@@ -293,8 +293,8 @@ def solve_hjb_acceleration(
     sizes differ by at most one, each with its own operator, so
     `_backward_sweep` minimizes one block per CPU at every step.
     """
-    if eps <= 0:
-        raise InvalidInputError("eps must be positive; use a limit solver for eps = 0")
+    if not 0 < eps < np.inf:
+        raise InvalidInputError("eps must be positive and finite; use a limit solver for eps = 0")
     if controls is None:
         controls = acceleration_controls(grid, eps)
     if grid.dt * controls.a_max > 10.0 * max(grid.dx, grid.dv):

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
 
 from .errors import InvalidInputError
 
@@ -214,6 +213,8 @@ def wasserstein1_joint(
         raise InvalidInputError("cannot mix joint and velocity-free ensembles")
     if max(a.size, b.size) <= n_exact:
         if a.size == b.size and a.uniform_weights() and b.uniform_weights():
+            from scipy.optimize import linear_sum_assignment
+
             cost = _ground_cost(a, b)
             rows, cols = linear_sum_assignment(cost)
             return W1Result(float(cost[rows, cols].mean()), True)
@@ -260,6 +261,7 @@ def _w1_lp(a: ParticleEnsemble, b: ParticleEnsemble) -> float:
     rows = np.repeat(np.arange(n), m)
     cols = np.tile(np.arange(m), n) + n
     data = np.ones(n * m)
+    from scipy.optimize import linprog
     from scipy.sparse import coo_matrix
 
     A = coo_matrix(

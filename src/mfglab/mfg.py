@@ -76,8 +76,8 @@ def transport_eps(mu0: ParticleEnsemble, field: ValueField, eps: float) -> Measu
     Inner sub-steps of size min(dt, eps/4) guard against the stiffness of the
     velocity equation.
     """
-    if eps <= 0:
-        raise InvalidInputError("eps must be positive")
+    if not 0 < eps < np.inf:
+        raise InvalidInputError("eps must be positive and finite")
     grid = field.grid
     dv_field = gradient_v(field)
     t = grid.t
@@ -244,8 +244,8 @@ def solve_eps_system(
     ``controls`` is the base acceleration set; the HJB solves use
     ``acceleration_controls(grid, eps, controls)``, which leaves a widened set as it is.
     """
-    if eps <= 0:
-        raise InvalidInputError("eps must be positive")
+    if not 0 < eps < np.inf:
+        raise InvalidInputError("eps must be positive and finite")
     _require_velocities(mu0)
     controls = acceleration_controls(grid, eps, controls)
     return _picard(

@@ -106,8 +106,8 @@ class _Functional:
         t = np.asarray(t, dtype=float)
         if not (t.size >= 3 and t[-1] > t[0]):
             raise InvalidInputError("a curve needs M >= 3 samples and T > t0")
-        if eps < 0:
-            raise InvalidInputError("eps must be nonnegative")
+        if not 0 <= eps < np.inf:
+            raise InvalidInputError("eps must be nonnegative and finite")
         M = t.size
         self.t, self.h, self.eps, self.spec, self.g = t, t[1] - t[0], eps, spec, g
         self.w = np.ones(M)
@@ -173,6 +173,8 @@ def _descent(eps, x, v, spec, m_flow, g, M, T):
     and whether H factored unshifted at the curve: a zero gradient on a hilltop
     is a saddle, not a minimizer.
     """
+    if not (np.isfinite(x) and np.isfinite(v)):
+        raise InvalidInputError("the start point (x, v) must be finite")
     if T is None:
         T = 1.0 if m_flow is None else float(m_flow.times[-1])
     F = _Functional(np.linspace(0.0, T, M), eps, spec, m_flow, g)
@@ -276,8 +278,8 @@ def solve_el_bvp(
     conditions of the discretization. They are solved by minimize_direct's
     descent; converged means their residual is below BVP_TOL at a minimizer.
     """
-    if eps <= 0:
-        raise InvalidInputError("the fourth-order problem needs eps > 0")
+    if not 0 < eps < np.inf:
+        raise InvalidInputError("the fourth-order problem needs a finite eps > 0")
     if not spec.is_quadratic_kinetic:
         raise UnsupportedModelError("solve_el_bvp requires the quadratic kinetic term")
     F, gam, history, minimum = _descent(eps, x, v, spec, mu_flow, g, M, T)
@@ -307,8 +309,8 @@ def solve_el_bvp(
 
 def connecting_curve(x: float, v0: float, v1: float, eps: float, M: int = 101) -> Curve:
     """Cubic returning to x on [0, sqrt(eps)] that swaps velocity v0 for v1."""
-    if eps <= 0:
-        raise InvalidInputError("eps must be positive")
+    if not 0 < eps < np.inf:
+        raise InvalidInputError("eps must be positive and finite")
     B = -(2.0 * v0 + v1) / np.sqrt(eps)
     A = (v1 + v0) / eps
     t = np.linspace(0.0, np.sqrt(eps), M)

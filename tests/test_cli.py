@@ -1,6 +1,9 @@
 """Command-line interface: exit codes, artifacts, and error messages."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -356,6 +359,47 @@ def test_unbuildable_value_is_config_error(runner, tmp_path, key, message):
     assert isinstance(res.exception, SystemExit)  # not an uncaught ConfigurationError
     assert f"config error: {message}" in res.output
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        pytest.param(["solve-eps", "--eps", "nan"], id="solve-eps-eps-nan"),
+        pytest.param(["solve-eps", "--eps", "inf"], id="solve-eps-eps-inf"),
+        pytest.param(["traj", "--eps", "nan", "--x", "1.0", "--v", "0.5"], id="traj-eps-nan"),
+        pytest.param(["traj", "--eps", "0.01", "--x", "nan", "--v", "0.5"], id="traj-x-nan"),
+        pytest.param(["traj", "--eps", "0.01", "--x", "1.0", "--v", "nan"], id="traj-v-nan"),
+    ],
+)
+def test_non_finite_option_is_usage_error(runner, tmp_path, command):
+    argv = ["--config", _write_cfg(tmp_path), "--out", str(tmp_path / "out")] + command
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 2
+    assert "is not a finite number" in res.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_grid_over_memory_budget_is_config_error(runner, tmp_path):
+    cfg = _write_cfg(tmp_path, {"grid": {"N_x": 1e12}})
+    res = runner.invoke(
+        main, ["--config", cfg, "--out", str(tmp_path / "out"), "solve-eps", "--eps", "0.2"]
+    )
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)  # not numpy's allocation error
+    assert "config error: grid needs about" in res.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    """scipy.optimize is imported where an exact joint W1 is first solved."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, mfglab.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_negative_seed_option_is_usage_error(runner, tmp_path):

@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfglab import (
     ConfigurationError,
@@ -18,7 +20,16 @@ from mfglab import (
     make_terminal,
     solve_eps_system,
 )
-from mfglab.io import atomic_write_text, curve_csv, flow_csv, value_csv, write_solution_dir
+from mfglab.config import GRID_MEMORY_BUDGET
+from mfglab.io import (
+    FLOAT_FMT,
+    _slots,
+    atomic_write_text,
+    curve_csv,
+    flow_csv,
+    value_csv,
+    write_solution_dir,
+)
 from mfglab.measures import ParticleEnsemble
 from mfglab.model import LagrangianSpec, TerminalCost
 from mfglab.trajectory import Curve
@@ -70,6 +81,17 @@ def test_invalid_values_rejected():
         RunConfig.from_dict({"sweep": {"eps_ladder": [0.1, 0.2]}})
     with pytest.raises(ConfigurationError, match="measure kind"):
         RunConfig.from_dict({"measure": {"kind": "points"}})
+
+
+def test_grid_memory_budget():
+    with pytest.raises(ConfigurationError, match="budget"):
+        RunConfig.from_dict({"grid": {"N_x": 1e12}})
+    with pytest.raises(ConfigurationError, match="budget"):
+        RunConfig.from_dict({"grid": {"N_t": 10**6, "N_x": 1001, "N_v": 1001}})
+    # the largest grid the benchmark solves (lq_grid) stays well inside it
+    cfg = RunConfig.from_dict({"grid": {"N_x": 321, "N_v": 251, "N_t": 201, "N_a": 41}})
+    g = cfg.grid
+    assert g["N_x"] * g["N_v"] * (8 * g["N_t"] + 60 * g["N_a"]) < GRID_MEMORY_BUDGET / 10
 
 
 def test_from_file(tmp_path):
@@ -143,6 +165,7 @@ def test_flow_csv_marginal_nan_velocity():
     joint = MeasureFlow(t, X, X + 1.0, np.array([0.5, 0.5]))
     lines = flow_csv(joint).strip().split("\n")
     assert lines[1].split(",")[2] == "1"
+    assert flow_csv(MeasureFlow(t, np.zeros((3, 0)), None, np.zeros(0))) == "t,x,v,w\n"
 
 
 def _row_formatted_csv(header, columns):
@@ -189,6 +212,51 @@ def test_csv_bytes_equal_row_formatter():
     assert curve_csv(curve) == _row_formatted_csv(
         "t,gamma,dgamma,ddgamma", (curve.t, curve.x, curve.velocity, curve.acceleration)
     )
+
+
+def _formatted(a):
+    """The strings `_slots` lays out for the entries of `a`."""
+    return [row.tobytes().replace(b"\0", b"").decode() for row in _slots(a)]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    bits=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=64),
+    fixed=st.lists(st.floats(min_value=-1e16, max_value=1e16, exclude_max=True), max_size=64),
+)
+def test_slots_equal_float_fmt_on_raw_bit_patterns(bits, fixed):
+    """Every float64, subnormals, signed zeros, nan and infinities included;
+    `fixed` adds values from the fixed-notation range, which raw bit patterns
+    reach about once in thirty draws."""
+    x = np.concatenate([np.array(bits, dtype=np.uint64).view(np.float64), fixed])
+    assert _formatted(x) == [FLOAT_FMT % v for v in x.tolist()]
+
+
+def _decade_edges():
+    """Powers of ten from 1e-6 to 1e18 with both neighbouring doubles."""
+    p = np.array([float(10**k) for k in range(19)] + [10.0**-k for k in range(1, 7)])
+    return np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)])
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        pytest.param([9.9999999999999995e-05, 9.9999999999999995e-03, 0.099999999999999992],
+                     id="decade-round-ups"),
+        pytest.param([1e-4, np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0)], id="range-low-end"),
+        pytest.param([1e16, np.nextafter(1e16, 0.0), 9999999999999998.0, 1e15 + 0.5],
+                     id="range-high-end"),
+        pytest.param([0.1, 1.0 / 3.0, 2.0 / 3.0, 0.5, 1.0 + 2.0**-17, 1.0 - 2.0**-53],
+                     id="fractions-and-ties"),
+        pytest.param(_decade_edges(), id="powers-of-ten"),
+        pytest.param([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e300, -np.inf, np.nan],
+                     id="written-by-float-fmt"),
+    ],
+)
+def test_slots_named_cases(values):
+    values = np.array(values, dtype=float)
+    values = np.concatenate([values, -values])
+    assert _formatted(values) == [FLOAT_FMT % v for v in values.tolist()]
 
 
 def test_curve_csv_columns():

@@ -99,8 +99,9 @@ def test_regular_grid_rejects_negative_extent(kw):
 
 def test_acceleration_requires_positive_eps_and_cfl():
     spec = make_lagrangian("quadratic")
-    with pytest.raises(InvalidInputError):
-        solve_hjb_acceleration(SMALL, spec, None, ZERO_G, 0.0)
+    for eps in (0.0, np.nan, np.inf):
+        with pytest.raises(InvalidInputError, match="eps must be positive"):
+            solve_hjb_acceleration(SMALL, spec, None, ZERO_G, eps)
     with pytest.raises(ConfigurationError):
         solve_hjb_acceleration(
             SMALL, spec, None, ZERO_G, 0.1, ControlSet.symmetric(1e4, 5)

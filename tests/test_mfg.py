@@ -64,8 +64,9 @@ def test_transport_mass_conservation_and_validation():
     field = _phase_field(lambda x, v: np.zeros_like(x + v), SMALL, 0.1)
     flow = transport_eps(mu0, field, 0.1)
     assert flow.weights is mu0.weights or np.allclose(flow.weights, mu0.weights)
-    with pytest.raises(InvalidInputError):
-        transport_eps(mu0, field, 0.0)
+    for eps in (0.0, np.nan, np.inf):
+        with pytest.raises(InvalidInputError, match="eps must be positive"):
+            transport_eps(mu0, field, eps)
 
 
 def test_transport_box_exit_names_particle():
@@ -279,6 +280,13 @@ def test_eps_system_requires_velocities(kappa_c, monkeypatch):
     mu0 = ParticleEnsemble(lattice_ensemble(64).positions)
     with pytest.raises(InvalidInputError, match="must carry velocities"):
         solve_eps_system(spec, ZERO_G, SMALL, mu0, 0.1)
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.1, np.nan, np.inf])
+def test_solve_eps_system_rejects_eps_outside_positive_reals(eps):
+    spec = make_lagrangian("quadratic")
+    with pytest.raises(InvalidInputError, match="eps must be positive and finite"):
+        solve_eps_system(spec, ZERO_G, SMALL, lattice_ensemble(16), eps)
 
 
 @pytest.mark.parametrize("max_iter", [0, -1])

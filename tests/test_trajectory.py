@@ -250,8 +250,24 @@ def test_connecting_curve_coefficients():
 def test_connecting_curve_trivial_and_validation():
     sigma = connecting_curve(1.2, 0.0, 0.0, 0.01)
     assert np.allclose(sigma.x, 1.2, atol=0.0)
-    with pytest.raises(InvalidInputError):
-        connecting_curve(0.0, 1.0, 0.0, 0.0)
+    for eps in (0.0, np.nan, np.inf):
+        with pytest.raises(InvalidInputError, match="eps must be positive"):
+            connecting_curve(0.0, 1.0, 0.0, eps)
+
+
+@pytest.mark.parametrize(
+    "eps, x, v, message",
+    [
+        (np.nan, 0.0, 0.0, "eps must be nonnegative and finite"),
+        (np.inf, 0.0, 0.0, "eps must be nonnegative and finite"),
+        (0.1, np.nan, 0.0, "start point"),
+        (0.0, -np.inf, 0.0, "start point"),
+        (0.1, 0.0, np.nan, "start point"),
+    ],
+)
+def test_direct_rejects_non_finite_input(eps, x, v, message):
+    with pytest.raises(InvalidInputError, match=message):
+        minimize_direct(eps, x, v, QUADRATIC, None, ZERO_G)
 
 
 def test_energy_and_accel_energy():
@@ -295,8 +311,12 @@ def test_energy_bound_of_minimizers():
 
 
 def test_bvp_validation():
-    with pytest.raises(InvalidInputError):
-        solve_el_bvp(0.0, 0.0, 0.0, QUADRATIC, None, ZERO_G)
+    for eps in (0.0, np.nan, np.inf):
+        with pytest.raises(InvalidInputError, match="finite eps > 0"):
+            solve_el_bvp(eps, 0.0, 0.0, QUADRATIC, None, ZERO_G)
+    for x, v in ((np.nan, 0.0), (0.0, np.inf)):
+        with pytest.raises(InvalidInputError, match="start point"):
+            solve_el_bvp(0.1, x, v, QUADRATIC, None, ZERO_G)
     with pytest.raises(UnsupportedModelError):
         solve_el_bvp(0.1, 0.0, 0.0, make_lagrangian("quartic"), None, ZERO_G)
     with pytest.raises(InvalidInputError):
