@@ -19,12 +19,12 @@ the full computation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from . import io
 from .errors import ConfigurationError, InvalidInputError, NumericalError, TransportError
 from .hjb import ControlSet, PhaseGrid, ValueField, gradient_x
 from .measures import (
@@ -298,20 +298,11 @@ class ConvergenceReport:
     rates: dict  # column -> RateFit._asdict()
 
     def to_csv(self) -> str:
-        lines = [",".join(REPORT_COLUMNS)]
-        for row in self.rows:
-            cells = []
-            for col in REPORT_COLUMNS:
-                val = row[col]
-                if isinstance(val, (bool, np.bool_, int, np.integer)):
-                    cells.append(str(int(val)))
-                else:
-                    cells.append("%.17g" % float(val))
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        columns = [[row[col] for row in self.rows] for col in REPORT_COLUMNS]
+        return io.table_csv(",".join(REPORT_COLUMNS), len(self.rows), columns)
 
     def rates_json(self) -> str:
-        return json.dumps(self.rates, indent=2, sort_keys=True) + "\n"
+        return io.json_text(self.rates)
 
 
 def _nan_row(eps):

@@ -1,12 +1,12 @@
-"""Batch front door: config ingestion, run orchestration, artifact emission.
+"""Batch front door: config ingestion and run orchestration; `io` writes every artifact.
 
 Exit codes: 0 success, 2 configuration or validation error, 3 solver
-non-convergence (artifacts are still written).
+non-convergence (artifacts are still written). --out is created once the config
+and options are valid and before any solve; an unusable --out exits 2 there.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import sys
@@ -24,6 +24,11 @@ EXIT_CONFIG = 2
 EXIT_NOCONV = 3
 
 
+def _fail(message):
+    click.echo(message, err=True)
+    sys.exit(EXIT_CONFIG)
+
+
 def _build(ctx):
     """The run config and the objects it builds; any bad value exits EXIT_CONFIG."""
     path = ctx.obj["config_path"]
@@ -34,19 +39,27 @@ def _build(ctx):
             cfg.build_controls(), cfg.build_mu0(seed=ctx.obj["seed"]),
         )
     except MFGLabError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+        _fail(f"config error: {exc}")
+
+
+def _out_dir(ctx):
+    """Create --out and return it; a path that cannot be a directory exits EXIT_CONFIG."""
+    try:
+        io.make_dir(ctx.obj["out_dir"])
+    except OSError as exc:
+        _fail(f"output error: {exc}")
+    return ctx.obj["out_dir"]
 
 
 def _solve_and_write(ctx, cfg, label, solver, *args):
     """Run solver(*args) with the configured solver settings, write the solution
     directory, and exit EXIT_NOCONV when the solve did not converge."""
+    out = _out_dir(ctx)
     try:
         sol = solver(*args, **cfg.solver)
     except MFGLabError as exc:
-        click.echo(f"solve failed: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    io.write_solution_dir(ctx.obj["out_dir"], sol, cfg.to_dict())
+        _fail(f"solve failed: {exc}")
+    io.write_solution_dir(out, sol, cfg.to_dict())
     click.echo(f"{label}: {sol.iterations} iterations, gap={sol.fixed_point_gap:.3e}")
     if not sol.converged:
         sys.exit(EXIT_NOCONV)
@@ -76,8 +89,7 @@ def main(ctx, config_path, out_dir, seed):
 def cmd_solve_eps(ctx, eps):
     """Solve the acceleration-penalized system at one eps."""
     if eps <= 0:
-        click.echo("eps must be positive; use solve-limit for the eps = 0 system", err=True)
-        sys.exit(EXIT_CONFIG)
+        _fail("eps must be positive; use solve-limit for the eps = 0 system")
     cfg, spec, g, grid, controls, mu0 = _build(ctx)
     _solve_and_write(ctx, cfg, f"eps={eps}", solve_eps_system, spec, g, grid, mu0, eps, controls)
 
@@ -97,16 +109,14 @@ def cmd_solve_limit(ctx, kind):
 def cmd_sweep(ctx):
     """Run the eps ladder against the limit solution and write report.csv / rates.json."""
     cfg, spec, g, grid, controls, mu0 = _build(ctx)
+    out = _out_dir(ctx)
     try:
         report = analysis.run_sweep(
             cfg.build_plan(), spec, g, grid, mu0,
             variant=cfg.sweep["variant"], controls=controls, **cfg.solver,
         )
     except MFGLabError as exc:
-        click.echo(f"sweep failed: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    out = ctx.obj["out_dir"]
-    os.makedirs(out, exist_ok=True)
+        _fail(f"sweep failed: {exc}")
     io.atomic_write_text(os.path.join(out, "report.csv"), report.to_csv())
     io.atomic_write_text(os.path.join(out, "rates.json"), report.rates_json())
     flagged = sum(1 for r in report.rows if not r["converged"])
@@ -122,15 +132,12 @@ def cmd_traj(ctx, eps, x0, v0):
     """Emit the direct-minimizer curve and, for eps > 0, the stationarity BVP curve."""
     cfg, spec, g, grid, controls, mu0 = _build(ctx)
     if abs(x0) > grid.R_x or abs(v0) > grid.R_v:
-        click.echo(f"start point ({x0}, {v0}) lies outside the grid box", err=True)
-        sys.exit(EXIT_CONFIG)
-    out = ctx.obj["out_dir"]
-    os.makedirs(out, exist_ok=True)
+        _fail(f"start point ({x0}, {v0}) lies outside the grid box")
+    out = _out_dir(ctx)
     try:
         direct = minimize_direct(eps, x0, v0, spec, None, g, T=grid.T)
     except MFGLabError as exc:
-        click.echo(f"trajectory solve failed: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+        _fail(f"trajectory solve failed: {exc}")
     io.atomic_write_text(os.path.join(out, "direct.csv"), io.curve_csv(direct.curve))
     meta = {
         "eps": eps, "x": x0, "v": v0,
@@ -151,7 +158,7 @@ def cmd_traj(ctx, eps, x0, v0):
         )
         ok = ok and bvp.converged
         click.echo(f"cost gap |direct - bvp| = {meta['cost_gap']:.3e}")
-    io.atomic_write_text(os.path.join(out, "traj.json"), json.dumps(meta, indent=2) + "\n")
+    io.atomic_write_text(os.path.join(out, "traj.json"), io.json_text(meta))
     if not ok:
         sys.exit(EXIT_NOCONV)
 
@@ -161,16 +168,14 @@ def cmd_traj(ctx, eps, x0, v0):
 def cmd_audit(ctx):
     """Audit the standing-assumption inequalities of the configured model."""
     cfg, spec, g, grid, controls, mu0 = _build(ctx)
+    out = _out_dir(ctx)
     report = audit_assumptions(spec, g=g)
-    out = ctx.obj["out_dir"]
-    os.makedirs(out, exist_ok=True)
     payload = {"margins": report.margins, "passed": bool(report.passed)}
-    io.atomic_write_text(os.path.join(out, "audit.json"), json.dumps(payload, indent=2) + "\n")
+    io.atomic_write_text(os.path.join(out, "audit.json"), io.json_text(payload))
     for name, margin in sorted(report.margins.items()):
         click.echo(f"{name}: {margin:+.6g}")
     if not report.passed:
-        click.echo("assumption audit failed", err=True)
-        sys.exit(EXIT_CONFIG)
+        _fail("assumption audit failed")
 
 
 if __name__ == "__main__":

@@ -58,6 +58,7 @@ class PhaseGrid:
             raise ConfigurationError("grid axis t must start at 0")
 
     @classmethod
+    @np.errstate(over="ignore", invalid="ignore")  # an overflowing span fails the checks quietly
     def regular(cls, R_x=3.0, R_v=4.0, T=1.0, N_x=101, N_v=81, N_t=201):
         return cls(
             x=np.linspace(-R_x, R_x, N_x),
@@ -107,6 +108,7 @@ class ControlSet:
         object.__setattr__(self, "values", vals)
 
     @classmethod
+    @np.errstate(over="ignore", invalid="ignore")  # an overflowing span fails the checks quietly
     def symmetric(cls, a_max: float, n: int):
         return cls(np.linspace(-a_max, a_max, n))
 

@@ -1,9 +1,9 @@
-"""Artifact serialization: 17-significant-digit CSV and atomic file writes.
+"""Artifact serialization: 17-digit CSV, sorted-key JSON, directories, atomic writes.
 
 Every float is written as `FLOAT_FMT % x` would write it. `_slots` produces
 those characters for a whole array at once; each grid coordinate, time and
 particle weight is formatted once, and only the values that change from row to
-row are formatted per row.
+row are formatted per row. JSON is indented by two, with sorted keys.
 """
 
 from __future__ import annotations
@@ -189,7 +189,7 @@ def _slots(a) -> np.ndarray:
     return out
 
 
-def _csv(header: str, n_rows: int, columns) -> str:
+def table_csv(header: str, n_rows: int, columns) -> str:
     """`header` and `n_rows` rows of comma-separated columns.
 
     A column is an array with one entry per row, formatted a chunk of rows at
@@ -238,6 +238,14 @@ def _csv(header: str, n_rows: int, columns) -> str:
     return "".join(parts)
 
 
+def json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def make_dir(path):
+    os.makedirs(path, exist_ok=True)
+
+
 def atomic_write_text(path, text: str):
     """Write via a temp file in the same directory, then rename."""
     path = os.fspath(path)
@@ -258,25 +266,25 @@ def value_csv(field: ValueField) -> str:
     g = field.grid
     if field.is_phase:
         nodes = [(g.t, g.x.size * g.v.size), (g.x, g.v.size), (g.v, 1)]
-        return _csv("t,x,v,u", g.t.size * g.x.size * g.v.size, [*nodes, field.values])
-    return _csv("t,x,u", g.t.size * g.x.size, [(g.t, g.x.size), (g.x, 1), field.values])
+        return table_csv("t,x,v,u", g.t.size * g.x.size * g.v.size, [*nodes, field.values])
+    return table_csv("t,x,u", g.t.size * g.x.size, [(g.t, g.x.size), (g.x, 1), field.values])
 
 
 def flow_csv(flow: MeasureFlow) -> str:
     """Ensemble rows `t,x,v,w`; marginal flows carry nan in the v column."""
     v = (np.array([np.nan]), 1) if flow.velocities is None else flow.velocities
     columns = [(flow.times, flow.n_particles), flow.positions, v, (flow.weights, 1)]
-    return _csv("t,x,v,w", flow.positions.size, columns)
+    return table_csv("t,x,v,w", flow.positions.size, columns)
 
 
 def curve_csv(curve: Curve) -> str:
     columns = [curve.t, curve.x, curve.velocity, curve.acceleration]
-    return _csv("t,gamma,dgamma,ddgamma", curve.t.size, columns)
+    return table_csv("t,gamma,dgamma,ddgamma", curve.t.size, columns)
 
 
 def write_solution_dir(out_dir, solution: MFGSolution, config_dict: dict):
     """Write value.csv, flow.csv, meta.json (with the run's config) for a solver run."""
-    os.makedirs(out_dir, exist_ok=True)
+    make_dir(out_dir)
     atomic_write_text(os.path.join(out_dir, "value.csv"), value_csv(solution.value))
     atomic_write_text(os.path.join(out_dir, "flow.csv"), flow_csv(solution.flow))
     meta = {
@@ -288,6 +296,4 @@ def write_solution_dir(out_dir, solution: MFGSolution, config_dict: dict):
         "converged": bool(solution.converged),
         "config": config_dict,
     }
-    atomic_write_text(
-        os.path.join(out_dir, "meta.json"), json.dumps(meta, indent=2, sort_keys=True) + "\n"
-    )
+    atomic_write_text(os.path.join(out_dir, "meta.json"), json_text(meta))

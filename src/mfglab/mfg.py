@@ -11,6 +11,7 @@ feedback velocities attached by one more transport.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -135,48 +136,42 @@ _RESTART = 2.0  # the history is cleared when |r| exceeds this times the best |r
 class _Anderson:
     """Safeguarded type-II Anderson mixing of particle positions.
 
-    The differences of successive iterates and residuals live in float32 ring
-    buffers; the iterate, the residual and the stopping gap stay float64, so
-    the history's precision changes the speed, never the certified residual.
-    Row `head` holds the pending pair: the last step and the last residual,
-    which the next residual turns into a residual difference.
+    The difference pairs of iterates and residuals are kept newest first in
+    float32, and `pending` holds the last step and residual until the next
+    residual completes them. The iterate, the residual and the stopping gap
+    stay float64, so float32 changes the speed, never the certified residual.
     """
 
-    def __init__(self, n: int):
-        self.dx = np.empty((_MEMORY, n), dtype=np.float32)
-        self.dr = np.empty((_MEMORY, n), dtype=np.float32)
-        self.size = 0  # complete difference pairs
-        self.head = 0
-        self.pending = False
+    def __init__(self):
+        self.dx, self.dr = deque(maxlen=_MEMORY), deque(maxlen=_MEMORY)
+        self.pending = None
         self.best = np.inf
 
     def step(self, x, r):
         """The next iterate from iterate x and its residual r = T(x) - x (flat float64)."""
         norm = float(np.linalg.norm(r))
         if norm > _RESTART * self.best:
-            self.size = 0
+            self.dx.clear()
+            self.dr.clear()
         elif self.pending:
-            np.subtract(r, self.dr[self.head], out=self.dr[self.head], casting="same_kind")
-            self.head = (self.head + 1) % _MEMORY
-            self.size = min(self.size + 1, _MEMORY)
+            dx, dr = self.pending
+            self.dx.appendleft(dx)
+            self.dr.appendleft(np.subtract(r, dr, out=dr, casting="same_kind"))
         self.best = min(self.best, norm)
         dx = _MIXING * r
-        if self.size:
-            rows = [(self.head - 1 - i) % _MEMORY for i in range(self.size)]
-            gram = np.empty((self.size, self.size))
-            rhs = np.empty(self.size)
-            for i, ri in enumerate(rows):
-                dri = self.dr[ri].astype(np.float64)
+        if self.dr:
+            n = len(self.dr)
+            gram, rhs = np.empty((n, n)), np.empty(n)
+            for i, dri in enumerate(self.dr):
+                dri = dri.astype(np.float64)
                 rhs[i] = dri @ r
-                for j, rj in enumerate(rows[: i + 1]):
-                    gram[i, j] = gram[j, i] = dri @ self.dr[rj].astype(np.float64)
+                for j in range(i + 1):
+                    gram[i, j] = gram[j, i] = dri @ self.dr[j].astype(np.float64)
             gamma = np.linalg.lstsq(gram, rhs, rcond=None)[0]
-            for ri, c in zip(rows, gamma):
-                dx -= c * self.dx[ri]
-                dx -= (_MIXING * c) * self.dr[ri]
-        self.dx[self.head] = dx
-        self.dr[self.head] = r
-        self.pending = True
+            for dxi, dri, c in zip(self.dx, self.dr, gamma):
+                dx -= c * dxi
+                dx -= (_MIXING * c) * dri
+        self.pending = (dx.astype(np.float32), r.astype(np.float32))
         return x + dx
 
 
@@ -200,7 +195,7 @@ def _picard(spec, solve_value, transport, init_flow, tol_fp, max_iter, kind, r_x
         u = solve_value(None)
         return MFGSolution(u, transport(u), 1, 0.0, (0.0,), True, kind)
     flow = init_flow()
-    mixer = _Anderson(flow.positions.size)
+    mixer = _Anderson()
     history, best, best_u = [], np.inf, None
     for it in range(1, max_iter + 1):
         u = solve_value(flow)

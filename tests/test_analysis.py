@@ -28,7 +28,7 @@ from mfglab import (
     velocity_oscillation,
 )
 from mfglab import analysis
-from mfglab.analysis import REPORT_COLUMNS, energy_constant, holder_constant
+from mfglab.analysis import REPORT_COLUMNS, ConvergenceReport, energy_constant, holder_constant
 from mfglab.measures import MeasureFlow, ParticleEnsemble, _w1_quantile, wasserstein1_joint
 
 SMALL = PhaseGrid.regular(N_x=41, N_v=31, N_t=51)
@@ -363,6 +363,31 @@ def test_run_sweep_classical_report():
     assert len(lines) == 4
     rates = json.loads(report.rates_json())
     assert "slope" in rates["osc_v"]
+
+
+def _report_cell(val):
+    """Reference: integers and booleans as integers, every other value as %.17g."""
+    if isinstance(val, (bool, np.bool_, int, np.integer)):
+        return str(int(val))
+    return "%.17g" % float(val)
+
+
+def test_report_csv_equals_cell_formatter():
+    edge = dict(zip(REPORT_COLUMNS[1:5], (-0.0, 1e-300, 1e300, 1.0 / 3.0)))
+    rows = (
+        analysis._nan_row(0.5),  # a failed rung
+        dict.fromkeys(REPORT_COLUMNS, 0.0) | edge | {
+            "eps": 0.2, "lemma41_ok": np.bool_(True), "iters": 17, "converged": True
+        },
+        dict.fromkeys(REPORT_COLUMNS, -2.5) | {
+            "eps": 0.1, "lemma41_ok": False, "iters": np.int64(40), "converged": np.bool_(False)
+        },
+    )
+    report = ConvergenceReport(rows, {})
+    expected = [",".join(REPORT_COLUMNS)]
+    expected += [",".join(_report_cell(row[c]) for c in REPORT_COLUMNS) for row in rows]
+    assert report.to_csv() == "\n".join(expected) + "\n"
+    assert ConvergenceReport((), {}).to_csv() == ",".join(REPORT_COLUMNS) + "\n"
 
 
 def test_run_sweep_control_variant():

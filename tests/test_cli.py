@@ -11,9 +11,13 @@ from click.testing import CliRunner
 from mfglab import (
     RunConfig,
     acceleration_controls,
+    audit_assumptions,
+    eval_cost,
+    minimize_direct,
     run_sweep,
     solve_eps_system,
     solve_limit_classical,
+    solve_el_bvp,
     solve_mfg_of_control,
     sup_marginal_gap,
     sup_value_gap,
@@ -197,6 +201,68 @@ def test_audit_passes_for_default_model(runner, tmp_path):
     payload = json.loads((out / "audit.json").read_text())
     assert payload["passed"] is True
     assert payload["margins"]
+
+
+def test_traj_and_audit_json_hold_the_api_values_with_sorted_keys(runner, tmp_path):
+    path = _write_cfg(tmp_path)
+    cfg = RunConfig.from_file(path)
+    spec, g, T = cfg.build_spec(), cfg.build_terminal(), cfg.build_grid().T
+    out = tmp_path / "out"
+    traj = ["traj", "--eps", "0.1", "--x", "1.0", "--v", "0.5"]
+    res = runner.invoke(main, ["--config", path, "--out", str(out)] + traj)
+    assert res.exit_code == 0, res.output
+    direct = minimize_direct(0.1, 1.0, 0.5, spec, None, g, T=T)
+    bvp = solve_el_bvp(0.1, 1.0, 0.5, spec, None, g, T=T)
+    bvp_cost = eval_cost(bvp.curve, 0.1, spec, None, g)
+    expected = {
+        "eps": 0.1, "x": 1.0, "v": 0.5,
+        "direct_cost": direct.cost,
+        "direct_grad_norm": direct.grad_norm,
+        "direct_converged": bool(direct.converged),
+        "bvp_cost": bvp_cost,
+        "bvp_residual": bvp.residual_norm,
+        "bvp_converged": bool(bvp.converged),
+        "cost_gap": abs(direct.cost - bvp_cost),
+    }
+    text = (out / "traj.json").read_text()
+    assert json.loads(text) == expected
+    assert text == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+    res = runner.invoke(main, ["--config", path, "--out", str(out), "audit"])
+    assert res.exit_code == 0, res.output
+    report = audit_assumptions(spec, g=g)
+    expected = {"margins": report.margins, "passed": bool(report.passed)}
+    text = (out / "audit.json").read_text()
+    assert json.loads(text) == expected
+    assert text == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+# each command with the function, as mfglab.cli reaches it, that starts its work
+COMMAND_SOLVERS = [
+    pytest.param(["solve-eps", "--eps", "0.2"], "solve_eps_system", id="solve-eps"),
+    pytest.param(["solve-limit"], "solve_limit_classical", id="solve-limit"),
+    pytest.param(["sweep"], "analysis.run_sweep", id="sweep"),
+    pytest.param(["traj", "--eps", "0.1", "--x", "1", "--v", "0.5"], "minimize_direct", id="traj"),
+    pytest.param(["audit"], "audit_assumptions", id="audit"),
+]
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+@pytest.mark.parametrize("command, solver", COMMAND_SOLVERS)
+def test_unusable_out_exits_before_any_solve(runner, tmp_path, monkeypatch, command, solver, below):
+    def never(*args, **kwargs):
+        raise AssertionError("solved before the output directory was made")
+
+    monkeypatch.setattr(f"mfglab.cli.{solver}", never)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file\n")
+    out = blocker / "out" if below else blocker
+    res = runner.invoke(main, ["--config", _write_cfg(tmp_path), "--out", str(out)] + command)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "output error: " in res.output
+    assert "Traceback" not in res.output
+    assert blocker.read_text() == "a regular file\n"
 
 
 def test_bad_config_rejected(runner, tmp_path):

@@ -2,6 +2,7 @@
 
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +96,22 @@ def test_grid_axes_must_be_uniform_symmetric_and_start_at_zero(axes, message):
 def test_regular_grid_rejects_negative_extent(kw):
     with pytest.raises(ConfigurationError, match="must be increasing"):
         PhaseGrid.regular(**kw)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: PhaseGrid.regular(R_x=1e308), "grid axis x must be increasing and uniform"),
+        (lambda: PhaseGrid.regular(R_v=1e308), "grid axis v must be increasing and uniform"),
+        (lambda: ControlSet.symmetric(1e308, 21), "control values must be strictly increasing"),
+    ],
+    ids=["R_x", "R_v", "a_max"],
+)
+def test_overflowing_extent_is_config_error_without_warning(build, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match=message):
+            build()
 
 
 def test_acceleration_requires_positive_eps_and_cfl():

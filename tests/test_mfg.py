@@ -24,7 +24,8 @@ from mfglab import (
 )
 from mfglab.hjb import gradient_x, interp_slice_x, solve_hjb_acceleration
 from mfglab.measures import ParticleEnsemble, sup_w1_marginal
-from mfglab.mfg import free_transport_flow
+from mfglab import mfg
+from mfglab.mfg import _MEMORY, _MIXING, _RESTART, _Anderson, free_transport_flow
 from mfglab.model import optimal_velocity_field
 
 from oracles import continuity_residuals, lq_limit_feedback, lq_limit_path
@@ -287,6 +288,90 @@ def test_solve_eps_system_rejects_eps_outside_positive_reals(eps):
     spec = make_lagrangian("quadratic")
     with pytest.raises(InvalidInputError, match="eps must be positive and finite"):
         solve_eps_system(spec, ZERO_G, SMALL, lattice_ensemble(16), eps)
+
+
+class _RingAnderson:
+    """Reference: the Anderson mixer with its history in float32 ring buffers,
+    row `head` holding the pending pair."""
+
+    def __init__(self):
+        self.dx = self.dr = None
+        self.size = 0  # complete difference pairs
+        self.head = 0
+        self.pending = False
+        self.best = np.inf
+
+    def step(self, x, r):
+        if self.dx is None:
+            self.dx = np.empty((_MEMORY, r.size), dtype=np.float32)
+            self.dr = np.empty((_MEMORY, r.size), dtype=np.float32)
+        norm = float(np.linalg.norm(r))
+        if norm > _RESTART * self.best:
+            self.size = 0
+        elif self.pending:
+            np.subtract(r, self.dr[self.head], out=self.dr[self.head], casting="same_kind")
+            self.head = (self.head + 1) % _MEMORY
+            self.size = min(self.size + 1, _MEMORY)
+        self.best = min(self.best, norm)
+        dx = _MIXING * r
+        if self.size:
+            rows = [(self.head - 1 - i) % _MEMORY for i in range(self.size)]
+            gram = np.empty((self.size, self.size))
+            rhs = np.empty(self.size)
+            for i, ri in enumerate(rows):
+                dri = self.dr[ri].astype(np.float64)
+                rhs[i] = dri @ r
+                for j, rj in enumerate(rows[: i + 1]):
+                    gram[i, j] = gram[j, i] = dri @ self.dr[rj].astype(np.float64)
+            gamma = np.linalg.lstsq(gram, rhs, rcond=None)[0]
+            for ri, c in zip(rows, gamma):
+                dx -= c * self.dx[ri]
+                dx -= (_MIXING * c) * self.dr[ri]
+        self.dx[self.head] = dx
+        self.dr[self.head] = r
+        self.pending = True
+        return x + dx
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_anderson_matches_ring_reference_through_restarts(seed):
+    """Residuals of a noisy contraction whose norm jumps every 13 steps, so the
+    history fills, drops its oldest pairs and is cleared by restarts."""
+    rng = np.random.default_rng(seed)
+    n = 50
+    A = 0.6 * rng.normal(size=(n, n)) / np.sqrt(n)
+    b = rng.normal(size=n)
+    mixer, ring = _Anderson(), _RingAnderson()
+    x = rng.normal(size=n)
+    restarts = full = 0
+    for k in range(40):
+        r = A @ x + b - x + 1e-3 * rng.normal(size=n)
+        if k % 13 == 12:
+            r *= 10.0  # above _RESTART times the best residual
+        held = len(mixer.dr)
+        nxt = mixer.step(x, r)
+        assert np.array_equal(nxt, ring.step(x, r))
+        restarts += held > 0 and len(mixer.dr) == 0
+        assert len(mixer.dr) == ring.size
+        full += len(mixer.dr) == _MEMORY
+        x = nxt
+    assert restarts > 0 and full > 1
+
+
+@pytest.mark.parametrize("driver", [solve_eps_system, solve_limit_classical])
+def test_coupled_solve_equals_ring_reference(driver, monkeypatch):
+    """More Picard iterations than the history holds, bit for bit."""
+    spec = make_lagrangian("quadratic", kappa_c=8.0)
+    args = (spec, ZERO_G, SMALL, gaussian_ensemble(64))
+    args += (0.05,) if driver is solve_eps_system else ()
+    sol = driver(*args, max_iter=9)
+    monkeypatch.setattr(mfg, "_Anderson", _RingAnderson)
+    ref = driver(*args, max_iter=9)
+    assert sol.iterations == ref.iterations > _MEMORY + 1
+    assert sol.gap_history == ref.gap_history
+    assert np.array_equal(sol.value.values, ref.value.values)
+    assert np.array_equal(sol.flow.positions, ref.flow.positions)
+    assert np.array_equal(sol.flow.velocities, ref.flow.velocities)
 
 
 @pytest.mark.parametrize("max_iter", [0, -1])
