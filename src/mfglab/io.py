@@ -4,6 +4,10 @@ Every float is written as `FLOAT_FMT % x` would write it. `_slots` produces
 those characters for a whole array at once; each grid coordinate, time and
 particle weight is formatted once, and only the values that change from row to
 row are formatted per row. JSON is indented by two, with sorted keys.
+
+The module imports nothing from the package: the writers read the attributes
+of the result objects they are given (`ValueField`, `MeasureFlow`, `Curve`,
+`MFGSolution`).
 """
 
 from __future__ import annotations
@@ -13,11 +17,6 @@ import os
 import tempfile
 
 import numpy as np
-
-from .hjb import ValueField
-from .measures import MeasureFlow
-from .mfg import MFGSolution
-from .trajectory import Curve
 
 FLOAT_FMT = "%.17g"
 
@@ -262,7 +261,8 @@ def atomic_write_text(path, text: str):
         raise
 
 
-def value_csv(field: ValueField) -> str:
+def value_csv(field) -> str:
+    """`ValueField` rows `t,x,v,u` (phase field) or `t,x,u` (limit field)."""
     g = field.grid
     if field.is_phase:
         nodes = [(g.t, g.x.size * g.v.size), (g.x, g.v.size), (g.v, 1)]
@@ -270,20 +270,21 @@ def value_csv(field: ValueField) -> str:
     return table_csv("t,x,u", g.t.size * g.x.size, [(g.t, g.x.size), (g.x, 1), field.values])
 
 
-def flow_csv(flow: MeasureFlow) -> str:
-    """Ensemble rows `t,x,v,w`; marginal flows carry nan in the v column."""
+def flow_csv(flow) -> str:
+    """`MeasureFlow` rows `t,x,v,w`; marginal flows carry nan in the v column."""
     v = (np.array([np.nan]), 1) if flow.velocities is None else flow.velocities
     columns = [(flow.times, flow.n_particles), flow.positions, v, (flow.weights, 1)]
     return table_csv("t,x,v,w", flow.positions.size, columns)
 
 
-def curve_csv(curve: Curve) -> str:
+def curve_csv(curve) -> str:
+    """`Curve` rows `t,gamma,dgamma,ddgamma`."""
     columns = [curve.t, curve.x, curve.velocity, curve.acceleration]
     return table_csv("t,gamma,dgamma,ddgamma", curve.t.size, columns)
 
 
-def write_solution_dir(out_dir, solution: MFGSolution, config_dict: dict):
-    """Write value.csv, flow.csv, meta.json (with the run's config) for a solver run."""
+def write_solution_dir(out_dir, solution, config_dict: dict):
+    """Write value.csv, flow.csv, meta.json (with the run's config) for an `MFGSolution`."""
     make_dir(out_dir)
     atomic_write_text(os.path.join(out_dir, "value.csv"), value_csv(solution.value))
     atomic_write_text(os.path.join(out_dir, "flow.csv"), flow_csv(solution.flow))

@@ -5,7 +5,8 @@ measure flow produced by the solvers is the image of the initial ensemble under
 a characteristic flow, which particles realize without numerical diffusion.
 
 The coupling term is a Gaussian kernel smoothing of a position marginal.
-`kernel_smooth` and its derivatives sum over the particles exactly. The HJB
+`kernel_smooth(..., order)` gives it (order 0) and its first and second
+x-derivatives (orders 1 and 2) as exact sums over the particles. The HJB
 solvers need it at every grid node and time step, so they first deposit the
 flow on the uniform lattice of the x grid by `linear_binning` and sum over the
 lattice nodes instead (binned kernel estimation: Wand, J. Comput. Graph.
@@ -157,14 +158,13 @@ def _w1_quantile(xa, wa, xb, wb):
     ib = np.argsort(xb, kind="stable")
     xa, wa = xa[ia], wa[ia]
     xb, wb = xb[ib], wb[ib]
-    ca = np.cumsum(wa)[:-1]
-    cb = np.cumsum(wb)[:-1]
+    ca, cb = np.cumsum(wa), np.cumsum(wb)
     # common refinement of both cumulative-weight partitions of [0, 1]
-    levels = np.concatenate(([0.0], np.sort(np.concatenate((ca, cb))), [1.0]))
+    levels = np.concatenate(([0.0], np.sort(np.concatenate((ca[:-1], cb[:-1]))), [1.0]))
     seg = np.diff(levels)
     mids = 0.5 * (levels[:-1] + levels[1:])
-    qa = xa[np.searchsorted(np.cumsum(wa), mids, side="left").clip(0, xa.size - 1)]
-    qb = xb[np.searchsorted(np.cumsum(wb), mids, side="left").clip(0, xb.size - 1)]
+    qa = xa[np.searchsorted(ca, mids, side="left").clip(0, xa.size - 1)]
+    qb = xb[np.searchsorted(cb, mids, side="left").clip(0, xb.size - 1)]
     return float(np.sum(seg * np.abs(qa - qb)))
 
 
@@ -206,8 +206,9 @@ def wasserstein1_joint(
     """W1 between phase-space ensembles with ground metric |dx| + |dv|.
 
     Exact for supports up to ``n_exact`` points (assignment for uniform weights
-    of equal count, LP otherwise); larger instances fall back to sliced W1 over
-    64 projections at angles drawn with seed 0 and are flagged approximate.
+    of equal count, LP otherwise). Larger instances fall back to sliced W1 over
+    64 projections at angles drawn with seed 0, flagged approximate; for
+    velocity-free ensembles the fallback is the exact quantile W1.
     """
     if a.is_joint != b.is_joint:
         raise InvalidInputError("cannot mix joint and velocity-free ensembles")
@@ -220,7 +221,7 @@ def wasserstein1_joint(
             return W1Result(float(cost[rows, cols].mean()), True)
         if a.size * b.size <= _LP_LIMIT:
             return W1Result(_w1_lp(a, b), True)
-    return W1Result(_w1_sliced(a, b), False)
+    return W1Result(_w1_sliced(a, b), not a.is_joint)
 
 
 def _joint_w1_bounds(
@@ -288,30 +289,19 @@ def _w1_sliced(a, b):
     return total / _N_PROJECTIONS
 
 
-# Gaussian kernel helpers shared with the coupling evaluation.
-
-
-def gaussian_kernel(r, sigma):
-    return np.exp(-0.5 * (r / sigma) ** 2) / (sigma * np.sqrt(2.0 * np.pi))
-
-
-def kernel_smooth(x, positions, weights, sigma):
-    """(rho_sigma * m)(x) for a weighted particle measure m."""
+def kernel_smooth(x, positions, weights, sigma, order=0):
+    """(rho_sigma * m)(x) for a weighted particle measure m, or its first or
+    second x-derivative (order 1 or 2), with rho_sigma the Gaussian kernel."""
+    if order not in (0, 1, 2):
+        raise InvalidInputError(f"kernel order must be 0, 1 or 2, got {order!r}")
     x = np.asarray(x, dtype=float)
     r = x[..., None] - positions
-    return np.sum(weights * gaussian_kernel(r, sigma), axis=-1)
-
-
-def kernel_smooth_dx(x, positions, weights, sigma):
-    x = np.asarray(x, dtype=float)
-    r = x[..., None] - positions
-    return np.sum(weights * gaussian_kernel(r, sigma) * (-r / sigma**2), axis=-1)
-
-
-def kernel_smooth_dxx(x, positions, weights, sigma):
-    x = np.asarray(x, dtype=float)
-    r = x[..., None] - positions
-    return np.sum(weights * gaussian_kernel(r, sigma) * ((r / sigma**2) ** 2 - 1.0 / sigma**2), axis=-1)
+    terms = weights * (np.exp(-0.5 * (r / sigma) ** 2) / (sigma * np.sqrt(2.0 * np.pi)))
+    if order == 1:
+        terms = terms * (-r / sigma**2)
+    elif order == 2:
+        terms = terms * ((r / sigma**2) ** 2 - 1.0 / sigma**2)
+    return np.sum(terms, axis=-1)
 
 
 def linear_binning(flow: MeasureFlow, nodes):

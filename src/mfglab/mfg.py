@@ -48,13 +48,15 @@ class MFGSolution:
 
 
 def _check_box(X, V, grid: PhaseGrid, t):
-    bad = np.abs(X) > grid.R_x
+    bad = ~(np.abs(X) <= grid.R_x)  # NaN coordinates fail too
     if V is not None:
-        bad = bad | (np.abs(V) > grid.R_v)
+        bad |= ~(np.abs(V) <= grid.R_v)
     if np.any(bad):
         i = int(np.argmax(bad))
         raise TransportError(
-            f"particle {i} left the grid box at t={t:.4f}; increase R_x/R_v", t=float(t), particle=i
+            f"particle {i} left the grid box or is not finite at t={t:.4f}; "
+            "if it left the box, increase R_x/R_v",
+            t=float(t), particle=i,
         )
 
 

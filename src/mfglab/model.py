@@ -47,6 +47,7 @@ class LagrangianSpec:
 
     @property
     def is_quadratic_kinetic(self) -> bool:
+        """The guard of the solvers that need the quadratic kinetic term; no number reads it."""
         return self.kinetic_name == "quadratic"
 
     @property
@@ -56,21 +57,16 @@ class LagrangianSpec:
 
     # -- coupling -------------------------------------------------------------
 
-    def _coupling(self, kernel, x, m):
+    def coupling_value(self, x, m, order=0):
+        """coupling_strength * F(x, m) (order 0) or its first or second x-derivative
+        (order 1 or 2); zero when the cost is uncoupled or m is None."""
         if not self.is_coupled or m is None:
             return np.zeros_like(np.asarray(x, dtype=float))
         if not isinstance(m, ParticleEnsemble):
             raise InvalidInputError("measure handle must be a ParticleEnsemble or None")
-        return self.coupling_strength * kernel(x, m.positions, m.weights, self.coupling_sigma)
-
-    def coupling_value(self, x, m):
-        return self._coupling(measures.kernel_smooth, x, m)
-
-    def coupling_dx(self, x, m):
-        return self._coupling(measures.kernel_smooth_dx, x, m)
-
-    def coupling_dxx(self, x, m):
-        return self._coupling(measures.kernel_smooth_dxx, x, m)
+        return self.coupling_strength * measures.kernel_smooth(
+            x, m.positions, m.weights, self.coupling_sigma, order
+        )
 
 
 @dataclass(frozen=True)
@@ -92,14 +88,6 @@ def eval_L0(spec: LagrangianSpec, x, v, m=None):
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
         raise InvalidInputError("positions and velocities must be finite")
     return spec.kinetic(v) + spec.potential(x) + spec.coupling_value(x, m)
-
-
-def eval_L0_dx(spec: LagrangianSpec, x, v, m=None):
-    return spec.potential_d(np.asarray(x, dtype=float)) + spec.coupling_dx(x, m)
-
-
-def eval_L0_dv(spec: LagrangianSpec, x, v):
-    return spec.kinetic_d(np.asarray(v, dtype=float))
 
 
 def _legendre_newton(spec: LagrangianSpec, p):
@@ -135,11 +123,10 @@ def optimal_velocity_field(spec: LagrangianSpec, u_grad_x):
     """Transport velocity b = argmin_v { <p, v> + L0 } at momenta p = D_x u.
 
     For the separable catalog the optimizer depends on p only, so this is one
-    array Newton iteration over the gradient field.
+    array Newton iteration over the gradient field. Its first iterate -p is
+    the quadratic kinetic term's answer, where it stops at residual 0.
     """
     p = np.asarray(u_grad_x, dtype=float)
-    if spec.is_quadratic_kinetic:
-        return -p
     if not np.all(np.isfinite(p)):
         raise InvalidInputError("momenta must be finite")
     v, res = _legendre_newton(spec, p)
@@ -183,8 +170,8 @@ def audit_assumptions(spec: LagrangianSpec, g: TerminalCost | None = None) -> Au
         "convexity": float(np.min(second_diff - 1.0 / spec.M0)),
         "growth_upper": float(np.min(spec.M0 * (1 + vs**2) - l0)),
         "growth_lower": float(np.min(l0 - (vs**2 / spec.M0 - spec.M0))),
-        "grad_x": float(np.min(spec.M0 * (1 + vs**2) - np.abs(eval_L0_dx(spec, xs, vs)))),
-        "grad_v": float(np.min(spec.M0 * (1 + np.abs(vs)) - np.abs(eval_L0_dv(spec, xs, vs)))),
+        "grad_x": float(np.min(spec.M0 * (1 + vs**2) - np.abs(spec.potential_d(xs)))),
+        "grad_v": float(np.min(spec.M0 * (1 + np.abs(vs)) - np.abs(spec.kinetic_d(vs)))),
         "nonnegative": float(np.min(l0)),
     }
     if g is not None:

@@ -122,9 +122,8 @@ class _Functional:
     def _coupling(self, x, order):
         """Coupling value (order 0) or its first or second x-derivative sample-wise."""
         out = np.zeros_like(x)
-        coupling = (self.spec.coupling_value, self.spec.coupling_dx, self.spec.coupling_dxx)[order]
         for sel, m in self.blocks:
-            out[sel] = coupling(x[sel], m)
+            out[sel] = self.spec.coupling_value(x[sel], m, order)
         return out
 
     def cost(self, x) -> float:

@@ -131,6 +131,16 @@ def test_w1_joint_sliced_fallback_flagged():
     assert res.value >= 0
 
 
+def test_w1_joint_fallback_is_exact_without_velocities():
+    # past n_exact a velocity-free pair goes to the quantile W1, which is exact
+    rng = np.random.default_rng(10)
+    a = ParticleEnsemble(rng.normal(size=40))
+    b = ParticleEnsemble(rng.normal(size=30) + 0.5)
+    res = wasserstein1_joint(a, b, n_exact=1)
+    assert res.exact
+    assert res.value == wasserstein1_1d(a, b)
+
+
 _COORD = st.floats(-5.0, 5.0, allow_nan=False)
 
 
@@ -210,6 +220,13 @@ def test_smoothed_density_kernel_value():
     assert kernel_smooth(0.0, m.positions, m.weights, 1.0) == pytest.approx(
         1.0 / np.sqrt(2.0 * np.pi)
     )
+
+
+@pytest.mark.parametrize("order", [-1, 3, 0.5])
+def test_kernel_smooth_rejects_other_orders(order):
+    m = ParticleEnsemble(np.array([0.0]))
+    with pytest.raises(InvalidInputError, match="order"):
+        kernel_smooth(0.0, m.positions, m.weights, 1.0, order)
 
 
 def test_smoothed_density_monte_carlo():

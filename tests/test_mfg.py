@@ -26,7 +26,7 @@ from mfglab.hjb import gradient_x, interp_slice_x, solve_hjb_acceleration
 from mfglab.measures import ParticleEnsemble, sup_w1_marginal
 from mfglab import mfg
 from mfglab.mfg import _MEMORY, _MIXING, _RESTART, _Anderson, free_transport_flow
-from mfglab.model import optimal_velocity_field
+from mfglab.model import TerminalCost, optimal_velocity_field
 
 from oracles import continuity_residuals, lq_limit_feedback, lq_limit_path
 
@@ -77,6 +77,21 @@ def test_transport_box_exit_names_particle():
         transport_eps(mu0, field, 0.1)
     assert err.value.particle == 1
     assert err.value.t is not None
+
+
+def test_nonfinite_particles_fail_the_box_check():
+    # a NaN terminal cost makes NaN velocities, which |v| > R_v alone lets through
+    g = TerminalCost(
+        g=lambda x, m=None: np.where(np.asarray(x) > 0.5, np.nan, 0.0),
+        dg=lambda x, m=None: np.zeros_like(np.asarray(x, dtype=float)),
+        dgg=lambda x, m=None: np.zeros_like(np.asarray(x, dtype=float)),
+    )
+    grid = PhaseGrid.regular(N_x=21, N_v=17, N_t=21)
+    with pytest.raises(TransportError):
+        solve_eps_system(make_lagrangian("quadratic"), g, grid, lattice_ensemble(100), 0.2)
+    with pytest.raises(TransportError) as err:
+        mfg._check_box(np.array([0.0, np.nan]), None, SMALL, 0.5)
+    assert err.value.particle == 1
 
 
 def test_decoupled_system_single_iteration():

@@ -14,7 +14,7 @@ from mfglab import (
     optimal_velocity_field,
 )
 from mfglab.measures import ParticleEnsemble
-from mfglab.model import LagrangianSpec, eval_L0_dv, eval_L0_dx
+from mfglab.model import LagrangianSpec
 
 from oracles import legendre_velocity
 
@@ -152,8 +152,19 @@ def test_analytic_derivatives_match_finite_differences(name):
     for x, v in rng.uniform(-2.0, 2.0, size=(100, 2)):
         fd_x = (eval_L0(spec, x + h, v) - eval_L0(spec, x - h, v)) / (2 * h)
         fd_v = (eval_L0(spec, x, v + h) - eval_L0(spec, x, v - h)) / (2 * h)
-        assert eval_L0_dx(spec, x, v) == pytest.approx(fd_x, rel=1e-6, abs=1e-6)
-        assert eval_L0_dv(spec, x, v) == pytest.approx(fd_v, rel=1e-6, abs=1e-6)
+        assert spec.potential_d(x) == pytest.approx(fd_x, rel=1e-6, abs=1e-6)
+        assert spec.kinetic_d(v) == pytest.approx(fd_v, rel=1e-6, abs=1e-6)
+    # the coupling's x-derivatives (orders 1 and 2) against differences of order 0
+    coupled = make_lagrangian(name, kappa_pot=0.7, kappa_c=0.5)
+    m = ParticleEnsemble(rng.normal(size=30) * 0.6)
+    xs = rng.uniform(-2.0, 2.0, size=100)
+    F = lambda y: coupled.coupling_value(y, m)
+    fd_1 = (F(xs + h) - F(xs - h)) / (2 * h)
+    h2 = 1e-4
+    fd_2 = (F(xs + h2) - 2 * F(xs) + F(xs - h2)) / h2**2
+    assert np.max(np.abs(coupled.coupling_value(xs, m, 1))) > 0.1
+    assert np.allclose(coupled.coupling_value(xs, m, 1), fd_1, rtol=1e-6, atol=1e-6)
+    assert np.allclose(coupled.coupling_value(xs, m, 2), fd_2, rtol=1e-5, atol=1e-5)
 
 
 def test_terminal_catalog():

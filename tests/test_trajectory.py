@@ -237,6 +237,25 @@ def test_el_residual_matches_cost_gradient(model, terminal, kappa_c):
     assert np.max(np.abs(grad - fd)) < 1e-7
 
 
+@pytest.mark.parametrize("model", ["quadratic", "quartic", "cosine"])
+def test_coupled_hessian_matches_gradient_differences(model):
+    # the coupling's second x-derivative enters the Hessian sample by sample
+    g = make_terminal("atan", amplitude=1.5)
+    t = np.linspace(0.0, 1.0, 41)
+    F = _Functional(t, 0.05, make_lagrangian(model, kappa_c=0.5), _drifting_flow(0.5), g)
+    x = 0.3 + 0.8 * np.sin(2.0 * t) - 0.4 * t**2
+    delta = 1e-6
+    fd = np.empty((t.size, t.size))
+    for i in range(t.size):
+        bump = np.zeros_like(x)
+        bump[i] = delta
+        fd[:, i] = (F.grad(x + bump) - F.grad(x - bump)) / (2.0 * delta)
+    H = F.hess(x).toarray()
+    uncoupled = _Functional(t, 0.05, make_lagrangian(model), None, g).hess(x).toarray()
+    assert np.max(np.abs(H - uncoupled)) > 1e-2  # the coupling term is resolved
+    assert np.max(np.abs(H - fd)) < 1e-5
+
+
 def test_connecting_curve_coefficients():
     sigma = connecting_curve(0.0, 1.0, 0.0, 0.04, M=401)
     # B = -10, A = 25: both endpoint identities hold analytically
