@@ -3,7 +3,8 @@
 The penalized problem is solved on a (t, x, v) box with a discrete acceleration
 control set; the limit problems are solved on (t, x) with velocity controls.
 Foot points fall on fixed offsets of the grid, so the multilinear interpolation
-stencils form time-independent sparse operators, built once per solve, and
+stencils form time-independent sparse operators, built once per solve (once
+per eps rung of a coupled Picard loop, as an `AccelerationOperator`), and
 each backward step is a sparse matvec plus a min over controls. Both solvers
 run one backward sweep (`_backward_sweep`) over blocks of controls, each with
 its own operator. The penalized solver makes one contiguous block per CPU of
@@ -272,6 +273,69 @@ def _backward_sweep(grid: PhaseGrid, spec: LagrangianSpec, m_flow, g, blocks, no
     return u
 
 
+@dataclass(frozen=True, eq=False)
+class AccelerationOperator:
+    """The part of an acceleration solve that does not depend on the measure flow
+    or the terminal cost: the control blocks `(S, const)` and the node half of
+    the running cost, for one grid, spec, eps and control set.
+
+    A coupled Picard loop re-solves the same HJB against a new flow at every
+    iteration, so it builds this once (`acceleration_operator`) and passes it to
+    every `solve_hjb_acceleration` call of the rung.
+    """
+
+    grid: PhaseGrid
+    spec: LagrangianSpec
+    eps: float
+    controls: ControlSet
+    blocks: tuple
+    node_running: np.ndarray
+
+    def require(self, grid: PhaseGrid, spec: LagrangianSpec, eps: float, controls: ControlSet | None):
+        """Raise InvalidInputError unless this operator was built for these inputs,
+        `controls=None` standing for `acceleration_controls(grid, eps)`."""
+        same = (
+            eps == self.eps
+            and spec == self.spec
+            and all(np.array_equal(getattr(grid, ax), getattr(self.grid, ax)) for ax in "xvt")
+        )
+        if same:
+            controls = acceleration_controls(grid, eps) if controls is None else controls
+            same = np.array_equal(controls.values, self.controls.values)
+        if not same:
+            raise InvalidInputError(
+                "the acceleration operator was built for another grid, spec, eps or control set"
+            )
+
+
+def acceleration_operator(
+    grid: PhaseGrid, spec: LagrangianSpec, eps: float, controls: ControlSet | None = None
+) -> AccelerationOperator:
+    """Control blocks and node running cost of `solve_hjb_acceleration`.
+
+    The controls (default `acceleration_controls(grid, eps)`) are split into
+    min(CPUs, controls) contiguous blocks whose sizes differ by at most one,
+    each with its own operator, so `_backward_sweep` minimizes one block per
+    CPU at every step.
+    """
+    if not 0 < eps < np.inf:
+        raise InvalidInputError("eps must be positive and finite; use a limit solver for eps = 0")
+    if controls is None:
+        controls = acceleration_controls(grid, eps)
+    if grid.dt * controls.a_max > 10.0 * max(grid.dx, grid.dv):
+        raise ConfigurationError(
+            "time step moves the velocity foot point more than 10 grid cells; refine t or coarsen a"
+        )
+    a = controls.values
+    blocks = tuple(
+        _acceleration_block(grid, spec, eps, a_b)
+        for a_b in np.array_split(a, min(_n_cpus(), a.size))
+    )
+    # trapezoid rule: half the running cost at the node, half at the foot point
+    node_running = 0.5 * spec.kinetic(grid.v)[None, :] + 0.5 * spec.potential(grid.x)[:, None]
+    return AccelerationOperator(grid, spec, eps, controls, blocks, node_running)
+
+
 def solve_hjb_acceleration(
     grid: PhaseGrid,
     spec: LagrangianSpec,
@@ -279,6 +343,7 @@ def solve_hjb_acceleration(
     g: TerminalCost,
     eps: float,
     controls: ControlSet | None = None,
+    operator: AccelerationOperator | None = None,
 ) -> ValueField:
     """Backward sweep for the acceleration-penalized value function.
 
@@ -291,26 +356,16 @@ def solve_hjb_acceleration(
     Foot points outside the box are charged the growth-envelope penalty so
     outward excursions are suboptimal.
 
-    The controls are split into min(CPUs, controls) contiguous blocks whose
-    sizes differ by at most one, each with its own operator, so
-    `_backward_sweep` minimizes one block per CPU at every step.
+    Without `operator` the solve builds its own (`acceleration_operator`) and
+    frees it on return; a given operator must have been built for this grid,
+    spec, eps and control set, or InvalidInputError is raised.
     """
-    if not 0 < eps < np.inf:
-        raise InvalidInputError("eps must be positive and finite; use a limit solver for eps = 0")
-    if controls is None:
-        controls = acceleration_controls(grid, eps)
-    if grid.dt * controls.a_max > 10.0 * max(grid.dx, grid.dv):
-        raise ConfigurationError(
-            "time step moves the velocity foot point more than 10 grid cells; refine t or coarsen a"
-        )
-    a = controls.values
-    blocks = [
-        _acceleration_block(grid, spec, eps, a_b)
-        for a_b in np.array_split(a, min(_n_cpus(), a.size))
-    ]
-    # trapezoid rule: half the running cost at the node, half at the foot point
-    node_running = 0.5 * spec.kinetic(grid.v)[None, :] + 0.5 * spec.potential(grid.x)[:, None]
-    return ValueField(_backward_sweep(grid, spec, m_flow, g, blocks, node_running), grid, eps)
+    if operator is None:
+        operator = acceleration_operator(grid, spec, eps, controls)
+    else:
+        operator.require(grid, spec, eps, controls)
+    u = _backward_sweep(grid, spec, m_flow, g, operator.blocks, operator.node_running)
+    return ValueField(u, grid, eps)
 
 
 def solve_hjb_limit_classical(

@@ -239,9 +239,14 @@ def _joint_w1_bounds(
     bound, so there the lower bound is 0. A rank
     pairing is a coupling only for equal counts with uniform weights;
     otherwise the bounds are (0, inf).
+
+    The projections c x + s v round in absolute terms: each is within two ulps
+    of the largest |x| + |v| of its exact value, so the lower bound drops four
+    such ulps, two per side of a projected difference, to stay below the exact W1.
     """
     if a.size != b.size or not (a.uniform_weights() and b.uniform_weights()):
         return 0.0, np.inf
+    scale = max(float(np.max(np.abs(e.positions) + np.abs(e.velocities))) for e in (a, b))
     lower, upper = 0.0, np.inf
     for c, s in _RANK_DIRECTIONS:
         pa = c * a.positions + s * a.velocities
@@ -251,6 +256,7 @@ def _joint_w1_bounds(
         cost = np.abs(a.positions[ia] - b.positions[ib])
         cost += np.abs(a.velocities[ia] - b.velocities[ib])
         upper = min(upper, float(cost.mean()))
+    lower = max(0.0, lower - 4.0 * float(np.spacing(scale)))
     return (lower if a.size <= n_exact else 0.0), upper
 
 

@@ -22,7 +22,7 @@ from .hjb import (
     PhaseGrid,
     ValueField,
     acceleration_controls,
-    gradient_v,
+    acceleration_operator,
     gradient_x,
     interp_slice_x,
     interp_slice_xv,
@@ -77,12 +77,14 @@ def transport_eps(mu0: ParticleEnsemble, field: ValueField, eps: float) -> Measu
     """Integrate x' = v, v' = -(1/eps) D_v u along the value field.
 
     Inner sub-steps of size min(dt, eps/4) guard against the stiffness of the
-    velocity equation.
+    velocity equation. D_v u is taken one time slice at a time, so the solve
+    holds no second (t, x, v) field.
     """
     if not 0 < eps < np.inf:
         raise InvalidInputError("eps must be positive and finite")
+    if not field.is_phase:
+        raise InvalidInputError("transport_eps needs a (t, x, v) field")
     grid = field.grid
-    dv_field = gradient_v(field)
     t = grid.t
     dt = grid.dt
     n_sub = max(1, int(np.ceil(dt / min(dt, eps / EPS_SUBSTEP_DIVISOR))))
@@ -93,8 +95,9 @@ def transport_eps(mu0: ParticleEnsemble, field: ValueField, eps: float) -> Measu
     X[0], V[0] = mu0.positions, mu0.velocities
     for k in range(t.size - 1):
         xc, vc = X[k].copy(), V[k].copy()
+        dv_slice = np.gradient(field.values[k], grid.dv, axis=1)  # gradient_v(field)[k]
         for _ in range(n_sub):
-            dv = interp_slice_xv(dv_field[k], grid, xc, vc)
+            dv = interp_slice_xv(dv_slice, grid, xc, vc)
             xc = xc + dti * vc
             vc = vc - (dti / eps) * dv
         _check_box(xc, vc, grid, t[k + 1])
@@ -135,6 +138,12 @@ _MIXING = 0.5  # weight of the residual in each step
 _RESTART = 2.0  # the history is cleared when |r| exceeds this times the best |r|
 
 
+def _dot(a, b):
+    """Inner product of two flat float64 vectors on the calling thread, in an
+    order that does not depend on the BLAS thread count."""
+    return np.einsum("i,i->", a, b)
+
+
 class _Anderson:
     """Safeguarded type-II Anderson mixing of particle positions.
 
@@ -142,6 +151,10 @@ class _Anderson:
     float32, and `pending` holds the last step and residual until the next
     residual completes them. The iterate, the residual and the stopping gap
     stay float64, so float32 changes the speed, never the certified residual.
+
+    Norms and inner products are `_dot`, never BLAS: a threaded BLAS sums in an
+    order set by its thread count, and its spinning threads take the core the
+    next HJB solve's block worker needs.
     """
 
     def __init__(self):
@@ -151,7 +164,7 @@ class _Anderson:
 
     def step(self, x, r):
         """The next iterate from iterate x and its residual r = T(x) - x (flat float64)."""
-        norm = float(np.linalg.norm(r))
+        norm = float(np.sqrt(_dot(r, r)))
         if norm > _RESTART * self.best:
             self.dx.clear()
             self.dr.clear()
@@ -166,9 +179,9 @@ class _Anderson:
             gram, rhs = np.empty((n, n)), np.empty(n)
             for i, dri in enumerate(self.dr):
                 dri = dri.astype(np.float64)
-                rhs[i] = dri @ r
+                rhs[i] = _dot(dri, r)
                 for j in range(i + 1):
-                    gram[i, j] = gram[j, i] = dri @ self.dr[j].astype(np.float64)
+                    gram[i, j] = gram[j, i] = _dot(dri, self.dr[j].astype(np.float64))
             gamma = np.linalg.lstsq(gram, rhs, rcond=None)[0]
             for dxi, dri, c in zip(self.dx, self.dr, gamma):
                 dx -= c * dxi
@@ -245,9 +258,13 @@ def solve_eps_system(
         raise InvalidInputError("eps must be positive and finite")
     _require_velocities(mu0)
     controls = acceleration_controls(grid, eps, controls)
+    # Every Picard iteration re-solves the same HJB against a new flow, so a
+    # coupled rung builds its operator once. A decoupled rung closes in one
+    # pass and lets the solve build and free its own before transport.
+    operator = acceleration_operator(grid, spec, eps, controls) if spec.is_coupled else None
     return _picard(
         spec,
-        lambda flow: solve_hjb_acceleration(grid, spec, flow, g, eps, controls),
+        lambda flow: solve_hjb_acceleration(grid, spec, flow, g, eps, controls, operator=operator),
         lambda u: transport_eps(mu0, u, eps),
         lambda: free_transport_flow(mu0, grid),
         tol_fp, max_iter, "eps_system", grid.R_x,

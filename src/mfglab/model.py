@@ -35,10 +35,11 @@ class LagrangianSpec:
     potential: Callable
     potential_d: Callable
     potential_dd: Callable
+    # the quadratic-only solvers read this label, so a custom kinetic term names itself
+    kinetic_name: str
     coupling_strength: float = 0.0
     coupling_sigma: float = 0.3
     M0: float = 60.0
-    kinetic_name: str = "quadratic"
 
     def __post_init__(self):
         c, sigma, M0 = self.coupling_strength, self.coupling_sigma, self.M0

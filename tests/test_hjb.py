@@ -46,6 +46,7 @@ def _const_spec(c):
         potential=lambda x: np.full_like(np.asarray(x, dtype=float), c),
         potential_d=zero,
         potential_dd=zero,
+        kinetic_name="constant",
     )
 
 
@@ -213,6 +214,7 @@ def test_mfg_control_constant_cost():
         potential=spec.potential,
         potential_d=spec.potential_d,
         potential_dd=spec.potential_dd,
+        kinetic_name="quadratic",
     )
     u = solve_hjb_mfg_control(SMALL, spec, None, ZERO_G).values
     expected = 1.5 * (SMALL.T - SMALL.t)
@@ -437,6 +439,25 @@ def test_control_blocks_bit_identical_for_any_cpu_count(n_cpus, coupled, monkeyp
     assert len(blocks) == min(n_cpus, controls.values.size)
     assert max(sizes) - min(sizes) <= 1
     assert np.array_equal(np.concatenate(blocks), controls.values)
+
+
+def test_acceleration_operator_must_match_the_solve():
+    """A prebuilt operator gives the values of a fresh solve on an equal grid,
+    and is refused for another grid, spec, eps or control set."""
+    grid, spec, m_flow, g, controls = _gather_case("quadratic", True)
+    op = hjb.acceleration_operator(grid, spec, 0.05, controls)
+    equal_grid = PhaseGrid.regular(R_x=1.0, R_v=1.0, N_x=11, N_v=9, N_t=6)
+    u = solve_hjb_acceleration(equal_grid, spec, m_flow, g, 0.05, controls, operator=op).values
+    assert np.array_equal(u, solve_hjb_acceleration(grid, spec, m_flow, g, 0.05, controls).values)
+    for other_grid, other_spec, eps, other_controls in (
+        (PhaseGrid.regular(R_x=1.0, R_v=1.0, N_x=11, N_v=9, N_t=7), spec, 0.05, controls),
+        (grid, make_lagrangian("quadratic", kappa_c=0.5), 0.05, controls),
+        (grid, spec, 0.1, controls),
+        (grid, spec, 0.05, ControlSet.symmetric(4.0, 7)),
+        (grid, spec, 0.05, None),  # the default set of eps 0.05
+    ):
+        with pytest.raises(InvalidInputError, match="built for another"):
+            solve_hjb_acceleration(other_grid, other_spec, m_flow, g, eps, other_controls, operator=op)
 
 
 def test_control_block_workers_are_joined(monkeypatch):

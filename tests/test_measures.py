@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mfglab import (
@@ -146,6 +146,8 @@ _COORD = st.floats(-5.0, 5.0, allow_nan=False)
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(points=st.lists(st.tuples(_COORD, _COORD, _COORD, _COORD), min_size=1, max_size=12))
+# x + v rounds the 1e-9 offset to 1.0000000827e-09 along (1, 1), above the exact W1 of 1e-9
+@example(points=[(1e-9, 1.0, 0.0, 1.0)])
 def test_rank_pairing_bounds_bracket_exact_and_sliced_w1(points):
     xa, va, xb, vb = np.array(points).T
     a, b = ParticleEnsemble(xa, va), ParticleEnsemble(xb, vb)

@@ -1,5 +1,10 @@
 """Fixed-point drivers: particle transport, Picard iteration, limit systems."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +27,8 @@ from mfglab import (
     transport_eps,
     wasserstein1_joint,
 )
-from mfglab.hjb import gradient_x, interp_slice_x, solve_hjb_acceleration
+from mfglab import hjb
+from mfglab.hjb import gradient_v, gradient_x, interp_slice_x, solve_hjb_acceleration
 from mfglab.measures import ParticleEnsemble, sup_w1_marginal
 from mfglab import mfg
 from mfglab.mfg import _MEMORY, _MIXING, _RESTART, _Anderson, free_transport_flow
@@ -68,6 +74,30 @@ def test_transport_mass_conservation_and_validation():
     for eps in (0.0, np.nan, np.inf):
         with pytest.raises(InvalidInputError, match="eps must be positive"):
             transport_eps(mu0, field, eps)
+
+
+def test_transport_takes_d_v_one_slice_at_a_time(monkeypatch):
+    """Each step interpolates gradient_v(field)[k], bit for bit, without the full field."""
+    rng = np.random.default_rng(5)
+    field = ValueField(1e-3 * rng.normal(size=(SMALL.t.size, SMALL.x.size, SMALL.v.size)), SMALL, 0.1)
+    tracemalloc.start()
+    try:
+        transport_eps(lattice_ensemble(16), field, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < field.values.nbytes / 4  # the full D_v field alone is field.values.nbytes
+    slices = []
+    interp = mfg.interp_slice_xv
+    monkeypatch.setattr(mfg, "interp_slice_xv", lambda s, *a: slices.append(s) or interp(s, *a))
+    transport_eps(lattice_ensemble(16), field, 0.1)  # eps / 4 > dt: one sub-step per step
+    full = gradient_v(field)
+    assert len(slices) == SMALL.t.size - 1
+    for k, dv_slice in enumerate(slices):
+        assert np.array_equal(dv_slice, full[k])
+    limit = ValueField(field.values[:, :, 0], SMALL, 0.0)
+    with pytest.raises(InvalidInputError, match=r"\(t, x, v\) field"):
+        transport_eps(lattice_ensemble(16), limit, 0.1)
 
 
 def test_transport_box_exit_names_particle():
@@ -305,9 +335,13 @@ def test_solve_eps_system_rejects_eps_outside_positive_reals(eps):
         solve_eps_system(spec, ZERO_G, SMALL, lattice_ensemble(16), eps)
 
 
+def _einsum_dot(a, b):
+    return np.einsum("i,i->", a, b)
+
+
 class _RingAnderson:
     """Reference: the Anderson mixer with its history in float32 ring buffers,
-    row `head` holding the pending pair."""
+    row `head` holding the pending pair, and its products taken by einsum."""
 
     def __init__(self):
         self.dx = self.dr = None
@@ -320,7 +354,7 @@ class _RingAnderson:
         if self.dx is None:
             self.dx = np.empty((_MEMORY, r.size), dtype=np.float32)
             self.dr = np.empty((_MEMORY, r.size), dtype=np.float32)
-        norm = float(np.linalg.norm(r))
+        norm = float(np.sqrt(_einsum_dot(r, r)))
         if norm > _RESTART * self.best:
             self.size = 0
         elif self.pending:
@@ -335,9 +369,9 @@ class _RingAnderson:
             rhs = np.empty(self.size)
             for i, ri in enumerate(rows):
                 dri = self.dr[ri].astype(np.float64)
-                rhs[i] = dri @ r
+                rhs[i] = _einsum_dot(dri, r)
                 for j, rj in enumerate(rows[: i + 1]):
-                    gram[i, j] = gram[j, i] = dri @ self.dr[rj].astype(np.float64)
+                    gram[i, j] = gram[j, i] = _einsum_dot(dri, self.dr[rj].astype(np.float64))
             gamma = np.linalg.lstsq(gram, rhs, rcond=None)[0]
             for ri, c in zip(rows, gamma):
                 dx -= c * self.dx[ri]
@@ -387,6 +421,58 @@ def test_coupled_solve_equals_ring_reference(driver, monkeypatch):
     assert np.array_equal(sol.value.values, ref.value.values)
     assert np.array_equal(sol.flow.positions, ref.flow.positions)
     assert np.array_equal(sol.flow.velocities, ref.flow.velocities)
+
+
+def test_coupled_rung_builds_one_operator_bit_for_bit(monkeypatch):
+    """A coupled rung builds its control blocks once and reuses them at every
+    iteration, with the values of a solve that rebuilds them each time."""
+    spec = make_lagrangian("quadratic", kappa_c=8.0)
+    args = (spec, ZERO_G, SMALL, gaussian_ensemble(64), 0.05)
+    built = []
+    build_block = hjb._acceleration_block
+    monkeypatch.setattr(hjb, "_acceleration_block", lambda *a: built.append(a) or build_block(*a))
+    sol = solve_eps_system(*args, max_iter=6)
+    n_blocks = len(built)
+    monkeypatch.setattr(mfg, "acceleration_operator", lambda *a: None)  # each solve builds its own
+    ref = solve_eps_system(*args, max_iter=6)
+    assert sol.iterations == ref.iterations == 6
+    assert len(built) == 7 * n_blocks
+    assert sol.gap_history == ref.gap_history
+    assert np.array_equal(sol.value.values, ref.value.values)
+    assert np.array_equal(sol.flow.positions, ref.flow.positions)
+    assert np.array_equal(sol.flow.velocities, ref.flow.velocities)
+
+
+_BLAS_CHILD = """
+import hashlib
+import numpy as np
+import mfglab
+grid = mfglab.PhaseGrid.regular(N_x=21, N_v=17, N_t=41)
+spec = mfglab.make_lagrangian("quadratic", kappa_c=0.5)
+mu0 = mfglab.gaussian_ensemble(300, seed=1)  # n_t * n = 12,300: OpenBLAS threads its dot products
+sol = mfglab.solve_eps_system(spec, mfglab.make_terminal("zero"), grid, mu0, 0.05)
+assert sol.iterations > 1
+flow = sol.flow
+digest = hashlib.sha256(flow.positions.tobytes() + flow.velocities.tobytes())
+digest.update(np.array(sol.gap_history).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_coupled_solve_does_not_depend_on_blas_threads():
+    """Bit-identical flows and residual history with one and two BLAS threads."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["MKL_NUM_THREADS"] = threads
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        out = subprocess.run(
+            [sys.executable, "-c", _BLAS_CHILD], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert out.returncode == 0, out.stderr
+        digests.append(out.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 @pytest.mark.parametrize("max_iter", [0, -1])

@@ -15,6 +15,7 @@ from mfglab import (
 )
 from mfglab.measures import ParticleEnsemble
 from mfglab.model import LagrangianSpec
+from mfglab.trajectory import solve_el_bvp
 
 from oracles import legendre_velocity
 
@@ -109,6 +110,22 @@ def test_legendre_stall_carries_best_iterate():
         optimal_velocity_field(make_lagrangian("quartic"), np.array([0.0, np.nan]))
 
 
+def test_kinetic_label_is_required():
+    """A spec made from the catalog quartic's functions once took the default
+    label "quadratic" and passed the quadratic-only guards."""
+    quartic = make_lagrangian("quartic")
+    terms = {
+        name: getattr(quartic, name)
+        for name in ("kinetic", "kinetic_d", "kinetic_dd", "potential", "potential_d", "potential_dd")
+    }
+    with pytest.raises(TypeError, match="kinetic_name"):
+        LagrangianSpec(**terms)
+    spec = LagrangianSpec(**terms, kinetic_name="quartic")
+    assert not spec.is_quadratic_kinetic
+    with pytest.raises(UnsupportedModelError):
+        solve_el_bvp(0.1, 1.0, 0.5, spec, None, make_terminal("zero"), M=201)
+
+
 def test_audit_quadratic_passes():
     spec = make_lagrangian("quadratic", kappa_pot=1.0)
     report = audit_assumptions(spec, g=make_terminal("zero"))
@@ -124,6 +141,7 @@ def test_audit_concave_kinetic_fails():
         potential=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         potential_d=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         potential_dd=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        kinetic_name="concave",
     )
     report = audit_assumptions(spec)
     assert report.margins["convexity"] < 0
@@ -138,6 +156,7 @@ def test_audit_pure_quartic_fails_near_zero():
         potential=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         potential_d=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         potential_dd=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        kinetic_name="pure_quartic",
         M0=1.0,
     )
     report = audit_assumptions(spec)

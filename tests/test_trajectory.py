@@ -179,6 +179,7 @@ def test_bvp_constant_forcing_linear_terminal():
         potential=lambda x: c * np.asarray(x, dtype=float),
         potential_d=lambda x: np.full_like(np.asarray(x, dtype=float), c),
         potential_dd=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        kinetic_name="quadratic",
     )
     g = TerminalCost(
         g=lambda x, m=None: beta * np.asarray(x, dtype=float),
