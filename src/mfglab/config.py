@@ -51,7 +51,9 @@ DEFAULTS = {
 
 # bytes a grid's arrays may take, as RunConfig.validate estimates them: values
 # (8 per node) plus the semi-Lagrangian operators (about 60 per phase node and
-# control); a larger grid is a configuration error, not an allocation failure
+# control); a larger grid is a configuration error, not an allocation failure.
+# The artifact writers stream a chunk of rows at a time, so the budget covers
+# writing value.csv too.
 GRID_MEMORY_BUDGET = 8 * 2**30
 
 # what a value must be, by the type of its default

@@ -419,14 +419,27 @@ def gradient_x(field: ValueField) -> np.ndarray:
 
 
 def interp_slice_xv(slice_xv: np.ndarray, grid: PhaseGrid, xq, vq):
-    """Bilinear interpolation of one (x, v) slice at query points, clamped to the box."""
-    ix0, fx = _stencil_1d(np.asarray(xq, dtype=float), grid.x)
-    iv0, fv = _stencil_1d(np.asarray(vq, dtype=float), grid.v)
+    """Bilinear interpolation of one (x, v) slice at 1-D arrays of query points,
+    clamped to the box. The two stencils are `_stencil_1d`'s, taken in one pass."""
+    q = np.stack((xq, vq)).astype(float, copy=False)  # (2, n)
+    lo = np.array([[grid.x[0]], [grid.v[0]]])
+    h = np.array([[grid.x[1] - grid.x[0]], [grid.v[1] - grid.v[0]]])
+    s = q - lo
+    s /= h
+    i0 = np.maximum(np.floor(s).astype(np.int64), 0)
+    np.minimum(i0, [[grid.x.size - 2], [grid.v.size - 2]], out=i0)
+    s -= i0
+    f = np.minimum(np.maximum(s, 0.0, out=s), 1.0, out=s)
+    fx, fv = f
+    gx, gv = 1 - fx, 1 - fv
+    n_v = slice_xv.shape[1]
+    flat = slice_xv.ravel()
+    k = i0[0] * n_v + i0[1]
     return (
-        (1 - fx) * (1 - fv) * slice_xv[ix0, iv0]
-        + (1 - fx) * fv * slice_xv[ix0, iv0 + 1]
-        + fx * (1 - fv) * slice_xv[ix0 + 1, iv0]
-        + fx * fv * slice_xv[ix0 + 1, iv0 + 1]
+        gx * gv * flat.take(k)
+        + gx * fv * flat.take(k + 1)
+        + fx * gv * flat.take(k + n_v)
+        + fx * fv * flat.take(k + (n_v + 1))
     )
 
 

@@ -3,7 +3,10 @@
 Every float is written as `FLOAT_FMT % x` would write it. `_slots` produces
 those characters for a whole array at once; each grid coordinate, time and
 particle weight is formatted once, and only the values that change from row to
-row are formatted per row. JSON is indented by two, with sorted keys.
+row are formatted per row. The CSV writers yield their text a chunk of rows at
+a time and `atomic_write_text` writes each chunk as it comes, so writing an
+artifact holds one chunk of text, not the artifact. JSON is indented by two,
+with sorted keys.
 
 The module imports nothing from the package: the writers read the attributes
 of the result objects they are given (`ValueField`, `MeasureFlow`, `Curve`,
@@ -15,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -188,8 +192,9 @@ def _slots(a) -> np.ndarray:
     return out
 
 
-def table_csv(header: str, n_rows: int, columns) -> str:
-    """`header` and `n_rows` rows of comma-separated columns.
+def table_chunks(header: str, n_rows: int, columns) -> Iterator[str]:
+    """The text of `header` and `n_rows` rows of comma-separated columns, as an
+    iterator of chunks: the header line, then up to _CHUNK_ROWS rows at a time.
 
     A column is an array with one entry per row, formatted a chunk of rows at
     a time, or a pair (a, stride) whose row r holds a[(r // stride) % a.size],
@@ -197,8 +202,9 @@ def table_csv(header: str, n_rows: int, columns) -> str:
     one buffer of fixed-width records whose separators are written once: a
     fresh buffer per chunk costs more in page faults than the formatting.
     """
+    yield header + "\n"
     if n_rows == 0:  # an axis is empty (a flow without particles)
-        return header + "\n"
+        return
     cells = []
     for c in columns:
         if isinstance(c, tuple):
@@ -224,7 +230,6 @@ def table_csv(header: str, n_rows: int, columns) -> str:
     buf[:, starts[1:] - 1] = ord(",")
     buf[:, -1] = ord("\n")
     records = buf.view(record)[:, 0]
-    parts = [header, "\n"]
     for r0 in range(0, n_rows, _CHUNK_ROWS):
         r = np.arange(r0, min(r0 + _CHUNK_ROWS, n_rows))
         for j, (a, stride) in enumerate(cells):
@@ -233,8 +238,12 @@ def table_csv(header: str, n_rows: int, columns) -> str:
             else:
                 records[f"c{j}"][: r.size] = a.take((r // stride) % a.size)
         text = store if r.size == records.size else store[: r.size * record.itemsize]
-        parts.append(text.translate(None, b"\0").decode("ascii"))
-    return "".join(parts)
+        yield text.translate(None, b"\0").decode("ascii")
+
+
+def table_csv(header: str, n_rows: int, columns) -> str:
+    """`table_chunks` joined into one string."""
+    return "".join(table_chunks(header, n_rows, columns))
 
 
 def json_text(obj) -> str:
@@ -245,15 +254,28 @@ def make_dir(path):
     os.makedirs(path, exist_ok=True)
 
 
-def atomic_write_text(path, text: str):
-    """Write via a temp file in the same directory, then rename."""
+def _umask() -> int:
+    # os has no getter: set and restore (the package creates files on one thread only)
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
+
+
+def atomic_write_text(path, text: str | Iterable[str]):
+    """Write `text`, a str or an iterable of str chunks, via a temp file in the
+    same directory, then rename. Chunks are written as they come, so an
+    iterable is never held whole. The file gets the mode `open()` would give
+    it (0o666 less the umask), not mkstemp's 0o600; if writing fails, neither
+    the temp file nor a new artifact is left."""
     path = os.fspath(path)
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
     try:
+        os.fchmod(fd, 0o666 & ~_umask())
         with os.fdopen(fd, "w") as f:
-            for i in range(0, len(text), _WRITE_CHARS):
-                f.write(text[i : i + _WRITE_CHARS])
+            for chunk in [text] if isinstance(text, str) else text:
+                for i in range(0, len(chunk), _WRITE_CHARS):
+                    f.write(chunk[i : i + _WRITE_CHARS])
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -261,26 +283,26 @@ def atomic_write_text(path, text: str):
         raise
 
 
-def value_csv(field) -> str:
-    """`ValueField` rows `t,x,v,u` (phase field) or `t,x,u` (limit field)."""
+def value_csv(field) -> Iterator[str]:
+    """`ValueField` rows `t,x,v,u` (phase field) or `t,x,u` (limit field), as `table_chunks`."""
     g = field.grid
     if field.is_phase:
         nodes = [(g.t, g.x.size * g.v.size), (g.x, g.v.size), (g.v, 1)]
-        return table_csv("t,x,v,u", g.t.size * g.x.size * g.v.size, [*nodes, field.values])
-    return table_csv("t,x,u", g.t.size * g.x.size, [(g.t, g.x.size), (g.x, 1), field.values])
+        return table_chunks("t,x,v,u", g.t.size * g.x.size * g.v.size, [*nodes, field.values])
+    return table_chunks("t,x,u", g.t.size * g.x.size, [(g.t, g.x.size), (g.x, 1), field.values])
 
 
-def flow_csv(flow) -> str:
-    """`MeasureFlow` rows `t,x,v,w`; marginal flows carry nan in the v column."""
+def flow_csv(flow) -> Iterator[str]:
+    """`MeasureFlow` rows `t,x,v,w`, as `table_chunks`; marginal flows carry nan in the v column."""
     v = (np.array([np.nan]), 1) if flow.velocities is None else flow.velocities
     columns = [(flow.times, flow.n_particles), flow.positions, v, (flow.weights, 1)]
-    return table_csv("t,x,v,w", flow.positions.size, columns)
+    return table_chunks("t,x,v,w", flow.positions.size, columns)
 
 
-def curve_csv(curve) -> str:
-    """`Curve` rows `t,gamma,dgamma,ddgamma`."""
+def curve_csv(curve) -> Iterator[str]:
+    """`Curve` rows `t,gamma,dgamma,ddgamma`, as `table_chunks`."""
     columns = [curve.t, curve.x, curve.velocity, curve.acceleration]
-    return table_csv("t,gamma,dgamma,ddgamma", curve.t.size, columns)
+    return table_chunks("t,gamma,dgamma,ddgamma", curve.t.size, columns)
 
 
 def write_solution_dir(out_dir, solution, config_dict: dict):

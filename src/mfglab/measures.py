@@ -27,6 +27,7 @@ from .errors import InvalidInputError
 _WEIGHT_TOL = 1e-12
 _LP_LIMIT = 40000  # coupling entries up to which the joint W1 solves an LP
 _N_PROJECTIONS = 64  # projections of the sliced joint-W1 fallback
+_COST_BLOCK = 1 << 16  # |dv| entries per block of the joint ground cost (512 kB)
 _SLOPES = (-1.0, -2.0 / 3.0, -1.0 / 3.0, 0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0)
 # rank-pairing directions (c, s): twelve points of max(|c|, |s|) = 1, among them x, v, x + v, x - v
 _RANK_DIRECTIONS = tuple((1.0, t) for t in _SLOPES) + tuple((t, 1.0) for t in _SLOPES[1:-1])
@@ -190,13 +191,17 @@ class W1Result(NamedTuple):
 
 
 def _ground_cost(a: ParticleEnsemble, b: ParticleEnsemble) -> np.ndarray:
-    # built in place: concurrent probes each hold two n*m buffers at most
+    # one n*m array: |dv| is added into |dx| a block of rows at a time
     c = np.subtract.outer(a.positions, b.positions)
     np.abs(c, out=c)
     if a.is_joint:
-        d = np.subtract.outer(a.velocities, b.velocities)
-        np.abs(d, out=d)
-        c += d
+        rows = max(1, _COST_BLOCK // b.size)
+        d = np.empty((min(rows, a.size), b.size))
+        for r0 in range(0, a.size, rows):
+            dr = d[: min(rows, a.size - r0)]
+            np.subtract.outer(a.velocities[r0 : r0 + rows], b.velocities, out=dr)
+            np.abs(dr, out=dr)
+            c[r0 : r0 + rows] += dr
     return c
 
 

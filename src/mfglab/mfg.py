@@ -93,9 +93,15 @@ def transport_eps(mu0: ParticleEnsemble, field: ValueField, eps: float) -> Measu
     X = np.empty((t.size, n))
     V = np.empty((t.size, n))
     X[0], V[0] = mu0.positions, mu0.velocities
+    h_v = grid.dv
     for k in range(t.size - 1):
         xc, vc = X[k].copy(), V[k].copy()
-        dv_slice = np.gradient(field.values[k], grid.dv, axis=1)  # gradient_v(field)[k]
+        # gradient_v(field)[k], by np.gradient's formulas (second order inside, first at the edges)
+        u = field.values[k]
+        dv_slice = np.empty_like(u)
+        np.divide(np.subtract(u[:, 2:], u[:, :-2]), 2.0 * h_v, out=dv_slice[:, 1:-1])
+        np.divide(np.subtract(u[:, 1], u[:, 0]), h_v, out=dv_slice[:, 0])
+        np.divide(np.subtract(u[:, -1], u[:, -2]), h_v, out=dv_slice[:, -1])
         for _ in range(n_sub):
             dv = interp_slice_xv(dv_slice, grid, xc, vc)
             xc = xc + dti * vc

@@ -505,7 +505,7 @@ def test_cli_matches_api(runner, tmp_path, variant):
         controls=acceleration_controls(grid, 0.2, cfg.build_controls()),
         **solver,
     )
-    assert (out / "value.csv").read_text() == value_csv(sol.value)
+    assert (out / "value.csv").read_text() == "".join(value_csv(sol.value))
 
     # at eps = 0.05 the widening binds (0.75 R_v / sqrt(eps) = 13.4 > A_max = 8), and
     # the API widens the base set as the CLI does
@@ -517,8 +517,8 @@ def test_cli_matches_api(runner, tmp_path, variant):
     )
     assert res.exit_code == 0, res.output
     small = solve_eps_system(spec, g, grid, mu0, 0.05, cfg.build_controls(), **solver)
-    assert (out / "value.csv").read_text() == value_csv(small.value)
-    assert (out / "flow.csv").read_text() == flow_csv(small.flow)
+    assert (out / "value.csv").read_text() == "".join(value_csv(small.value))
+    assert (out / "flow.csv").read_text() == "".join(flow_csv(small.flow))
 
     solve_limit = solve_limit_classical if variant == "classical" else solve_mfg_of_control
     limit = solve_limit(spec, g, grid, mu0, **solver)
@@ -527,8 +527,8 @@ def test_cli_matches_api(runner, tmp_path, variant):
     args = ["--config", str(path), "--out", str(out), "--seed", "11"]
     res = runner.invoke(main, args + ["solve-limit", "--kind", variant])
     assert res.exit_code == 0, res.output
-    assert (out / "value.csv").read_text() == value_csv(limit.value)
-    assert (out / "flow.csv").read_text() == flow_csv(limit.flow)
+    assert (out / "value.csv").read_text() == "".join(value_csv(limit.value))
+    assert (out / "flow.csv").read_text() == "".join(flow_csv(limit.flow))
     assert json.loads((out / "meta.json").read_text())["gap_history"] == list(limit.gap_history)
 
     # the sweep's eps = 0.2 rung is that solve, compared with the solve-limit answer

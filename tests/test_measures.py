@@ -1,5 +1,7 @@
 """Particle ensembles, kernel smoothing, and W1 distances."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from mfglab import (
     InvalidInputError,
+    gaussian_ensemble,
     make_lagrangian,
     wasserstein1_1d,
     wasserstein1_joint,
@@ -14,6 +17,7 @@ from mfglab import (
 from mfglab.measures import (
     MeasureFlow,
     ParticleEnsemble,
+    _ground_cost,
     _joint_w1_bounds,
     _w1_quantile,
     kernel_smooth,
@@ -309,3 +313,19 @@ def test_linear_binning_coupling_error_bound(sigma):
             worst = max(worst, float(np.max(np.abs(binned - exact))))
     assert worst <= bound
     assert worst > 0.1 * bound  # the bound is not vacuous on these flows
+
+
+def test_joint_ground_cost_holds_one_cost_matrix():
+    """|dv| is added into the |dx| matrix in row blocks: the traced peak of a
+    2000 x 2000 joint cost stays within 10% of the matrix itself."""
+    a, b = gaussian_ensemble(2000, seed=1), gaussian_ensemble(2000, seed=2)
+    tracemalloc.start()
+    try:
+        cost = _ground_cost(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * cost.nbytes
+    reference = np.abs(np.subtract.outer(a.positions, b.positions))
+    reference += np.abs(np.subtract.outer(a.velocities, b.velocities))
+    assert np.array_equal(cost, reference)
