@@ -32,7 +32,6 @@ from .hjb import (
     PhaseGrid,
     ValueField,
     acceleration_controls,
-    gradient_v,
     gradient_x,
     solve_hjb_acceleration,
     solve_hjb_limit_classical,

@@ -6,7 +6,8 @@ the derivations (Q1 from the energy bound, Q2 from the Hoelder bound, C1 from
 the space-gradient bound), so a negative margin flags a genuine violation
 rather than a tuned threshold. Gaps, oscillations and the gradient bound are
 read on the probe box |x|, |v| <= PROBE_RADIUS = 2 (the convergence is locally
-uniform), and the acceleration energy on [0.1 T, T].
+uniform), and the acceleration energy on [0.1 T, T]. Every measurement on a
+value field is taken one time slice at a time, allocating nothing its size.
 
 Two measurements skip exact work that cannot change their number. The Hoelder
 audit skips every node pair whose triangle-inequality bound cannot go below the
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import io
 from .errors import ConfigurationError, InvalidInputError, NumericalError, TransportError
-from .hjb import ControlSet, PhaseGrid, ValueField, gradient_x
+from .hjb import ControlSet, PhaseGrid, ValueField
 from .measures import (
     MeasureFlow,
     ParticleEnsemble,
@@ -180,7 +181,7 @@ def audit_estimates(
 
     upper = M0 * T * (1.0 + v**2) + g.g_inf  # value envelope
     lower = -T * M0 - g.g_inf
-    lemma41 = min(float(np.min(upper[None, None, :] - u)), float(np.min(u - lower)))
+    lemma41 = _over_slices(np.min, lambda s: min(np.min(upper - s), np.min(s - lower)), u)
 
     q1 = energy_constant(spec, g, T)
     v0 = flow.velocities[0]
@@ -190,11 +191,15 @@ def audit_estimates(
     q2 = holder_constant(spec, g, T, flow.ensemble(0))
     cor43 = _pairwise_holder_margin(flow.marginal_flow(), q2)
 
-    # gradient bound away from the box boundary (one-sided stencils there)
+    # gradient bound on the box, away from the grid boundary (one-sided stencils
+    # there); D_x is taken on each whole slice, as cutting the box out first
+    # would put one-sided stencils at the box edges
     c1 = (M0 * (T + q1) + g.dg_bound) / T
     ix, iv = _box_indices(grid)
-    dxu = gradient_x(field)[:, ix][:, :, iv]
-    prop46 = float(np.min(c1 * T * (1.0 + v[iv][None, None, :] ** 2) - np.abs(dxu)))
+    bound = c1 * T * (1.0 + v[iv] ** 2)
+    prop46 = _over_slices(
+        np.min, lambda s: bound - np.abs(np.gradient(s, grid.dx, axis=0)[ix, iv]), u
+    )
 
     acc = np.gradient(flow.velocities, flow.times, axis=0)
     mask = flow.times >= ACCEL_CUTOFF * T
@@ -207,7 +212,15 @@ def audit_estimates(
 
 
 def _box_indices(grid: PhaseGrid):
-    return np.abs(grid.x) <= PROBE_RADIUS, np.abs(grid.v) <= PROBE_RADIUS
+    """x and v slices of the probe box |x|, |v| <= PROBE_RADIUS, contiguous on increasing axes."""
+    r = PROBE_RADIUS
+    return tuple(slice(ax.searchsorted(-r), ax.searchsorted(r, "right")) for ax in (grid.x, grid.v))
+
+
+def _over_slices(reduce, fn, *fields):
+    """reduce (np.min or np.max) of fn over the time slices of the fields, one at
+    a time: the float, NaN included, that reduce of fn gives on the whole fields."""
+    return float(reduce([reduce(fn(*s)) for s in zip(*fields, strict=True)]))
 
 
 def velocity_oscillation(field: ValueField) -> float:
@@ -215,8 +228,7 @@ def velocity_oscillation(field: ValueField) -> float:
     if not field.is_phase:
         raise InvalidInputError("velocity_oscillation needs a (t, x, v) field")
     ix, iv = _box_indices(field.grid)
-    sub = field.values[:, ix][:, :, iv]
-    return float(np.max(sub.max(axis=2) - sub.min(axis=2)))
+    return _over_slices(np.max, lambda s: np.ptp(s[ix, iv], axis=1), field.values)
 
 
 def sup_value_gap(eps_field: ValueField, limit_field: ValueField) -> float:
@@ -226,8 +238,9 @@ def sup_value_gap(eps_field: ValueField, limit_field: ValueField) -> float:
     ):
         raise InvalidInputError("value gap needs matching spatial grids")
     ix, iv = _box_indices(eps_field.grid)
-    diff = eps_field.values[:, ix][:, :, iv] - limit_field.values[:, ix, None]
-    return float(np.max(np.abs(diff)))
+    return _over_slices(
+        np.max, lambda s, s0: np.abs(s[ix, iv] - s0[ix, None]), eps_field.values, limit_field.values
+    )
 
 
 def sup_marginal_gap(a: MeasureFlow, b: MeasureFlow) -> float:

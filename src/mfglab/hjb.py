@@ -5,7 +5,8 @@ control set; the limit problems are solved on (t, x) with velocity controls.
 Foot points fall on fixed offsets of the grid, so the multilinear interpolation
 stencils form time-independent sparse operators, built once per solve (once
 per eps rung of a coupled Picard loop, as an `AccelerationOperator`), and
-each backward step is a sparse matvec plus a min over controls. Both solvers
+each backward step is a sparse matvec plus a min over controls. A block's
+operator is allocated whole and filled one control at a time. Both solvers
 run one backward sweep (`_backward_sweep`) over blocks of controls, each with
 its own operator. The penalized solver makes one contiguous block per CPU of
 the process's affinity mask, and the sweep takes the minimum over each block
@@ -171,20 +172,15 @@ def _index_dtype(n_entries: int):
     return np.int32 if n_entries < 2**31 else np.int64
 
 
-def _stencil_operator(shape, n_corners, corners):
-    """CSR operator of the given shape whose row r holds the (column, weight) pairs
-    of the n_corners `corners` at r in order, so the matvec sums the interpolation
-    corners in that order. `corners` is consumed one pair at a time, so a
-    generator keeps one corner's arrays alive at once."""
-    n_rows = shape[0]
-    idx = _index_dtype(n_corners * n_rows)
-    indices = np.empty((n_rows, n_corners), dtype=idx)
-    data = np.empty((n_rows, n_corners))
-    for c, (col, w) in enumerate(corners):
-        indices[:, c] = col.ravel()
-        data[:, c] = w.ravel()
-    indptr = np.arange(0, n_corners * n_rows + 1, n_corners, dtype=idx)
-    return sparse.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=shape)
+def _stencil_operator(n_cols, indices, data):
+    """CSR operator with n_cols columns from `indices` and `data` of one shape,
+    whose last axis is the interpolation corners and whose leading axes, in C
+    order, are the rows: row r holds the (column, weight) pairs of its corners
+    in order, so the matvec sums them in that order."""
+    n_corners = data.shape[-1]
+    indptr = np.arange(0, data.size + 1, n_corners, dtype=indices.dtype)
+    shape = (data.size // n_corners, n_cols)
+    return sparse.csr_matrix((data.reshape(-1), indices.reshape(-1), indptr), shape=shape)
 
 
 def _n_cpus() -> int:
@@ -201,38 +197,31 @@ def _acceleration_block(grid: PhaseGrid, spec: LagrangianSpec, eps: float, a: np
     the foot point of node (i, j) under a[c], summing its four corners in a fixed
     order; const[c] holds that candidate's control cost, trapezoidal foot-point
     cost and growth-envelope penalties. Every entry depends on its own control
-    only, so a block of controls gives exactly the rows of the full set.
+    only, so a block of controls gives exactly the rows of the full set. The
+    arrays are allocated at their final size and filled one control at a time,
+    so the construction holds one control's foot points and stencils besides.
     """
     x, v, dt = grid.x, grid.v, grid.dt
     n_x, n_v, n_a = x.size, v.size, a.size
     m0, T = spec.M0, grid.T
-    foot_x = x[None, :, None] + dt * v[None, None, :] + 0.5 * dt**2 * a[:, None, None]
-    foot_v = v[None, :] + dt * a[:, None]
-    iv0, fv = _stencil_1d(foot_v, v)  # (n_a, n_v)
-
-    # growth-envelope penalties for clamped foot points
-    ex_x, ex_v = _excess(foot_x, x), _excess(foot_v, v)
-    pen_x = m0 * T * (1.0 + v[None, None, :] ** 2) * ex_x  # (n_a, n_x, n_v)
-    pen_v = m0 * T * ex_v * (ex_v + 2.0 * grid.R_v)  # (n_a, n_v)
-    const = (
-        pen_x
-        + pen_v[:, None, :]
-        + dt * (0.5 * eps * a[:, None, None] ** 2)
-        + 0.5 * dt * (spec.kinetic(foot_v)[:, None, :] + spec.potential(foot_x))
-    ).reshape(n_a, n_x * n_v)
-    del ex_x, pen_x
-    # The x stencil is built after `const`, the last long-lived construction
-    # array, and freed with the foot points before the next block is built: its
-    # memory is then returned rather than left as a hole below `const`.
-    ix0, fx = _stencil_1d(foot_x, x)  # (n_a, n_x, n_v)
-    del foot_x
-    S = _stencil_operator((n_a * n_x * n_v, n_x * n_v), 4, (
-        ((ix0 + cx) * n_v + (iv0 + cv)[:, None, :],
-         (fx if cx else 1.0 - fx) * (fv if cv else 1.0 - fv)[:, None, :])
-        for cx in (0, 1)
-        for cv in (0, 1)
-    ))
-    return S, const
+    indices = np.empty((n_a, n_x, n_v, 4), dtype=_index_dtype(4 * n_a * n_x * n_v))
+    data = np.empty((n_a, n_x, n_v, 4))
+    const = np.empty((n_a, n_x, n_v))
+    foot_v = v[None, :] + dt * a[:, None]  # (n_a, n_v): small, so taken for the whole block
+    iv0, fv = _stencil_1d(foot_v, v)
+    ex_v = _excess(foot_v, v)
+    pen_v = m0 * T * ex_v * (ex_v + 2.0 * grid.R_v)
+    kinetic, control_cost = spec.kinetic(foot_v), dt * (0.5 * eps * a**2)
+    envelope = m0 * T * (1.0 + v**2)  # growth-envelope penalty per unit of x excess
+    for c, shift in enumerate(0.5 * dt**2 * a):
+        foot_x = x[:, None] + dt * v[None, :] + shift
+        const[c] = envelope * _excess(foot_x, x) + pen_v[c] + control_cost[c]
+        const[c] += 0.5 * dt * (kinetic[c] + spec.potential(foot_x))
+        ix0, fx = _stencil_1d(foot_x, x)
+        for k, (cx, cv) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+            indices[c, ..., k] = (ix0 + cx) * n_v + (iv0[c] + cv)
+            data[c, ..., k] = (fx if cx else 1.0 - fx) * (fv[c] if cv else 1.0 - fv[c])
+    return _stencil_operator(n_x * n_v, indices, data), const.reshape(n_a, n_x * n_v)
 
 
 def _block_min(S, const, u_next):
@@ -383,7 +372,8 @@ def solve_hjb_limit_classical(
     x, b, dt = grid.x, grid.v, grid.dt
     foot = x[None, :] + dt * b[:, None]  # (n_b, n_x)
     ix0, fx = _stencil_1d(foot, x)
-    S = _stencil_operator((b.size * x.size, x.size), 2, [(ix0, 1.0 - fx), (ix0 + 1, fx)])
+    indices = np.stack((ix0, ix0 + 1), axis=-1).astype(_index_dtype(2 * foot.size))
+    S = _stencil_operator(x.size, indices, np.stack((1.0 - fx, fx), axis=-1))
     pen_rate = spec.M0 * (1.0 + grid.T) * (1.0 + grid.R_v**2) + g.dg_bound
     const = dt * spec.kinetic(b)[:, None] + pen_rate * _excess(foot, x)
     u = _backward_sweep(grid, spec, m_flow, g, [(S, const)], spec.potential(x))
@@ -404,13 +394,6 @@ def solve_hjb_mfg_control(
     if not spec.is_quadratic_kinetic:
         raise UnsupportedModelError("the state-control limit requires the quadratic kinetic term")
     return solve_hjb_limit_classical(grid, spec, mu_flow, g)
-
-
-def gradient_v(field: ValueField) -> np.ndarray:
-    """D_v of a phase value field: centered interior, one-sided at the v-boundary."""
-    if not field.is_phase:
-        raise InvalidInputError("gradient_v needs a (t, x, v) field")
-    return np.gradient(field.values, field.grid.dv, axis=2)
 
 
 def gradient_x(field: ValueField) -> np.ndarray:

@@ -96,7 +96,7 @@ def transport_eps(mu0: ParticleEnsemble, field: ValueField, eps: float) -> Measu
     h_v = grid.dv
     for k in range(t.size - 1):
         xc, vc = X[k].copy(), V[k].copy()
-        # gradient_v(field)[k], by np.gradient's formulas (second order inside, first at the edges)
+        # np.gradient(field.values, h_v, axis=2)[k]: second order inside, first at the edges
         u = field.values[k]
         dv_slice = np.empty_like(u)
         np.divide(np.subtract(u[:, 2:], u[:, :-2]), 2.0 * h_v, out=dv_slice[:, 1:-1])
@@ -204,7 +204,8 @@ def _picard(spec, solve_value, transport, init_flow, tol_fp, max_iter, kind, r_x
     induces, and init_flow() the first iterate. The loop stops when the
     residual sup_t W1(T(f), f) of the position marginals is below tol_fp and
     returns the consistent pair (u, T(f)); after max_iter iterations it returns
-    the pair with the smallest residual, flagged not converged.
+    the pair with the smallest residual, flagged not converged. Only that
+    pair's flow f is kept, and its u is solved again at the end.
 
     Only positions are mixed: every coupling reads positions, so the iterate
     carries the velocities of its latest transport. Mixed positions are clipped
@@ -217,32 +218,34 @@ def _picard(spec, solve_value, transport, init_flow, tol_fp, max_iter, kind, r_x
         return MFGSolution(u, transport(u), 1, 0.0, (0.0,), True, kind)
     flow = init_flow()
     mixer = _Anderson()
-    history, best, best_u = [], np.inf, None
+    history, best, best_flow = [], np.inf, None
+
+    def best_pair():
+        u = solve_value(best_flow)  # deterministic: the u of that iteration
+        return MFGSolution(u, transport(u), len(history), best, tuple(history), False, kind)
+
     for it in range(1, max_iter + 1):
         u = solve_value(flow)
         new = transport(u)
         history.append(sup_w1_marginal(new, flow))
         if history[-1] < tol_fp:
             return MFGSolution(u, new, it, history[-1], tuple(history), True, kind)
+        del u
         if not np.isfinite(history[-1]):
             raise NumericalError(
                 f"fixed-point residual is not finite at iteration {it}",
-                best=None if best_u is None else _best_pair(best_u, transport, history, best, kind),
+                best=None if best_flow is None else best_pair(),
                 residual=best,
             )
         if history[-1] < best:
-            best, best_u = history[-1], u
+            best, best_flow = history[-1], flow
         X = flow.positions
         X = mixer.step(X.ravel(), (new.positions - X).ravel()).reshape(X.shape)
         np.clip(X, -r_x, r_x, out=X)
         # the transported positions go before the next value solve
         flow = MeasureFlow(flow.times, X, new.velocities, flow.weights)
-        del u, new
-    return _best_pair(best_u, transport, history, best, kind)
-
-
-def _best_pair(u, transport, history, gap, kind):
-    return MFGSolution(u, transport(u), len(history), gap, tuple(history), False, kind)
+        del new
+    return best_pair()
 
 
 def solve_eps_system(
