@@ -232,11 +232,10 @@ def velocity_oscillation(field: ValueField) -> float:
 
 
 def sup_value_gap(eps_field: ValueField, limit_field: ValueField) -> float:
-    """sup over the probe box of |u^eps(t,x,v) - u0(t,x)|."""
-    if eps_field.grid.x.shape != limit_field.grid.x.shape or not np.allclose(
-        eps_field.grid.x, limit_field.grid.x
-    ):
-        raise InvalidInputError("value gap needs matching spatial grids")
+    """sup over the probe box of |u^eps(t,x,v) - u0(t,x)|, on matching t and x axes."""
+    axes = ((eps_field.grid.t, limit_field.grid.t), (eps_field.grid.x, limit_field.grid.x))
+    if any(a.shape != b.shape or not np.allclose(a, b) for a, b in axes):
+        raise InvalidInputError("value gap needs matching time and spatial grids")
     ix, iv = _box_indices(eps_field.grid)
     return _over_slices(
         np.max, lambda s, s0: np.abs(s[ix, iv] - s0[ix, None]), eps_field.values, limit_field.values
@@ -261,25 +260,22 @@ def _joint_probes(eps_solution: MFGSolution, control_solution: MFGSolution, frac
 
 
 def compare_joint_reconstruction(
-    eps_solution: MFGSolution,
-    control_solution: MFGSolution,
-    fractions=_PROBE_FRACTIONS,
-    n_exact: int = 2000,
+    eps_solution: MFGSolution, control_solution: MFGSolution, fractions=_PROBE_FRACTIONS
 ):
-    """d1 between the joint flows at probe times, exact up to n_exact support points.
+    """d1 between the joint flows at probe times, by ``wasserstein1_joint``.
 
-    Returns a list of (t, W1Result) in ``fractions`` order; approximate entries
-    carry exact=False.
+    Returns a list of (t, W1Result) in ``fractions`` order. Flows from one
+    uniform-weight mu0 are compared by exact assignment up to
+    measures._N_EXACT particles; past that, or for weighted flows, each entry
+    is the sliced W1, with exact=False.
     """
     return [
-        (t, wasserstein1_joint(a, b, n_exact=n_exact))
+        (t, wasserstein1_joint(a, b))
         for t, a, b in _joint_probes(eps_solution, control_solution, fractions)
     ]
 
 
-def _sup_joint_gap(
-    eps_solution: MFGSolution, control_solution: MFGSolution, n_exact: int = 2000
-) -> float:
+def _sup_joint_gap(eps_solution: MFGSolution, control_solution: MFGSolution) -> float:
     """max over probes of compare_joint_reconstruction's d1, solving only probes that can hold it.
 
     Each probe's rank-pairing bounds (a few milliseconds) bracket its W1. The
@@ -290,14 +286,14 @@ def _sup_joint_gap(
     maximum over every probe.
     """
     probes = _joint_probes(eps_solution, control_solution, _PROBE_FRACTIONS)
-    bounds = [_joint_w1_bounds(a, b, n_exact) for _, a, b in probes]
+    bounds = [_joint_w1_bounds(a, b) for _, a, b in probes]
     best = max(lower for lower, _ in bounds)
     solved = {}
     for p in sorted(range(len(probes)), key=lambda p: bounds[p][1], reverse=True):
         if bounds[p][1] * (1.0 + _BOUND_SLACK) < best:
             break
         _, a, b = probes[p]
-        solved[p] = wasserstein1_joint(a, b, n_exact=n_exact).value
+        solved[p] = wasserstein1_joint(a, b).value
         best = max(best, solved[p])
     return max(solved[p] for p in sorted(solved))  # in probe order, as the full maximum
 

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import InvalidInputError
 
 _WEIGHT_TOL = 1e-12
-_LP_LIMIT = 40000  # coupling entries up to which the joint W1 solves an LP
+_N_EXACT = 2000  # particles up to which a uniform equal-count joint W1 is an assignment
 _N_PROJECTIONS = 64  # projections of the sliced joint-W1 fallback
 _COST_BLOCK = 1 << 16  # |dv| entries per block of the joint ground cost (512 kB)
 _SLOPES = (-1.0, -2.0 / 3.0, -1.0 / 3.0, 0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0)
@@ -194,45 +194,39 @@ def _ground_cost(a: ParticleEnsemble, b: ParticleEnsemble) -> np.ndarray:
     # one n*m array: |dv| is added into |dx| a block of rows at a time
     c = np.subtract.outer(a.positions, b.positions)
     np.abs(c, out=c)
-    if a.is_joint:
-        rows = max(1, _COST_BLOCK // b.size)
-        d = np.empty((min(rows, a.size), b.size))
-        for r0 in range(0, a.size, rows):
-            dr = d[: min(rows, a.size - r0)]
-            np.subtract.outer(a.velocities[r0 : r0 + rows], b.velocities, out=dr)
-            np.abs(dr, out=dr)
-            c[r0 : r0 + rows] += dr
+    rows = max(1, _COST_BLOCK // b.size)
+    d = np.empty((min(rows, a.size), b.size))
+    for r0 in range(0, a.size, rows):
+        dr = d[: min(rows, a.size - r0)]
+        np.subtract.outer(a.velocities[r0 : r0 + rows], b.velocities, out=dr)
+        np.abs(dr, out=dr)
+        c[r0 : r0 + rows] += dr
     return c
 
 
-def wasserstein1_joint(
-    a: ParticleEnsemble, b: ParticleEnsemble, n_exact: int = 2000
-) -> W1Result:
-    """W1 between phase-space ensembles with ground metric |dx| + |dv|.
+def wasserstein1_joint(a: ParticleEnsemble, b: ParticleEnsemble) -> W1Result:
+    """W1 between two ensembles with ground metric |dx| + |dv|; the pair picks the method.
 
-    Exact for supports up to ``n_exact`` points (assignment for uniform weights
-    of equal count, LP otherwise). Larger instances fall back to sliced W1 over
-    64 projections at angles drawn with seed 0, flagged approximate; for
-    velocity-free ensembles the fallback is the exact quantile W1.
+    Velocity-free ensembles get the exact quantile W1 (``wasserstein1_1d``).
+    Phase-space ensembles of equal count with uniform weights, up to _N_EXACT
+    particles, get the exact assignment. Every other pair gets sliced W1 over
+    64 projections at angles drawn with seed 0, flagged approximate.
     """
     if a.is_joint != b.is_joint:
         raise InvalidInputError("cannot mix joint and velocity-free ensembles")
-    if max(a.size, b.size) <= n_exact:
-        if a.size == b.size and a.uniform_weights() and b.uniform_weights():
-            from scipy.optimize import linear_sum_assignment
+    if not a.is_joint:
+        return W1Result(_w1_quantile(a.positions, a.weights, b.positions, b.weights), True)
+    if a.size == b.size <= _N_EXACT and a.uniform_weights() and b.uniform_weights():
+        from scipy.optimize import linear_sum_assignment
 
-            cost = _ground_cost(a, b)
-            rows, cols = linear_sum_assignment(cost)
-            return W1Result(float(cost[rows, cols].mean()), True)
-        if a.size * b.size <= _LP_LIMIT:
-            return W1Result(_w1_lp(a, b), True)
-    return W1Result(_w1_sliced(a, b), not a.is_joint)
+        cost = _ground_cost(a, b)
+        rows, cols = linear_sum_assignment(cost)
+        return W1Result(float(cost[rows, cols].mean()), True)
+    return W1Result(_w1_sliced(a, b), False)
 
 
-def _joint_w1_bounds(
-    a: ParticleEnsemble, b: ParticleEnsemble, n_exact: int = 2000
-) -> tuple[float, float]:
-    """(lower, upper) bounds on ``wasserstein1_joint(a, b, n_exact)`` from twelve rank pairings.
+def _joint_w1_bounds(a: ParticleEnsemble, b: ParticleEnsemble) -> tuple[float, float]:
+    """(lower, upper) bounds on ``wasserstein1_joint(a, b)`` from twelve rank pairings.
 
     Each pairing sorts both phase-space ensembles along one direction (c, s)
     with max(|c|, |s|) = 1 and pairs them by rank. Its cost, the mean of
@@ -241,7 +235,7 @@ def _joint_w1_bounds(
     any unit (c, s). The mean of |c dx + s dv| over the same pairs is the 1-D
     W1 along (c, s), a lower bound on the exact W1 because |c dx + s dv| <=
     |dx| + |dv| for these directions too; the sliced fallback has no such
-    bound, so there the lower bound is 0. A rank
+    bound, so past _N_EXACT particles the lower bound is 0. A rank
     pairing is a coupling only for equal counts with uniform weights;
     otherwise the bounds are (0, inf).
 
@@ -262,34 +256,10 @@ def _joint_w1_bounds(
         cost += np.abs(a.velocities[ia] - b.velocities[ib])
         upper = min(upper, float(cost.mean()))
     lower = max(0.0, lower - 4.0 * float(np.spacing(scale)))
-    return (lower if a.size <= n_exact else 0.0), upper
-
-
-def _w1_lp(a: ParticleEnsemble, b: ParticleEnsemble) -> float:
-    """Exact optimal transport cost by linear programming on the coupling polytope."""
-    n, m = a.size, b.size
-    cost = _ground_cost(a, b).ravel()
-    # equality constraints: row sums = a.weights, column sums = b.weights
-    rows = np.repeat(np.arange(n), m)
-    cols = np.tile(np.arange(m), n) + n
-    data = np.ones(n * m)
-    from scipy.optimize import linprog
-    from scipy.sparse import coo_matrix
-
-    A = coo_matrix(
-        (np.concatenate((data, data)), (np.concatenate((rows, cols)), np.tile(np.arange(n * m), 2))),
-        shape=(n + m, n * m),
-    )
-    rhs = np.concatenate((a.weights, b.weights))
-    res = linprog(cost, A_eq=A, b_eq=rhs, bounds=(0, None), method="highs")
-    if not res.success:
-        raise InvalidInputError(f"transport LP failed: {res.message}")
-    return float(res.fun)
+    return (lower if a.size <= _N_EXACT else 0.0), upper
 
 
 def _w1_sliced(a, b):
-    if not a.is_joint:
-        return _w1_quantile(a.positions, a.weights, b.positions, b.weights)
     angles = np.random.default_rng(0).uniform(0.0, np.pi, size=_N_PROJECTIONS)
     total = 0.0
     for th in angles:

@@ -29,7 +29,7 @@ from mfglab import (
     sup_value_gap,
     velocity_oscillation,
 )
-from mfglab import analysis
+from mfglab import analysis, measures
 from mfglab.analysis import REPORT_COLUMNS, ConvergenceReport, energy_constant, holder_constant
 from mfglab.measures import MeasureFlow, ParticleEnsemble, _w1_quantile, wasserstein1_joint
 
@@ -100,6 +100,13 @@ def test_sup_value_gap_synthetic():
     mism = ValueField(np.zeros((other.t.size, other.x.size)), other, 0.0)
     with pytest.raises(InvalidInputError):
         sup_value_gap(phase, mism)
+    # same x axis, another time axis: more nodes, or the same count over another T
+    for N_t, T in ((SMALL.t.size + 10, SMALL.T), (SMALL.t.size, 2.0 * SMALL.T)):
+        grid = PhaseGrid.regular(N_x=SMALL.x.size, N_v=SMALL.v.size, N_t=N_t, T=T)
+        assert np.array_equal(grid.x, SMALL.x)
+        later = ValueField(np.zeros((grid.t.size, grid.x.size)), grid, 0.0)
+        with pytest.raises(InvalidInputError, match="time"):
+            sup_value_gap(phase, later)
 
 
 def test_sup_marginal_gap_shifted_flows():
@@ -231,16 +238,17 @@ def test_compare_joint_reconstruction_equals_sequential_probes(
     monkeypatch, joint_pair, n_exact, n_cpus
 ):
     """The probes give the per-probe results, in ``fractions`` order, whatever the CPU count."""
+    monkeypatch.setattr(measures, "_N_EXACT", n_exact)
     fa, fb = joint_pair[0].flow, joint_pair[1].flow
     fractions = (0.0, 0.25, 0.5, 0.75, 1.0)
     expected = []
     for frac in fractions:
         ka, kb = fa.index_at(frac * fa.times[-1]), fb.index_at(frac * fa.times[-1])
-        res = wasserstein1_joint(fa.ensemble(ka), fb.ensemble(kb), n_exact=n_exact)
+        res = wasserstein1_joint(fa.ensemble(ka), fb.ensemble(kb))
         expected.append((float(fa.times[ka]), res))
     assert all(res.exact == (n_exact == 2000) for _, res in expected)
     _report_cpus(monkeypatch, n_cpus)
-    assert compare_joint_reconstruction(*joint_pair, fractions, n_exact=n_exact) == expected
+    assert compare_joint_reconstruction(*joint_pair, fractions) == expected
 
 
 def test_joint_w1_runs_on_the_calling_thread(monkeypatch, joint_pair):
@@ -261,8 +269,8 @@ def _flows(positions_a, velocities_a, positions_b, velocities_b, weights=None):
     )
 
 
-def _max_over_probes(*pair, **kwargs):
-    return max(float(r) for _, r in compare_joint_reconstruction(*pair, **kwargs))
+def _max_over_probes(*pair):
+    return max(float(r) for _, r in compare_joint_reconstruction(*pair))
 
 
 def _count_w1_calls(monkeypatch):
@@ -270,9 +278,9 @@ def _count_w1_calls(monkeypatch):
     calls = []
     w1 = analysis.wasserstein1_joint
 
-    def counting(a, b, **kwargs):
+    def counting(a, b):
         calls.append(threading.get_ident())
-        return w1(a, b, **kwargs)
+        return w1(a, b)
 
     monkeypatch.setattr(analysis, "wasserstein1_joint", counting)
     return calls
@@ -281,9 +289,10 @@ def _count_w1_calls(monkeypatch):
 @pytest.mark.parametrize("n_cpus", [1, 4])
 @pytest.mark.parametrize("n_exact", [2000, 10])  # 10 < 49 particles: sliced fallback
 def test_sup_joint_gap_equals_max_over_probes(monkeypatch, joint_pair, n_exact, n_cpus):
-    expected = _max_over_probes(*joint_pair, n_exact=n_exact)
+    monkeypatch.setattr(measures, "_N_EXACT", n_exact)
+    expected = _max_over_probes(*joint_pair)
     _report_cpus(monkeypatch, n_cpus)
-    assert analysis._sup_joint_gap(*joint_pair, n_exact=n_exact) == expected
+    assert analysis._sup_joint_gap(*joint_pair) == expected
 
 
 def test_sup_joint_gap_of_identical_flows_is_zero():
@@ -316,7 +325,7 @@ def test_sup_joint_gap_solves_every_probe_without_uniform_weights(monkeypatch):
     rng = np.random.default_rng(23)
     X, V, Xb, Vb = rng.normal(size=(4, 5, 20))
     w = rng.uniform(0.5, 1.5, size=20)
-    pair = _flows(X, V, Xb, Vb, weights=w / w.sum())  # 20 x 20 < the LP limit: exact LP
+    pair = _flows(X, V, Xb, Vb, weights=w / w.sum())  # weighted 20 x 20: the sliced value
     expected = _max_over_probes(*pair)
     calls = _count_w1_calls(monkeypatch)
     assert analysis._sup_joint_gap(*pair) == expected
@@ -332,12 +341,12 @@ def _fake_probes(monkeypatch, bounds, values):
     """Stand-in bounds and W1 values per probe; returns the list of probes solved."""
     solved = []
 
-    def fake_w1(a, b, n_exact):
+    def fake_w1(a, b):
         k = int(b.positions[0])
         solved.append(k)
         return analysis.W1Result(values[k], True)
 
-    def fake_bounds(a, b, n_exact):
+    def fake_bounds(a, b):
         return bounds[int(b.positions[0])]
 
     monkeypatch.setattr(analysis, "_joint_w1_bounds", fake_bounds)

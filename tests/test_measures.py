@@ -11,15 +11,18 @@ from mfglab import (
     InvalidInputError,
     gaussian_ensemble,
     make_lagrangian,
+    measures,
     wasserstein1_1d,
     wasserstein1_joint,
 )
 from mfglab.measures import (
     MeasureFlow,
     ParticleEnsemble,
+    W1Result,
     _ground_cost,
     _joint_w1_bounds,
     _w1_quantile,
+    _w1_sliced,
     kernel_smooth,
     linear_binning,
     sup_w1_marginal,
@@ -126,23 +129,33 @@ def test_w1_joint_mixed_dimensions_rejected():
         wasserstein1_joint(_delta(0.0, 0.0), _delta(0.0))
 
 
-def test_w1_joint_sliced_fallback_flagged():
+def test_w1_joint_sliced_fallback_flagged(monkeypatch):
+    """Past _N_EXACT particles, and for weighted or unequal-count phase-space
+    pairs at any size, the joint W1 is the sliced value, flagged approximate."""
     rng = np.random.default_rng(9)
     a = ParticleEnsemble(rng.normal(size=40), rng.normal(size=40))
     b = ParticleEnsemble(rng.normal(size=40), rng.normal(size=40))
-    res = wasserstein1_joint(a, b, n_exact=10)
+    w = rng.uniform(0.5, 1.5, size=40)
+    weighted = ParticleEnsemble(b.positions, b.velocities, w / w.sum())
+    fewer = ParticleEnsemble(b.positions[:30], b.velocities[:30])
+    for other in (weighted, fewer):
+        assert wasserstein1_joint(a, other) == W1Result(_w1_sliced(a, other), False)
+    monkeypatch.setattr(measures, "_N_EXACT", 10)
+    res = wasserstein1_joint(a, b)
     assert not res.exact
     assert res.value >= 0
 
 
 def test_w1_joint_fallback_is_exact_without_velocities():
-    # past n_exact a velocity-free pair goes to the quantile W1, which is exact
+    # a velocity-free pair goes to the quantile W1, which is exact at any size
     rng = np.random.default_rng(10)
     a = ParticleEnsemble(rng.normal(size=40))
     b = ParticleEnsemble(rng.normal(size=30) + 0.5)
-    res = wasserstein1_joint(a, b, n_exact=1)
-    assert res.exact
-    assert res.value == wasserstein1_1d(a, b)
+    big = rng.normal(size=(2, 2000))  # uniform and of equal count: still the quantile, not an assignment
+    for x, y in ((a, b), (ParticleEnsemble(big[0]), ParticleEnsemble(big[1] + 0.5))):
+        res = wasserstein1_joint(x, y)
+        assert res.exact
+        assert res.value == wasserstein1_1d(x, y)
 
 
 _COORD = st.floats(-5.0, 5.0, allow_nan=False)
@@ -158,8 +171,10 @@ def test_rank_pairing_bounds_bracket_exact_and_sliced_w1(points):
     slack = 1.0 + 1e-9  # the relative slack of analysis._sup_joint_gap
     lower, upper = _joint_w1_bounds(a, b)
     exact = wasserstein1_joint(a, b)
-    sliced_lower, sliced_upper = _joint_w1_bounds(a, b, n_exact=0)
-    sliced = wasserstein1_joint(a, b, n_exact=0)
+    with pytest.MonkeyPatch.context() as mp:  # a function-scoped fixture would outlive the examples
+        mp.setattr(measures, "_N_EXACT", 0)
+        sliced_lower, sliced_upper = _joint_w1_bounds(a, b)
+        sliced = wasserstein1_joint(a, b)
     assert exact.exact and not sliced.exact
     assert lower <= exact.value * slack <= upper * slack**2
     assert sliced_upper == upper and sliced_lower == 0.0  # no lower bound on a sliced value
