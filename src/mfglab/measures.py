@@ -215,7 +215,7 @@ def wasserstein1_joint(a: ParticleEnsemble, b: ParticleEnsemble) -> W1Result:
     if a.is_joint != b.is_joint:
         raise InvalidInputError("cannot mix joint and velocity-free ensembles")
     if not a.is_joint:
-        return W1Result(_w1_quantile(a.positions, a.weights, b.positions, b.weights), True)
+        return W1Result(wasserstein1_1d(a, b), True)
     if a.size == b.size <= _N_EXACT and a.uniform_weights() and b.uniform_weights():
         from scipy.optimize import linear_sum_assignment
 
