@@ -89,6 +89,8 @@ def fit_rate(xs, ys) -> RateFit:
     ys = np.asarray(ys, dtype=float)
     if xs.size != ys.size or xs.size < 3:
         raise InvalidInputError("fit_rate needs at least 3 (x, y) pairs")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise InvalidInputError("fit_rate needs finite x and y")
     if np.any(xs <= 0) or np.any(ys < 0):
         raise InvalidInputError("fit_rate needs positive x and nonnegative y")
     clipped = bool(np.any(ys < 1e-15))
@@ -264,10 +266,8 @@ def compare_joint_reconstruction(
 ):
     """d1 between the joint flows at probe times, by ``wasserstein1_joint``.
 
-    Returns a list of (t, W1Result) in ``fractions`` order. Flows from one
-    uniform-weight mu0 are compared by exact assignment up to
-    measures._N_EXACT particles; past that, or for weighted flows, each entry
-    is the sliced W1, with exact=False.
+    Returns a list of (t, W1Result) in ``fractions`` order. The flows must
+    come from one uniform-weight mu0; each entry is an exact assignment.
     """
     return [
         (t, wasserstein1_joint(a, b))
@@ -346,8 +346,12 @@ def run_sweep(
         solve_limit = solve_mfg_of_control
     else:
         raise InvalidInputError(f"unknown sweep variant {variant!r}")
-    if not mu0.is_joint:  # the eps rungs need velocities; fail before the limit solve
+    # fail before the limit solve: the eps rungs need velocities, and the joint
+    # W1 of a control sweep needs uniform weights
+    if not mu0.is_joint:
         raise InvalidInputError("the initial ensemble must carry velocities")
+    if variant == "control" and not mu0.uniform_weights():
+        raise InvalidInputError("a control sweep needs an initial ensemble with uniform weights")
     limit = solve_limit(spec, g, grid, mu0, tol_fp=tol_fp, max_iter=max_iter)
 
     rows = []

@@ -25,8 +25,6 @@ import numpy as np
 from .errors import InvalidInputError
 
 _WEIGHT_TOL = 1e-12
-_N_EXACT = 2000  # particles up to which a uniform equal-count joint W1 is an assignment
-_N_PROJECTIONS = 64  # projections of the sliced joint-W1 fallback
 _COST_BLOCK = 1 << 16  # |dv| entries per block of the joint ground cost (512 kB)
 _SLOPES = (-1.0, -2.0 / 3.0, -1.0 / 3.0, 0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0)
 # rank-pairing directions (c, s): twelve points of max(|c|, |s|) = 1, among them x, v, x + v, x - v
@@ -183,11 +181,20 @@ def sup_w1_marginal(a: MeasureFlow, b: MeasureFlow) -> float:
 
 
 class W1Result(NamedTuple):
+    """A joint W1 value; every value ``wasserstein1_joint`` returns is exact."""
+
     value: float
     exact: bool
 
     def __float__(self):
         return self.value
+
+
+def _require_assignment_pair(a: ParticleEnsemble, b: ParticleEnsemble):
+    if a.size != b.size or not (a.uniform_weights() and b.uniform_weights()):
+        raise InvalidInputError(
+            "joint W1 needs phase-space ensembles of equal count with uniform weights"
+        )
 
 
 def _ground_cost(a: ParticleEnsemble, b: ParticleEnsemble) -> np.ndarray:
@@ -205,24 +212,23 @@ def _ground_cost(a: ParticleEnsemble, b: ParticleEnsemble) -> np.ndarray:
 
 
 def wasserstein1_joint(a: ParticleEnsemble, b: ParticleEnsemble) -> W1Result:
-    """W1 between two ensembles with ground metric |dx| + |dv|; the pair picks the method.
+    """Exact W1 between two ensembles with ground metric |dx| + |dv|.
 
-    Velocity-free ensembles get the exact quantile W1 (``wasserstein1_1d``).
-    Phase-space ensembles of equal count with uniform weights, up to _N_EXACT
-    particles, get the exact assignment. Every other pair gets sliced W1 over
-    64 projections at angles drawn with seed 0, flagged approximate.
+    Velocity-free ensembles get the quantile W1 (``wasserstein1_1d``).
+    Phase-space ensembles of equal count n with uniform weights get the optimal
+    assignment, which holds an n x n cost matrix (8 n^2 bytes) and takes time
+    cubic in n. Any other phase-space pair raises InvalidInputError.
     """
     if a.is_joint != b.is_joint:
         raise InvalidInputError("cannot mix joint and velocity-free ensembles")
     if not a.is_joint:
         return W1Result(wasserstein1_1d(a, b), True)
-    if a.size == b.size <= _N_EXACT and a.uniform_weights() and b.uniform_weights():
-        from scipy.optimize import linear_sum_assignment
+    _require_assignment_pair(a, b)
+    from scipy.optimize import linear_sum_assignment
 
-        cost = _ground_cost(a, b)
-        rows, cols = linear_sum_assignment(cost)
-        return W1Result(float(cost[rows, cols].mean()), True)
-    return W1Result(_w1_sliced(a, b), False)
+    cost = _ground_cost(a, b)
+    rows, cols = linear_sum_assignment(cost)
+    return W1Result(float(cost[rows, cols].mean()), True)
 
 
 def _joint_w1_bounds(a: ParticleEnsemble, b: ParticleEnsemble) -> tuple[float, float]:
@@ -230,21 +236,16 @@ def _joint_w1_bounds(a: ParticleEnsemble, b: ParticleEnsemble) -> tuple[float, f
 
     Each pairing sorts both phase-space ensembles along one direction (c, s)
     with max(|c|, |s|) = 1 and pairs them by rank. Its cost, the mean of
-    |dx| + |dv| over the pairs, bounds W1 from above (any coupling does); it
-    also bounds the sliced fallback, since |c dx + s dv| <= |dx| + |dv| for
-    any unit (c, s). The mean of |c dx + s dv| over the same pairs is the 1-D
-    W1 along (c, s), a lower bound on the exact W1 because |c dx + s dv| <=
-    |dx| + |dv| for these directions too; the sliced fallback has no such
-    bound, so past _N_EXACT particles the lower bound is 0. A rank
-    pairing is a coupling only for equal counts with uniform weights;
-    otherwise the bounds are (0, inf).
+    |dx| + |dv| over the pairs, bounds W1 from above (any coupling does). The
+    mean of |c dx + s dv| over the same pairs is the 1-D W1 along (c, s), a
+    lower bound because |c dx + s dv| <= |dx| + |dv| for these directions. A
+    pair that ``wasserstein1_joint`` refuses raises the same InvalidInputError.
 
     The projections c x + s v round in absolute terms: each is within two ulps
     of the largest |x| + |v| of its exact value, so the lower bound drops four
     such ulps, two per side of a projected difference, to stay below the exact W1.
     """
-    if a.size != b.size or not (a.uniform_weights() and b.uniform_weights()):
-        return 0.0, np.inf
+    _require_assignment_pair(a, b)
     scale = max(float(np.max(np.abs(e.positions) + np.abs(e.velocities))) for e in (a, b))
     lower, upper = 0.0, np.inf
     for c, s in _RANK_DIRECTIONS:
@@ -255,19 +256,7 @@ def _joint_w1_bounds(a: ParticleEnsemble, b: ParticleEnsemble) -> tuple[float, f
         cost = np.abs(a.positions[ia] - b.positions[ib])
         cost += np.abs(a.velocities[ia] - b.velocities[ib])
         upper = min(upper, float(cost.mean()))
-    lower = max(0.0, lower - 4.0 * float(np.spacing(scale)))
-    return (lower if a.size <= _N_EXACT else 0.0), upper
-
-
-def _w1_sliced(a, b):
-    angles = np.random.default_rng(0).uniform(0.0, np.pi, size=_N_PROJECTIONS)
-    total = 0.0
-    for th in angles:
-        c, s = np.cos(th), np.sin(th)
-        pa = c * a.positions + s * a.velocities
-        pb = c * b.positions + s * b.velocities
-        total += _w1_quantile(pa, a.weights, pb, b.weights)
-    return total / _N_PROJECTIONS
+    return max(0.0, lower - 4.0 * float(np.spacing(scale))), upper
 
 
 def kernel_smooth(x, positions, weights, sigma, order=0):

@@ -57,6 +57,8 @@ class Curve:
         if t.ndim != 1 or t.size < 3 or x.shape != t.shape:
             raise InvalidInputError("curve needs matching 1d t and x samples, at least 3")
         steps = np.diff(t)
+        if not np.all(steps > 0):
+            raise InvalidInputError("curve times must be strictly increasing")
         if not np.allclose(steps, steps[0]):
             raise InvalidInputError("curve samples must be uniform in time")
         object.__setattr__(self, "t", t)

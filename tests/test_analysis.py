@@ -29,7 +29,7 @@ from mfglab import (
     sup_value_gap,
     velocity_oscillation,
 )
-from mfglab import analysis, measures
+from mfglab import analysis
 from mfglab.analysis import REPORT_COLUMNS, ConvergenceReport, energy_constant, holder_constant
 from mfglab.measures import MeasureFlow, ParticleEnsemble, _w1_quantile, wasserstein1_joint
 
@@ -61,6 +61,21 @@ def test_fit_rate_validation_and_clipping():
         fit_rate([1.0, -0.5, 0.2], [1.0, 0.5, 0.1])
     fit = fit_rate([1.0, 0.5, 0.2], [1.0, 0.0, 0.1])
     assert fit.clipped
+
+
+@pytest.mark.parametrize(
+    "xs, ys",
+    [
+        ([0.5, np.nan, 0.1], [1.0, 0.5, 0.2]),
+        ([0.5, 0.2, 0.1], [1.0, np.nan, 0.2]),
+        ([0.5, np.inf, 0.1], [1.0, 0.5, 0.2]),
+        ([0.5, 0.2, 0.1], [np.inf, 0.5, 0.2]),
+    ],
+    ids=["nan_x", "nan_y", "inf_x", "inf_y"],
+)
+def test_fit_rate_rejects_non_finite_points(xs, ys):
+    with pytest.raises(InvalidInputError, match="finite"):
+        fit_rate(xs, ys)
 
 
 def test_sweep_plan_validation():
@@ -233,12 +248,8 @@ def _report_cpus(monkeypatch, n_cpus):
 
 
 @pytest.mark.parametrize("n_cpus", [1, 4, 8])  # 8 > 5 probes
-@pytest.mark.parametrize("n_exact", [2000, 10])  # 10 < 49 particles: sliced fallback
-def test_compare_joint_reconstruction_equals_sequential_probes(
-    monkeypatch, joint_pair, n_exact, n_cpus
-):
+def test_compare_joint_reconstruction_equals_sequential_probes(monkeypatch, joint_pair, n_cpus):
     """The probes give the per-probe results, in ``fractions`` order, whatever the CPU count."""
-    monkeypatch.setattr(measures, "_N_EXACT", n_exact)
     fa, fb = joint_pair[0].flow, joint_pair[1].flow
     fractions = (0.0, 0.25, 0.5, 0.75, 1.0)
     expected = []
@@ -246,7 +257,7 @@ def test_compare_joint_reconstruction_equals_sequential_probes(
         ka, kb = fa.index_at(frac * fa.times[-1]), fb.index_at(frac * fa.times[-1])
         res = wasserstein1_joint(fa.ensemble(ka), fb.ensemble(kb))
         expected.append((float(fa.times[ka]), res))
-    assert all(res.exact == (n_exact == 2000) for _, res in expected)
+    assert all(res.exact for _, res in expected)
     _report_cpus(monkeypatch, n_cpus)
     assert compare_joint_reconstruction(*joint_pair, fractions) == expected
 
@@ -287,9 +298,7 @@ def _count_w1_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("n_cpus", [1, 4])
-@pytest.mark.parametrize("n_exact", [2000, 10])  # 10 < 49 particles: sliced fallback
-def test_sup_joint_gap_equals_max_over_probes(monkeypatch, joint_pair, n_exact, n_cpus):
-    monkeypatch.setattr(measures, "_N_EXACT", n_exact)
+def test_sup_joint_gap_equals_max_over_probes(monkeypatch, joint_pair, n_cpus):
     expected = _max_over_probes(*joint_pair)
     _report_cpus(monkeypatch, n_cpus)
     assert analysis._sup_joint_gap(*joint_pair) == expected
@@ -321,15 +330,17 @@ def test_sup_joint_gap_solves_past_a_loose_bound(monkeypatch):
     assert len(calls) == 2
 
 
-def test_sup_joint_gap_solves_every_probe_without_uniform_weights(monkeypatch):
+def test_sup_joint_gap_refuses_weighted_flows(monkeypatch):
     rng = np.random.default_rng(23)
     X, V, Xb, Vb = rng.normal(size=(4, 5, 20))
     w = rng.uniform(0.5, 1.5, size=20)
-    pair = _flows(X, V, Xb, Vb, weights=w / w.sum())  # weighted 20 x 20: the sliced value
-    expected = _max_over_probes(*pair)
+    pair = _flows(X, V, Xb, Vb, weights=w / w.sum())
     calls = _count_w1_calls(monkeypatch)
-    assert analysis._sup_joint_gap(*pair) == expected
-    assert len(calls) == 5
+    with pytest.raises(InvalidInputError, match="uniform weights"):
+        analysis._sup_joint_gap(*pair)
+    assert calls == []  # refused by the bounds, before any assignment
+    with pytest.raises(InvalidInputError, match="uniform weights"):
+        compare_joint_reconstruction(*pair)
 
 
 def _one_particle_probes():
@@ -477,7 +488,8 @@ def test_run_sweep_reports_transport_failures_as_nan_rows(kappa_c):
 
 
 def test_run_sweep_propagates_bad_input(monkeypatch):
-    """A velocity-free mu0 is rejected before any solve; a rung's bad input propagates."""
+    """A velocity-free mu0, or a weighted one in a control sweep, is rejected
+    before any solve; a rung's bad input propagates."""
     solves = []
 
     def stub(name, error=None):
@@ -498,6 +510,11 @@ def test_run_sweep_propagates_bad_input(monkeypatch):
     for variant in ("classical", "control"):
         with pytest.raises(InvalidInputError, match="must carry velocities"):
             run_sweep(plan, spec, ZERO_G, SMALL, mu0, variant=variant)
+    lattice = lattice_ensemble(36)
+    w = np.linspace(1.0, 2.0, lattice.size)
+    weighted = ParticleEnsemble(lattice.positions, lattice.velocities, w / w.sum())
+    with pytest.raises(InvalidInputError, match="uniform weights"):
+        run_sweep(plan, spec, ZERO_G, SMALL, weighted, variant="control")
     assert solves == []
     with pytest.raises(InvalidInputError, match="bad rung input"):
         run_sweep(plan, spec, ZERO_G, SMALL, lattice_ensemble(36), variant="control")

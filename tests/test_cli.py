@@ -456,6 +456,14 @@ def test_grid_over_memory_budget_is_config_error(runner, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_control_sweep_over_memory_budget_is_config_error(runner, tmp_path):
+    cfg = _write_cfg(tmp_path, {"measure": {"n": 40000}, "sweep": {"variant": "control"}})
+    res = runner.invoke(main, ["--config", cfg, "--out", str(tmp_path / "out"), "sweep"])
+    assert res.exit_code == 2
+    assert "joint-W1 cost matrix" in res.output and "budget" in res.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_import_leaves_out_scipy_optimize():
     """scipy.optimize is imported where an exact joint W1 is first solved."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

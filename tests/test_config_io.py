@@ -95,6 +95,15 @@ def test_grid_memory_budget():
     assert g["N_x"] * g["N_v"] * (8 * g["N_t"] + 60 * g["N_a"]) < GRID_MEMORY_BUDGET / 10
 
 
+def test_control_sweep_budget_counts_the_joint_cost_matrix():
+    """A control sweep adds the 8 n^2 bytes of its joint-W1 cost matrix."""
+    measure = {"measure": {"n": 40000}}
+    assert RunConfig.from_dict(measure).sweep["variant"] == "classical"
+    with pytest.raises(ConfigurationError, match="8 n\\^2 bytes.*budget"):
+        RunConfig.from_dict({**measure, "sweep": {"variant": "control"}})
+    RunConfig.from_dict({"measure": {"n": 30000}, "sweep": {"variant": "control"}})
+
+
 def test_from_file(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"model": {"kappa_c": 0.5}, **SMALL}))

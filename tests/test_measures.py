@@ -11,7 +11,6 @@ from mfglab import (
     InvalidInputError,
     gaussian_ensemble,
     make_lagrangian,
-    measures,
     wasserstein1_1d,
     wasserstein1_joint,
 )
@@ -22,8 +21,8 @@ from mfglab.measures import (
     _ground_cost,
     _joint_w1_bounds,
     _w1_quantile,
-    _w1_sliced,
     kernel_smooth,
+    lattice_ensemble,
     linear_binning,
     sup_w1_marginal,
 )
@@ -129,21 +128,34 @@ def test_w1_joint_mixed_dimensions_rejected():
         wasserstein1_joint(_delta(0.0, 0.0), _delta(0.0))
 
 
-def test_w1_joint_sliced_fallback_flagged(monkeypatch):
-    """Past _N_EXACT particles, and for weighted or unequal-count phase-space
-    pairs at any size, the joint W1 is the sliced value, flagged approximate."""
+def test_w1_joint_sliced_fallback_flagged():
+    """The pairs the removed sliced fallback took, weighted or of unequal count,
+    are refused by the joint W1 and by its rank-pairing bounds alike."""
     rng = np.random.default_rng(9)
     a = ParticleEnsemble(rng.normal(size=40), rng.normal(size=40))
     b = ParticleEnsemble(rng.normal(size=40), rng.normal(size=40))
     w = rng.uniform(0.5, 1.5, size=40)
     weighted = ParticleEnsemble(b.positions, b.velocities, w / w.sum())
     fewer = ParticleEnsemble(b.positions[:30], b.velocities[:30])
-    for other in (weighted, fewer):
-        assert wasserstein1_joint(a, other) == W1Result(_w1_sliced(a, other), False)
-    monkeypatch.setattr(measures, "_N_EXACT", 10)
+    for x, y in ((a, weighted), (weighted, a), (a, fewer), (fewer, a)):
+        for method in (wasserstein1_joint, _joint_w1_bounds):
+            with pytest.raises(InvalidInputError, match="equal count with uniform weights"):
+                method(x, y)
+    assert wasserstein1_joint(a, b).exact
+
+
+def test_w1_joint_is_an_assignment_past_2000_particles():
+    """The default lattice measure (2025 particles) gets the exact assignment."""
+    from scipy.optimize import linear_sum_assignment
+
+    a = lattice_ensemble(2000)
+    assert a.size == 2025
+    b = ParticleEnsemble(a.positions + 0.1, a.velocities - 0.05)
     res = wasserstein1_joint(a, b)
-    assert not res.exact
-    assert res.value >= 0
+    cost = _ground_cost(a, b)
+    rows, cols = linear_sum_assignment(cost)
+    assert res == W1Result(float(cost[rows, cols].mean()), True)
+    assert res.value == pytest.approx(0.15, rel=1e-12)  # the translation is optimal
 
 
 def test_w1_joint_fallback_is_exact_without_velocities():
@@ -171,14 +183,8 @@ def test_rank_pairing_bounds_bracket_exact_and_sliced_w1(points):
     slack = 1.0 + 1e-9  # the relative slack of analysis._sup_joint_gap
     lower, upper = _joint_w1_bounds(a, b)
     exact = wasserstein1_joint(a, b)
-    with pytest.MonkeyPatch.context() as mp:  # a function-scoped fixture would outlive the examples
-        mp.setattr(measures, "_N_EXACT", 0)
-        sliced_lower, sliced_upper = _joint_w1_bounds(a, b)
-        sliced = wasserstein1_joint(a, b)
-    assert exact.exact and not sliced.exact
+    assert exact.exact
     assert lower <= exact.value * slack <= upper * slack**2
-    assert sliced_upper == upper and sliced_lower == 0.0  # no lower bound on a sliced value
-    assert sliced.value <= upper * slack
 
 
 def test_rank_pairing_bounds_are_exact_for_a_translation():
@@ -195,14 +201,18 @@ def test_rank_pairing_bounds_need_equal_counts_and_strictly_uniform_weights():
     x, v = rng.normal(size=(2, 40))
     a = ParticleEnsemble(x, v)
     assert np.isfinite(_joint_w1_bounds(a, ParticleEnsemble(x + 1.0, v))[1])
-    assert _joint_w1_bounds(a, ParticleEnsemble(x[:39], v[:39])) == (0.0, np.inf)
+    with pytest.raises(InvalidInputError):
+        _joint_w1_bounds(a, ParticleEnsemble(x[:39], v[:39]))
     # weights 1e-6 off 1/n pass np.allclose's default tolerances, but a rank
     # pairing of them is no coupling
     w = np.where(np.arange(40) % 2 == 0, 1.0 + 1e-6, 1.0 - 1e-6) / 40
     near = ParticleEnsemble(x + 1.0, v, w / w.sum())
     assert np.allclose(near.weights, 1.0 / 40)
-    assert _joint_w1_bounds(a, near) == (0.0, np.inf)
-    assert _joint_w1_bounds(near, a) == (0.0, np.inf)
+    for pair in ((a, near), (near, a)):
+        with pytest.raises(InvalidInputError):
+            _joint_w1_bounds(*pair)
+        with pytest.raises(InvalidInputError):
+            wasserstein1_joint(*pair)
 
 
 def test_sup_w1_marginal_uses_the_strict_uniform_rule():

@@ -35,6 +35,12 @@ def test_curve_validation():
         Curve(np.array([0.0, 0.5, 2.0]), np.zeros(3))  # nonuniform
 
 
+@pytest.mark.parametrize("t", [[1.0, 0.5, 0.0], [0.0, 0.0, 0.0], [0.0, 1e-9, 0.0]])
+def test_curve_rejects_times_that_do_not_increase(t):
+    with pytest.raises(InvalidInputError, match="strictly increasing"):
+        Curve(np.array(t), np.array([0.0, 1.0, 2.0]))
+
+
 def test_eval_cost_constant_and_linear():
     t = np.linspace(0.0, 1.0, 101)
     assert eval_cost(Curve(t, np.full(101, 0.7)), 0.1, KINETIC_ONLY, None, ZERO_G) == 0.0
