@@ -346,12 +346,10 @@ def run_sweep(
         solve_limit = solve_mfg_of_control
     else:
         raise InvalidInputError(f"unknown sweep variant {variant!r}")
-    # fail before the limit solve: the eps rungs need velocities, and the joint
-    # W1 of a control sweep needs uniform weights
-    if not mu0.is_joint:
+    if not mu0.is_joint:  # the eps rungs need velocities; fail before the limit solve
         raise InvalidInputError("the initial ensemble must carry velocities")
-    if variant == "control" and not mu0.uniform_weights():
-        raise InvalidInputError("a control sweep needs an initial ensemble with uniform weights")
+    if variant == "control" and not mu0.uniform_weights():  # as does the joint W1
+        raise InvalidInputError("a control sweep needs uniform weights in mu0")
     limit = solve_limit(spec, g, grid, mu0, tol_fp=tol_fp, max_iter=max_iter)
 
     rows = []

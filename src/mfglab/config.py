@@ -50,11 +50,10 @@ DEFAULTS = {
 }
 
 # bytes a run's arrays may take, as RunConfig.validate estimates them: values
-# (8 per node) plus the semi-Lagrangian operators (about 60 per phase node and
-# control), and for a control sweep the n x n joint-W1 cost matrix (8 n^2 for
-# measure.n = n); a larger run is a configuration error, not an allocation
-# failure. The artifact writers stream a chunk of rows at a time, so the budget
-# covers writing value.csv too.
+# (8 per node), the semi-Lagrangian operators (about 60 per phase node and
+# control) and a control sweep's joint-W1 cost matrix (8 n^2); a larger run is a
+# configuration error, not an allocation failure. The artifact writers stream a
+# chunk of rows at a time, so the budget covers writing value.csv too.
 GRID_MEMORY_BUDGET = 8 * 2**30
 
 # what a value must be, by the type of its default
@@ -170,14 +169,13 @@ class RunConfig:
         if self.sweep["variant"] not in ("classical", "control"):
             raise ConfigurationError(f"unknown sweep variant {self.sweep['variant']!r}")
         need = grid["N_x"] * grid["N_v"] * (8 * grid["N_t"] + 60 * grid["N_a"])
-        subject, formula = "grid needs", "N_x N_v (8 N_t + 60 N_a)"
         if self.sweep["variant"] == "control":
             need += 8 * measure["n"] ** 2
-            subject, formula = "grid and joint-W1 cost matrix need", formula + " + 8 n^2"
         if need > GRID_MEMORY_BUDGET:
             raise ConfigurationError(
-                f"{subject} about {need / 2**30:.3g} GiB ({formula} bytes), "
-                f"more than the {GRID_MEMORY_BUDGET / 2**30:.3g} GiB budget"
+                f"grid needs about {need / 2**30:.3g} GiB (N_x N_v (8 N_t + 60 N_a) bytes, plus "
+                f"8 n^2 for a control sweep's joint-W1 cost matrix), more than the "
+                f"{GRID_MEMORY_BUDGET / 2**30:.3g} GiB budget"
             )
         ladder = self.sweep["eps_ladder"]
         if not ladder or any(e <= 0 for e in ladder):

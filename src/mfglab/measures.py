@@ -192,9 +192,7 @@ class W1Result(NamedTuple):
 
 def _require_assignment_pair(a: ParticleEnsemble, b: ParticleEnsemble):
     if a.size != b.size or not (a.uniform_weights() and b.uniform_weights()):
-        raise InvalidInputError(
-            "joint W1 needs phase-space ensembles of equal count with uniform weights"
-        )
+        raise InvalidInputError("joint W1 needs equal counts and uniform weights")
 
 
 def _ground_cost(a: ParticleEnsemble, b: ParticleEnsemble) -> np.ndarray:

@@ -56,9 +56,9 @@ class Curve:
         x = np.asarray(self.x, dtype=float)
         if t.ndim != 1 or t.size < 3 or x.shape != t.shape:
             raise InvalidInputError("curve needs matching 1d t and x samples, at least 3")
+        if not (np.all(np.isfinite(t)) and np.all(np.diff(t) > 0)):
+            raise InvalidInputError("curve times must be finite and strictly increasing")
         steps = np.diff(t)
-        if not np.all(steps > 0):
-            raise InvalidInputError("curve times must be strictly increasing")
         if not np.allclose(steps, steps[0]):
             raise InvalidInputError("curve samples must be uniform in time")
         object.__setattr__(self, "t", t)

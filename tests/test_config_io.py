@@ -99,7 +99,7 @@ def test_control_sweep_budget_counts_the_joint_cost_matrix():
     """A control sweep adds the 8 n^2 bytes of its joint-W1 cost matrix."""
     measure = {"measure": {"n": 40000}}
     assert RunConfig.from_dict(measure).sweep["variant"] == "classical"
-    with pytest.raises(ConfigurationError, match="8 n\\^2 bytes.*budget"):
+    with pytest.raises(ConfigurationError, match="joint-W1 cost matrix.*budget"):
         RunConfig.from_dict({**measure, "sweep": {"variant": "control"}})
     RunConfig.from_dict({"measure": {"n": 30000}, "sweep": {"variant": "control"}})
 

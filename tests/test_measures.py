@@ -129,8 +129,8 @@ def test_w1_joint_mixed_dimensions_rejected():
 
 
 def test_w1_joint_sliced_fallback_flagged():
-    """The pairs the removed sliced fallback took, weighted or of unequal count,
-    are refused by the joint W1 and by its rank-pairing bounds alike."""
+    """Weighted and unequal-count phase-space pairs are flagged by an error,
+    from the joint W1 and from its rank-pairing bounds alike."""
     rng = np.random.default_rng(9)
     a = ParticleEnsemble(rng.normal(size=40), rng.normal(size=40))
     b = ParticleEnsemble(rng.normal(size=40), rng.normal(size=40))
@@ -139,7 +139,7 @@ def test_w1_joint_sliced_fallback_flagged():
     fewer = ParticleEnsemble(b.positions[:30], b.velocities[:30])
     for x, y in ((a, weighted), (weighted, a), (a, fewer), (fewer, a)):
         for method in (wasserstein1_joint, _joint_w1_bounds):
-            with pytest.raises(InvalidInputError, match="equal count with uniform weights"):
+            with pytest.raises(InvalidInputError, match="equal counts and uniform weights"):
                 method(x, y)
     assert wasserstein1_joint(a, b).exact
 

@@ -35,8 +35,17 @@ def test_curve_validation():
         Curve(np.array([0.0, 0.5, 2.0]), np.zeros(3))  # nonuniform
 
 
-@pytest.mark.parametrize("t", [[1.0, 0.5, 0.0], [0.0, 0.0, 0.0], [0.0, 1e-9, 0.0]])
-def test_curve_rejects_times_that_do_not_increase(t):
+@pytest.mark.parametrize(
+    "t",
+    [
+        [1.0, 0.5, 0.0],
+        [0.0, 0.0, 0.0],
+        [0.0, 1e-9, 0.0],  # within np.allclose's tolerance of uniform steps
+        [-np.inf, 0.0, np.inf],
+        [0.0, np.inf, np.inf],
+    ],
+)
+def test_curve_times_must_be_finite_and_strictly_increasing(t):
     with pytest.raises(InvalidInputError, match="strictly increasing"):
         Curve(np.array(t), np.array([0.0, 1.0, 2.0]))
 
