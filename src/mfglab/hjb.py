@@ -16,6 +16,13 @@ so it runs on the calling thread. This is the only module of the package that
 starts threads. A coupled running cost sees the measure flow through its
 position marginals, binned once per solve on the lattice of the x axis
 (`measures.linear_binning`).
+
+Each solver allocates its value field, which outlives the solve, before the
+operator it builds, which dies with it. Once a freed large array has raised
+glibc's dynamic mmap threshold, both land on the heap: an operator freed
+above the field leaves room at the top of the heap that the next large array
+(a joint-W1 cost matrix) grows into, where one freed below the field leaves
+a hole that array cannot use.
 """
 
 from __future__ import annotations
@@ -132,7 +139,10 @@ class ValueField:
         return self.values.ndim == 3
 
     def probe(self, t, x, v=None):
-        """Value at the nearest (t, x[, v]) node."""
+        """Value at the nearest (t, x, v) node of a phase field, or (t, x) node
+        of a limit field; InvalidInputError if `v` is missing or extra."""
+        if (v is None) == self.is_phase:
+            raise InvalidInputError("a phase field is probed at (t, x, v), a limit field at (t, x)")
         k = int(np.argmin(np.abs(self.grid.t - t)))
         i = int(np.argmin(np.abs(self.grid.x - x)))
         if self.is_phase:
@@ -241,8 +251,9 @@ def _block_min(S, const, u_next):
     return cand.min(axis=0)
 
 
-def _backward_sweep(grid: PhaseGrid, spec: LagrangianSpec, m_flow, g, blocks, node_running):
-    """Values on every time node, shaped (N_t,) + node_running.shape.
+def _backward_sweep(grid: PhaseGrid, spec: LagrangianSpec, m_flow, g, blocks, node_running, u):
+    """Fill `u`, shaped (N_t,) + node_running.shape, with the values on every
+    time node.
 
     u(T) is the terminal cost. Each step back takes the smallest candidate of
     the control blocks `(S, const)` at u(t+dt), every block but the first on a
@@ -253,7 +264,6 @@ def _backward_sweep(grid: PhaseGrid, spec: LagrangianSpec, m_flow, g, blocks, no
     """
     x, n_t, dt = grid.x, grid.t.size, grid.dt
     x_col = (-1,) + (1,) * (node_running.ndim - 1)  # an x vector along the first axis of a slice
-    u = np.empty((n_t,) + node_running.shape)
     m_terminal = None if m_flow is None else m_flow.marginal(n_t - 1)
     u[-1] = np.asarray(g.g(x, m_terminal), dtype=float).reshape(x_col)
     binned = linear_binning(m_flow, x) if m_flow is not None and spec.is_coupled else None
@@ -269,7 +279,6 @@ def _backward_sweep(grid: PhaseGrid, spec: LagrangianSpec, m_flow, g, blocks, no
                 lattice, table = binned
                 coupling = spec.coupling_value(x, ParticleEnsemble(lattice, None, table[k]))
             u[k] = best.reshape(node_running.shape) + dt * (node_running + coupling.reshape(x_col))
-    return u
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,11 +374,12 @@ def solve_hjb_acceleration(
     frees it on return; a given operator must have been built for this grid,
     spec, eps and control set, or InvalidInputError is raised.
     """
+    u = np.empty((grid.t.size, grid.x.size, grid.v.size))  # before the operator: see the module doc
     if operator is None:
         operator = acceleration_operator(grid, spec, eps, controls)
     else:
         operator.require(grid, spec, eps, controls)
-    u = _backward_sweep(grid, spec, m_flow, g, operator.blocks, operator.node_running)
+    _backward_sweep(grid, spec, m_flow, g, operator.blocks, operator.node_running, u)
     return ValueField(u, grid, eps)
 
 
@@ -386,6 +396,7 @@ def solve_hjb_limit_classical(
     penalty above the value's x-Lipschitz bound.
     """
     x, b, dt = grid.x, grid.v, grid.dt
+    u = np.empty((grid.t.size, x.size))  # before the operator: see the module doc
     foot = x[None, :] + dt * b[:, None]  # (n_b, n_x)
     ix0, fx = _stencil_1d(foot, x)
     indptr = _row_pointer(foot.size, 2)
@@ -393,7 +404,7 @@ def solve_hjb_limit_classical(
     S = _stencil_operator(x.size, indices, np.stack((1.0 - fx, fx), axis=-1), indptr)
     pen_rate = spec.M0 * (1.0 + grid.T) * (1.0 + grid.R_v**2) + g.dg_bound
     const = dt * spec.kinetic(b)[:, None] + pen_rate * _excess(foot, x)
-    u = _backward_sweep(grid, spec, m_flow, g, [(S, const)], spec.potential(x))
+    _backward_sweep(grid, spec, m_flow, g, [(S, const)], spec.potential(x), u)
     return ValueField(u, grid, 0.0)
 
 

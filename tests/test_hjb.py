@@ -251,6 +251,12 @@ def test_probe_nearest_node():
     assert field.probe(
         SMALL.t[3] + 0.3 * SMALL.dt, SMALL.x[5] - 0.3 * SMALL.dx, SMALL.v[7]
     ) == field.values[3, 5, 7]
+    limit = ValueField(field.values[:, :, 0], SMALL, 0.0)
+    assert limit.probe(SMALL.t[3], SMALL.x[5]) == field.values[3, 5, 0]
+    # a phase field needs v and a limit field takes none
+    for bad_field, args in ((field, ()), (limit, (SMALL.v[7],))):
+        with pytest.raises(InvalidInputError, match="probed at"):
+            bad_field.probe(SMALL.t[3], SMALL.x[5], *args)
 
 
 def test_index_dtype_widens_past_int32():
@@ -492,9 +498,10 @@ def _traced_peak_of_coupled_solve():
 
 def test_acceleration_solve_peak_memory():
     """The construction arrays are freed before the backward loop: on the coupled
-    sweep's grid one solve peaks near 38 MB of traced allocations with one control
-    block, 32 MB with two (u alone is 6.6 MB, the operators 16 MB); keeping them
-    through the loop peaked at 49.8 MB."""
+    sweep's grid one solve peaks at 31.90 MB of traced allocations with one
+    control block and 31.22 MB with two, with either allocation order of u and
+    the operator (u alone is 6.6 MB, the operators 20.1 and 19.5 MB); keeping
+    the construction arrays through the loop peaked at 49.8 MB."""
     peak = _traced_peak_of_coupled_solve()
     assert peak < 44e6, f"traced peak {peak / 1e6:.1f} MB"
 
@@ -505,6 +512,31 @@ def test_acceleration_solve_peak_memory_two_blocks(monkeypatch):
     monkeypatch.setattr(hjb, "_n_cpus", lambda: 2)
     peak = _traced_peak_of_coupled_solve()
     assert peak < 44e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+def test_decoupled_solve_allocates_its_value_field_before_its_operator(monkeypatch):
+    """A solve that builds its own operator allocates u first, so the operator,
+    freed on return, is not left as a hole below the field it outlives (see the
+    `hjb` module docstring). The traced memory when the operator build starts
+    must already hold u."""
+    grid = PhaseGrid.regular(N_x=101, N_v=81, N_t=101)
+    spec = make_lagrangian("quadratic")
+    controls = acceleration_controls(grid, 0.01)
+    build, at_build = hjb.acceleration_operator, []
+
+    def traced_build(*args):
+        at_build.append(tracemalloc.get_traced_memory()[0])
+        return build(*args)
+
+    monkeypatch.setattr(hjb, "acceleration_operator", traced_build)
+    tracemalloc.start()
+    try:
+        solve_hjb_acceleration(grid, spec, None, ZERO_G, 0.01, controls)
+    finally:
+        tracemalloc.stop()
+    field_bytes = 8 * grid.t.size * grid.x.size * grid.v.size
+    assert len(at_build) == 1
+    assert at_build[0] >= field_bytes, f"{at_build[0]} bytes traced at the build, u is {field_bytes}"
 
 
 @pytest.mark.parametrize("n_cpus", [1, 2])
