@@ -116,9 +116,9 @@ class RunConfig:
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         try:
-            with open(path) as f:
+            with open(path, encoding="utf-8") as f:
                 data = json.load(f)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
             raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
         return cls.from_dict(data)
 

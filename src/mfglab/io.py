@@ -26,9 +26,6 @@ FLOAT_FMT = "%.17g"
 
 # rows per assembly chunk: bounds the working memory to a few MB
 _CHUNK_ROWS = 1 << 14
-# characters per write: encoding a whole artifact at once allocates a second
-# full-size copy, whose page faults cost more than the write itself
-_WRITE_CHARS = 1 << 16
 
 # -- %.17g for a whole array --------------------------------------------------
 #
@@ -199,8 +196,8 @@ def table_chunks(header: str, n_rows: int, columns) -> Iterator[str]:
     A column is an array with one entry per row, formatted a chunk of rows at
     a time, or a pair (a, stride) whose row r holds a[(r // stride) % a.size],
     formatted once: the axes of a product layout. Every chunk is assembled in
-    one buffer of fixed-width records whose separators are written once: a
-    fresh buffer per chunk costs more in page faults than the formatting.
+    one reused buffer: a fresh buffer per chunk costs more in page faults than
+    the formatting.
     """
     yield header + "\n"
     if n_rows == 0:  # an axis is empty (a flow without particles)
@@ -210,34 +207,25 @@ def table_chunks(header: str, n_rows: int, columns) -> Iterator[str]:
         if isinstance(c, tuple):
             s = _slots(c[0])
             used = np.flatnonzero(s.any(axis=0))  # drops an all-null sign byte and padding
-            s = np.ascontiguousarray(s[:, used[0] : used[-1] + 1])
-            cells.append((s.view(f"V{s.shape[1]}")[:, 0], c[1]))
+            cells.append((s[:, used[0] : used[-1] + 1], c[1]))
         else:
             c = np.asarray(c, dtype=float).ravel()
             if c.size != n_rows:
                 raise ValueError(f"a column has {c.size} entries for {n_rows} rows")
             cells.append((c, None))
-    widths = [24 if stride is None else a.itemsize for a, stride in cells]
-    starts = np.cumsum([0] + [w + 1 for w in widths])
-    record = np.dtype({
-        "names": [f"c{j}" for j in range(len(cells))],
-        "formats": [f"V{w}" for w in widths],
-        "offsets": starts[:-1].tolist(),
-        "itemsize": int(starts[-1]),
-    })
-    store = bytearray(min(n_rows, _CHUNK_ROWS) * record.itemsize)
-    buf = np.frombuffer(store, np.uint8).reshape(-1, record.itemsize)
-    buf[:, starts[1:] - 1] = ord(",")
-    buf[:, -1] = ord("\n")
-    records = buf.view(record)[:, 0]
+    width = sum(24 if stride is None else a.shape[1] for a, stride in cells) + len(cells)
+    store = bytearray(min(n_rows, _CHUNK_ROWS) * width)
+    buf = np.frombuffer(store, np.uint8).reshape(-1, width)
+    comma, newline = (np.full((len(buf), 1), ord(ch), np.uint8) for ch in ",\n")
     for r0 in range(0, n_rows, _CHUNK_ROWS):
         r = np.arange(r0, min(r0 + _CHUNK_ROWS, n_rows))
-        for j, (a, stride) in enumerate(cells):
-            if stride is None:
-                records[f"c{j}"][: r.size] = _slots(a[r0 : r0 + r.size]).view("V24")[:, 0]
-            else:
-                records[f"c{j}"][: r.size] = a.take((r // stride) % a.size)
-        text = store if r.size == records.size else store[: r.size * record.itemsize]
+        parts = []
+        for a, stride in cells:
+            cell = _slots(a[r]) if stride is None else a.take(r // stride % len(a), axis=0)
+            parts += (cell, comma[: r.size])
+        parts[-1] = newline[: r.size]
+        np.concatenate(parts, axis=1, out=buf[: r.size])
+        text = store if r.size == len(buf) else store[: r.size * width]
         yield text.translate(None, b"\0").decode("ascii")
 
 
@@ -274,8 +262,7 @@ def atomic_write_text(path, text: str | Iterable[str]):
         os.fchmod(fd, 0o666 & ~_umask())
         with os.fdopen(fd, "w") as f:
             for chunk in [text] if isinstance(text, str) else text:
-                for i in range(0, len(chunk), _WRITE_CHARS):
-                    f.write(chunk[i : i + _WRITE_CHARS])
+                f.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

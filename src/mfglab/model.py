@@ -144,17 +144,15 @@ class AuditReport:
     """Worst-case margins for the standing-assumption inequalities (>= 0 means satisfied)."""
 
     margins: dict
-    n_samples: int
-    box: tuple
-    tolerance: float = 1e-8
 
     @property
     def passed(self) -> bool:
-        return all(v >= -self.tolerance for v in self.margins.values())
+        return all(v >= -AUDIT_TOLERANCE for v in self.margins.values())
 
 
 AUDIT_BOX = ((-5.0, 5.0), (-5.0, 5.0))
 AUDIT_SAMPLES = 400
+AUDIT_TOLERANCE = 1e-8  # a margin this far below 0 still passes
 
 
 def audit_assumptions(spec: LagrangianSpec, g: TerminalCost | None = None) -> AuditReport:
@@ -177,7 +175,7 @@ def audit_assumptions(spec: LagrangianSpec, g: TerminalCost | None = None) -> Au
     }
     if g is not None:
         margins["terminal_constant"] = float(spec.M0 - max(0.5, 0.5 * g.dg_bound))
-    return AuditReport(margins=margins, n_samples=AUDIT_SAMPLES, box=AUDIT_BOX)
+    return AuditReport(margins)
 
 
 # -- catalog -----------------------------------------------------------------

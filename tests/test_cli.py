@@ -273,6 +273,27 @@ def test_bad_config_rejected(runner, tmp_path):
     assert "config error" in res.output
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        pytest.param(b"\xff\xfe{}", id="not-utf8"),
+        pytest.param(b"[" * 100_000, id="deep-array"),
+        pytest.param(b'{"grid": {"N_x": ' + b"9" * 5000 + b"}}", id="5000-digit-int"),
+    ],
+)
+def test_unreadable_config_is_config_error(runner, tmp_path, content):
+    """A config that is not UTF-8, that nests too deep for the JSON parser, or
+    that holds an integer past Python's digit limit is a config error, not a
+    traceback."""
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(content)
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "out"), "audit"])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "config error: cannot read config" in res.output
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("key, value", [("name", "septic"), ("terminal", "cubic")])
 def test_unknown_catalog_name_is_config_error(runner, tmp_path, key, value):
     res = runner.invoke(

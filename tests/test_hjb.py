@@ -243,6 +243,31 @@ def test_gradient_x_examples():
     assert np.max(err) <= SMALL.dx**2 / 6.0 * 1.01
 
 
+def test_interp_slice_xv_is_bilinear_and_clamped():
+    """The transport interpolation reproduces a + b x + c v + d x v inside the
+    box, gives a point outside it the value at its clamped point, and on a
+    slice constant in v is the x interpolation."""
+    bilinear = lambda x, v: 0.3 - 1.2 * x + 0.7 * v + 0.45 * x * v
+    X, V = np.meshgrid(SMALL.x, SMALL.v, indexing="ij")
+    slice_xv = bilinear(X, V)
+    rng = np.random.default_rng(0)
+    xq, vq = rng.uniform(-SMALL.R_x, SMALL.R_x, 500), rng.uniform(-SMALL.R_v, SMALL.R_v, 500)
+    inside = hjb.interp_slice_xv(slice_xv, SMALL, xq, vq)
+    assert np.allclose(inside, bilinear(xq, vq), rtol=0, atol=1e-12)
+    # outside on x, on v, and on both, past either edge
+    xo = np.array([-9.0, 9.0, 0.3, -0.7, 9.0, -9.0]) * SMALL.R_x
+    vo = np.array([0.1, -0.2, -9.0, 9.0, 9.0, -9.0]) * SMALL.R_v
+    clamped = bilinear(np.clip(xo, -SMALL.R_x, SMALL.R_x), np.clip(vo, -SMALL.R_v, SMALL.R_v))
+    assert np.allclose(hjb.interp_slice_xv(slice_xv, SMALL, xo, vo), clamped, rtol=0, atol=1e-12)
+    slice_x = rng.normal(size=SMALL.x.size)
+    xq = rng.uniform(-1.5 * SMALL.R_x, 1.5 * SMALL.R_x, 500)
+    const_v = np.repeat(slice_x[:, None], SMALL.v.size, axis=1)
+    assert np.allclose(
+        hjb.interp_slice_xv(const_v, SMALL, xq, vq), hjb.interp_slice_x(slice_x, SMALL, xq),
+        rtol=0, atol=1e-12,
+    )
+
+
 def test_probe_nearest_node():
     vals = np.arange(SMALL.t.size * SMALL.x.size * SMALL.v.size, dtype=float)
     field = ValueField(vals.reshape(SMALL.t.size, SMALL.x.size, SMALL.v.size), SMALL, 0.1)
@@ -482,7 +507,15 @@ def test_control_block_workers_are_joined(monkeypatch):
     assert threading.active_count() == before
 
 
-def _traced_peak_of_coupled_solve():
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_acceleration_solve_peak_memory(n_cpus, monkeypatch):
+    """The construction arrays are freed before the backward loop: on the coupled
+    sweep's grid one solve peaks at 31.90 MB of traced allocations with one
+    control block and 31.22 MB with two, with either allocation order of u and
+    the operator (u alone is 6.6 MB, the operators 20.1 and 19.5 MB); keeping
+    the construction arrays through the loop peaked at 49.8 MB. The CPU count
+    is set, so both block counts are checked on any machine."""
+    monkeypatch.setattr(hjb, "_n_cpus", lambda: n_cpus)
     grid = PhaseGrid.regular(N_x=101, N_v=81, N_t=101)
     spec = make_lagrangian("quadratic", kappa_c=0.5)
     flow = free_transport_flow(lattice_ensemble(2000), grid)
@@ -493,24 +526,6 @@ def _traced_peak_of_coupled_solve():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak
-
-
-def test_acceleration_solve_peak_memory():
-    """The construction arrays are freed before the backward loop: on the coupled
-    sweep's grid one solve peaks at 31.90 MB of traced allocations with one
-    control block and 31.22 MB with two, with either allocation order of u and
-    the operator (u alone is 6.6 MB, the operators 20.1 and 19.5 MB); keeping
-    the construction arrays through the loop peaked at 49.8 MB."""
-    peak = _traced_peak_of_coupled_solve()
-    assert peak < 44e6, f"traced peak {peak / 1e6:.1f} MB"
-
-
-def test_acceleration_solve_peak_memory_two_blocks(monkeypatch):
-    """The same bound holds with the controls split over two CPUs, so the
-    threaded step is checked on a one-CPU machine too."""
-    monkeypatch.setattr(hjb, "_n_cpus", lambda: 2)
-    peak = _traced_peak_of_coupled_solve()
     assert peak < 44e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
