@@ -37,7 +37,9 @@ from .measures import (
     sup_w1_marginal,
     wasserstein1_joint,
 )
-from .mfg import MFGSolution, solve_eps_system, solve_limit_classical, solve_mfg_of_control
+from .mfg import (
+    MAX_ITER, TOL_FP, MFGSolution, solve_eps_system, solve_limit_classical, solve_mfg_of_control,
+)
 from .model import LagrangianSpec, TerminalCost
 
 PROBE_RADIUS = 2.0
@@ -328,8 +330,8 @@ def run_sweep(
     mu0: ParticleEnsemble,
     variant: str = "classical",
     controls: ControlSet | None = None,
-    tol_fp: float = 1e-3,
-    max_iter: int = 60,
+    tol_fp: float = TOL_FP,
+    max_iter: int = MAX_ITER,
 ) -> ConvergenceReport:
     """Solve the limit system once, then every eps rung, and assemble the report.
 

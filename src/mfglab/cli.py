@@ -34,9 +34,11 @@ def _build(ctx):
     path = ctx.obj["config_path"]
     try:
         cfg = RunConfig.default() if path is None else RunConfig.from_file(path)
+        if ctx.obj["seed"] is not None:  # recorded in meta.json, so a rerun from it draws this mu0
+            cfg.measure["seed"] = ctx.obj["seed"]
         return (
             cfg, cfg.build_spec(), cfg.build_terminal(), cfg.build_grid(),
-            cfg.build_controls(), cfg.build_mu0(seed=ctx.obj["seed"]),
+            cfg.build_controls(), cfg.build_mu0(),
         )
     except MFGLabError as exc:
         _fail(f"config error: {exc}")

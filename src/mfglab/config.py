@@ -4,57 +4,58 @@ factories for the objects the solvers consume."""
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import math
 
-from .analysis import SweepPlan
+from .analysis import SweepPlan, run_sweep
 from .errors import ConfigurationError
 from .hjb import BASE_A_MAX, BASE_N_A, ControlSet, PhaseGrid
 from .measures import ParticleEnsemble, gaussian_ensemble, lattice_ensemble
+from .mfg import _MEMORY, solve_eps_system
 from .model import MODELS, TERMINALS, LagrangianSpec, TerminalCost, make_lagrangian, make_terminal
 
+
+def _defaults(fn, *keys, **renamed):
+    """fn's parameter defaults, each under its name or under the key that renames
+    it (renamed maps a config key to a parameter), tuples as JSON lists."""
+    params = inspect.signature(fn).parameters
+    as_json = lambda v: [as_json(item) for item in v] if isinstance(v, tuple) else v
+    return {key: as_json(params[renamed.get(key, key)].default) for key in (*keys, *renamed)}
+
+
+# the API's own defaults; only the measure's kind (lattice | gaussian) and size are the config's
 DEFAULTS = {
     "model": {
-        "name": "quadratic",
-        "kappa_pot": 0.5,
-        "kappa_c": 0.0,
-        "sigma": 0.3,
-        "M0": 60.0,
-        "terminal": "zero",
-        "terminal_amplitude": 1.0,
+        **_defaults(make_lagrangian, "name", "kappa_pot", "kappa_c", "sigma", "M0"),
+        **_defaults(make_terminal, terminal="name", terminal_amplitude="amplitude"),
     },
     "grid": {
-        "R_x": 3.0,
-        "R_v": 4.0,
-        "N_x": 101,
-        "N_v": 81,
-        "N_t": 201,
+        **_defaults(PhaseGrid.regular, "R_x", "R_v", "N_x", "N_v", "N_t"),
         "N_a": BASE_N_A,
         "A_max": BASE_A_MAX,
-        "T": 1.0,
+        **_defaults(PhaseGrid.regular, "T"),
     },
-    "measure": {
-        "kind": "lattice",  # lattice | gaussian
-        "n": 2000,
-        "box": [[-1.0, 1.0], [-1.0, 1.0]],
-        "seed": 0,
-    },
-    "solver": {
-        "tol_fp": 1e-3,
-        "max_iter": 60,
-    },
-    "sweep": {
-        "eps_ladder": [0.5, 0.2, 0.1, 0.05, 0.02, 0.01],
-        "variant": "classical",  # classical | control
-    },
+    "measure": {"kind": "lattice", "n": 2000, **_defaults(gaussian_ensemble, "box", "seed")},
+    "solver": _defaults(solve_eps_system, "tol_fp", "max_iter"),
+    "sweep": {**_defaults(SweepPlan, "eps_ladder"), **_defaults(run_sweep, "variant")},
 }
 
 # bytes a run's arrays may take, as RunConfig.validate estimates them: values
 # (8 per node), the semi-Lagrangian operators (about 60 per phase node and
-# control) and a control sweep's joint-W1 cost matrix (8 n^2); a larger run is a
-# configuration error, not an allocation failure. The artifact writers stream a
-# chunk of rows at a time, so the budget covers writing value.csv too.
+# control), the particle flows, a coupled run's Anderson history and a control
+# sweep's joint-W1 cost matrix (8 n^2); a larger run is a configuration error,
+# not an allocation failure. The artifact writers stream a chunk of rows at a
+# time, so the budget covers writing value.csv too.
 GRID_MEMORY_BUDGET = 8 * 2**30
+# bytes per particle and time node: a (t, x, v) flow is 16 (float64 positions and
+# velocities), and a coupled sweep holds five, its limit flow and four of a Picard
+# loop (the iterate, the best iterate, the last transport and the next); its
+# float32 Anderson history holds _MEMORY difference pairs and the pending pair.
+# Traced peaks (21x17x201 grid, 10,000 particles): 54 N_t n bytes for a decoupled
+# two-rung sweep and 121 for a coupled one whose history is full.
+FLOW_BYTES = 16 * 5
+ANDERSON_BYTES = 8 * (_MEMORY + 1)
 
 # what a value must be, by the type of its default
 _KINDS = {list: "a list of numbers", str: "a string", int: "an integer", float: "a number"}
@@ -169,13 +170,16 @@ class RunConfig:
         if self.sweep["variant"] not in ("classical", "control"):
             raise ConfigurationError(f"unknown sweep variant {self.sweep['variant']!r}")
         need = grid["N_x"] * grid["N_v"] * (8 * grid["N_t"] + 60 * grid["N_a"])
+        per_particle = FLOW_BYTES + (ANDERSON_BYTES if model["kappa_c"] > 0 else 0)
+        need += per_particle * grid["N_t"] * measure["n"]
         if self.sweep["variant"] == "control":
             need += 8 * measure["n"] ** 2
         if need > GRID_MEMORY_BUDGET:
             raise ConfigurationError(
                 f"grid needs about {need / 2**30:.3g} GiB (N_x N_v (8 N_t + 60 N_a) bytes, plus "
-                f"8 n^2 for a control sweep's joint-W1 cost matrix), more than the "
-                f"{GRID_MEMORY_BUDGET / 2**30:.3g} GiB budget"
+                f"{FLOW_BYTES} N_t n for the particle flows, {ANDERSON_BYTES} N_t n more if "
+                f"kappa_c > 0 and 8 n^2 for a control sweep's joint-W1 cost matrix), more than "
+                f"the {GRID_MEMORY_BUDGET / 2**30:.3g} GiB budget"
             )
         ladder = self.sweep["eps_ladder"]
         if not ladder or any(e <= 0 for e in ladder):
@@ -203,11 +207,11 @@ class RunConfig:
     def build_controls(self) -> ControlSet:
         return ControlSet.symmetric(self.grid["A_max"], self.grid["N_a"])
 
-    def build_mu0(self, seed=None) -> ParticleEnsemble:
+    def build_mu0(self) -> ParticleEnsemble:
         m = self.measure
         if m["kind"] == "lattice":
             return lattice_ensemble(m["n"], m["box"])
-        return gaussian_ensemble(m["n"], m["box"], m["seed"] if seed is None else seed)
+        return gaussian_ensemble(m["n"], m["box"], m["seed"])
 
     def build_plan(self) -> SweepPlan:
         return SweepPlan(eps_ladder=tuple(self.sweep["eps_ladder"]))

@@ -69,6 +69,9 @@ class PhaseGrid:
     @classmethod
     @np.errstate(over="ignore", invalid="ignore")  # an overflowing span fails the checks quietly
     def regular(cls, R_x=3.0, R_v=4.0, T=1.0, N_x=101, N_v=81, N_t=201):
+        for name, n in (("x", N_x), ("v", N_v), ("t", N_t)):
+            if not n >= 3:  # before np.linspace, which refuses a negative count
+                raise ConfigurationError(f"grid axis {name} needs at least 3 nodes")
         return cls(
             x=np.linspace(-R_x, R_x, N_x),
             v=np.linspace(-R_v, R_v, N_v),
@@ -119,6 +122,8 @@ class ControlSet:
     @classmethod
     @np.errstate(over="ignore", invalid="ignore")  # an overflowing span fails the checks quietly
     def symmetric(cls, a_max: float, n: int):
+        if not n >= 1:  # before np.linspace, which refuses a negative count
+            raise ConfigurationError(f"control set needs at least one point, got {n}")
         return cls(np.linspace(-a_max, a_max, n))
 
     @property

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 
+UNIT_BOX = ((-1.0, 1.0), (-1.0, 1.0))  # the default (x, v) box of the initial ensembles
 _WEIGHT_TOL = 1e-12
 _COST_BLOCK = 1 << 16  # |dv| entries per block of the joint ground cost (512 kB)
 _SLOPES = (-1.0, -2.0 / 3.0, -1.0 / 3.0, 0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0)
@@ -304,10 +305,20 @@ def linear_binning(flow: MeasureFlow, nodes):
     return nodes[0] + h * np.arange(lo, lo + n), table.reshape(flow.n_times, n)
 
 
-def lattice_ensemble(n: int, box=((-1.0, 1.0), (-1.0, 1.0))) -> ParticleEnsemble:
-    """Uniform-weight particles on a regular phase-space lattice inside ``box``."""
-    side = max(2, int(round(np.sqrt(n))))
+def _ensemble_bounds(n, box):
+    """x0, x1, v0, v1 of an ensemble's (x, v) box, after checking n >= 1 and lo < hi."""
+    if not n >= 1:
+        raise InvalidInputError(f"an ensemble needs at least one particle, got n = {n}")
     (x0, x1), (v0, v1) = box
+    if not (x0 < x1 and v0 < v1):
+        raise InvalidInputError(f"the box needs lo < hi on both axes, got {box}")
+    return x0, x1, v0, v1
+
+
+def lattice_ensemble(n: int, box=UNIT_BOX) -> ParticleEnsemble:
+    """Uniform-weight particles on a regular phase-space lattice inside ``box``."""
+    x0, x1, v0, v1 = _ensemble_bounds(n, box)
+    side = max(2, int(round(np.sqrt(n))))
     # cell midpoints, so refinement mimics an absolutely continuous density
     xs = x0 + (x1 - x0) * (np.arange(side) + 0.5) / side
     vs = v0 + (v1 - v0) * (np.arange(side) + 0.5) / side
@@ -315,10 +326,12 @@ def lattice_ensemble(n: int, box=((-1.0, 1.0), (-1.0, 1.0))) -> ParticleEnsemble
     return ParticleEnsemble(X.ravel(), V.ravel())
 
 
-def gaussian_ensemble(n: int, box=((-1.0, 1.0), (-1.0, 1.0)), seed: int = 0) -> ParticleEnsemble:
+def gaussian_ensemble(n: int, box=UNIT_BOX, seed: int = 0) -> ParticleEnsemble:
     """I.i.d. truncated-Gaussian particles with a fixed seed."""
+    x0, x1, v0, v1 = _ensemble_bounds(n, box)
+    if not seed >= 0:
+        raise InvalidInputError(f"the seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
-    (x0, x1), (v0, v1) = box
     cx, cv = 0.5 * (x0 + x1), 0.5 * (v0 + v1)
     sx, sv = 0.25 * (x1 - x0), 0.25 * (v1 - v0)
     xs = np.clip(rng.normal(cx, sx, size=n), x0, x1)

@@ -34,6 +34,8 @@ from .model import LagrangianSpec, TerminalCost, optimal_velocity_field
 
 EPS_SUBSTEP_DIVISOR = 4.0  # transport_eps sub-steps are at most eps / 4
 LIMIT_SUBSTEPS = 4  # sub-steps per time step of transport_along_velocity
+TOL_FP = 1e-3  # default Picard stop, sup_t W1 of the position marginals (run_sweep's too)
+MAX_ITER = 60  # default Picard iteration budget (run_sweep's too)
 
 
 @dataclass(frozen=True)
@@ -249,8 +251,8 @@ def solve_eps_system(
     mu0: ParticleEnsemble,
     eps: float,
     controls: ControlSet | None = None,
-    tol_fp: float = 1e-3,
-    max_iter: int = 60,
+    tol_fp: float = TOL_FP,
+    max_iter: int = MAX_ITER,
 ) -> MFGSolution:
     """Anderson-accelerated Picard iteration for the penalized system.
 
@@ -279,8 +281,8 @@ def solve_limit_classical(
     g: TerminalCost,
     grid: PhaseGrid,
     mu0: ParticleEnsemble,
-    tol_fp: float = 1e-3,
-    max_iter: int = 60,
+    tol_fp: float = TOL_FP,
+    max_iter: int = MAX_ITER,
 ) -> MFGSolution:
     """Classical limit system: value on (t, x) with the v axis as velocity controls,
     marginal particles transported along the optimizing velocity."""
@@ -303,8 +305,8 @@ def solve_mfg_of_control(
     g: TerminalCost,
     grid: PhaseGrid,
     mu0: ParticleEnsemble,
-    tol_fp: float = 1e-3,
-    max_iter: int = 60,
+    tol_fp: float = TOL_FP,
+    max_iter: int = MAX_ITER,
 ) -> MFGSolution:
     """State-control limit: the classical limit plus one velocity reconstruction.
 

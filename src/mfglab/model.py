@@ -192,9 +192,9 @@ TERMINALS = ("zero", "atan")
 def make_lagrangian(
     name: str = "quadratic",
     kappa_pot: float = 0.5,
-    kappa_c: float = 0.0,
-    sigma: float = 0.3,
-    M0: float = 60.0,
+    kappa_c: float = LagrangianSpec.coupling_strength,
+    sigma: float = LagrangianSpec.coupling_sigma,
+    M0: float = LagrangianSpec.M0,
 ) -> LagrangianSpec:
     """Built-in Lagrangian catalog; user models enter through parameters only."""
     quadratic = dict(

@@ -505,6 +505,28 @@ def test_negative_seed_option_is_usage_error(runner, tmp_path):
     assert "Invalid value for '--seed'" in res.output
 
 
+def test_seed_option_is_recorded_and_a_rerun_from_meta_gives_the_same_bytes(runner, tmp_path):
+    """--seed is written to measure.seed, so meta.json's config re-makes the run."""
+    first = tmp_path / "first"
+    res = runner.invoke(
+        main,
+        ["--config", _write_cfg(tmp_path), "--out", str(first), "--seed", "7",
+         "solve-eps", "--eps", "0.2"],
+    )
+    assert res.exit_code == 0, res.output
+    config = json.loads((first / "meta.json").read_text())["config"]
+    assert config["measure"]["seed"] == 7
+    recorded = tmp_path / "recorded.json"
+    recorded.write_text(json.dumps(config))
+    again = tmp_path / "again"
+    res = runner.invoke(
+        main, ["--config", str(recorded), "--out", str(again), "solve-eps", "--eps", "0.2"]
+    )
+    assert res.exit_code == 0, res.output
+    for name in ("value.csv", "flow.csv", "meta.json"):
+        assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("variant", ["classical", "control"])
 def test_cli_matches_api(runner, tmp_path, variant):
     """sweep, solve-eps and solve-limit give the API's bytes, and the sweep's rungs agree."""
@@ -512,9 +534,10 @@ def test_cli_matches_api(runner, tmp_path, variant):
     data["sweep"]["variant"] = variant
     path = tmp_path / "config.json"
     path.write_text(json.dumps(data))
-    cfg = RunConfig.from_dict(data)
+    # the CLI runs with --seed 11, which overrides the file's measure.seed
+    cfg = RunConfig.from_dict({**data, "measure": {**data["measure"], "seed": 11}})
     spec, g, grid = cfg.build_spec(), cfg.build_terminal(), cfg.build_grid()
-    mu0, plan, solver = cfg.build_mu0(seed=11), cfg.build_plan(), cfg.solver
+    mu0, plan, solver = cfg.build_mu0(), cfg.build_plan(), cfg.solver
 
     out = tmp_path / "sweep"
     res = runner.invoke(main, ["--config", str(path), "--out", str(out), "--seed", "11", "sweep"])

@@ -1,8 +1,10 @@
 """Run configuration parsing/factories and artifact serialization."""
 
+import inspect
 import json
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,14 +14,19 @@ from hypothesis import strategies as st
 from mfglab import (
     ConfigurationError,
     ControlSet,
+    InvalidInputError,
     PhaseGrid,
     RunConfig,
     SweepPlan,
     ValueField,
+    gaussian_ensemble,
     lattice_ensemble,
     make_lagrangian,
     make_terminal,
+    run_sweep,
     solve_eps_system,
+    solve_limit_classical,
+    solve_mfg_of_control,
 )
 from mfglab.config import GRID_MEMORY_BUDGET
 from mfglab.io import (
@@ -104,6 +111,85 @@ def test_control_sweep_budget_counts_the_joint_cost_matrix():
     RunConfig.from_dict({"measure": {"n": 30000}, "sweep": {"variant": "control"}})
 
 
+def test_memory_budget_counts_the_particle_flows():
+    """n particles add FLOW_BYTES N_t n bytes of flows, and ANDERSON_BYTES N_t n
+    more for a coupled run's Anderson history; a refused config allocates nothing."""
+    tracemalloc.start()
+    with pytest.raises(ConfigurationError, match="particle flows.*budget"):
+        RunConfig.from_dict({"measure": {"n": 10**7}})
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 2**20
+    measure = {"measure": {"n": 400_000}}
+    RunConfig.from_dict(measure)
+    with pytest.raises(ConfigurationError, match="kappa_c > 0.*budget"):
+        RunConfig.from_dict({**measure, "model": {"kappa_c": 0.5}})
+
+
+def test_default_config_builds_the_api_defaults():
+    """A default config runs what the API runs at its own defaults."""
+    cfg = RunConfig.default()
+    grid, api_grid = cfg.build_grid(), PhaseGrid.regular()
+    for axis in ("x", "v", "t"):
+        assert np.array_equal(getattr(grid, axis), getattr(api_grid, axis))
+    spec, api_spec = cfg.build_spec(), make_lagrangian()
+    for name in ("kinetic_name", "coupling_strength", "coupling_sigma", "M0"):
+        assert getattr(spec, name) == getattr(api_spec, name)
+    x = np.linspace(-3.0, 3.0, 13)
+    assert np.array_equal(spec.potential(x), api_spec.potential(x))  # kappa_pot
+    g, api_g = cfg.build_terminal(), make_terminal()
+    assert (g.dg_bound, g.g_inf) == (api_g.dg_bound, api_g.g_inf)
+    assert np.array_equal(g.g(x), api_g.g(x))
+    gaussian = RunConfig.from_dict({"measure": {"kind": "gaussian"}})
+    for built, api in (
+        (cfg.build_mu0(), lattice_ensemble(2000)),
+        (gaussian.build_mu0(), gaussian_ensemble(2000)),
+    ):
+        assert np.array_equal(built.positions, api.positions)
+        assert np.array_equal(built.velocities, api.velocities)
+    for solver in (solve_eps_system, solve_limit_classical, solve_mfg_of_control, run_sweep):
+        params = inspect.signature(solver).parameters
+        assert {key: params[key].default for key in cfg.solver} == cfg.solver, solver.__name__
+    assert cfg.build_plan() == SweepPlan()
+    assert cfg.sweep["variant"] == inspect.signature(run_sweep).parameters["variant"].default
+
+
+def test_readme_configuration_block_is_the_default_config():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    readme = os.path.join(root, "README.md")
+    with open(readme, encoding="utf-8") as f:
+        section = f.read().split("\n## Configuration\n", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    assert json.loads(block) == RunConfig.default().to_dict()
+
+
+REVERSED_X = ((1.0, -1.0), (-1.0, 1.0))
+REVERSED_V = ((-1.0, 1.0), (1.0, -1.0))
+
+
+# case -> (constructor call, error, message); each failed with numpy's error or not at all
+TYPED_ERRORS = {
+    "lattice-0": (lambda: lattice_ensemble(0), InvalidInputError, "at least one"),
+    "lattice-neg": (lambda: lattice_ensemble(-3), InvalidInputError, "at least one"),
+    "lattice-box": (lambda: lattice_ensemble(10, REVERSED_X), InvalidInputError, "lo < hi"),
+    "gaussian-neg": (lambda: gaussian_ensemble(-1), InvalidInputError, "at least one"),
+    "gaussian-seed": (lambda: gaussian_ensemble(10, seed=-1), InvalidInputError, "seed"),
+    "gaussian-box": (lambda: gaussian_ensemble(10, REVERSED_V), InvalidInputError, "lo < hi"),
+    "grid-N_x": (lambda: PhaseGrid.regular(N_x=-5), ConfigurationError, "at least 3 nodes"),
+    "controls-n": (lambda: ControlSet.symmetric(8.0, -1), ConfigurationError, "at least one"),
+}
+
+
+@pytest.mark.parametrize("case", list(TYPED_ERRORS))
+def test_api_constructors_raise_typed_errors(case):
+    """Bad counts, seeds and boxes are the package's errors, with no numpy warning first."""
+    build, error, match = TYPED_ERRORS[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=match):
+            build()
+
+
 def test_from_file(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"model": {"kappa_c": 0.5}, **SMALL}))
@@ -134,9 +220,10 @@ def test_factories_build_expected_objects():
     assert isinstance(controls, ControlSet) and controls.values.size == 21
     mu0 = cfg.build_mu0()
     assert isinstance(mu0, ParticleEnsemble) and mu0.positions.size == 64
-    # same seed reproduces the draw; an explicit seed overrides it
+    # same seed reproduces the draw; another measure.seed draws another
     assert np.array_equal(cfg.build_mu0().positions, mu0.positions)
-    assert not np.array_equal(cfg.build_mu0(seed=4).positions, mu0.positions)
+    other = RunConfig.from_dict({"measure": {"kind": "gaussian", "n": 64, "seed": 4}})
+    assert not np.array_equal(other.build_mu0().positions, mu0.positions)
     plan = cfg.build_plan()
     assert isinstance(plan, SweepPlan) and plan.eps_ladder == (0.5, 0.2)
     # an integral float is accepted for an integer key
