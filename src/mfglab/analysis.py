@@ -193,7 +193,7 @@ def audit_estimates(
     cor42 = float(np.min(q1 * (1.0 + v0**2) - energies))
 
     q2 = holder_constant(spec, g, T, flow.ensemble(0))
-    cor43 = _pairwise_holder_margin(flow.marginal_flow(), q2)
+    cor43 = _pairwise_holder_margin(flow, q2)
 
     # gradient bound on the box, away from the grid boundary (one-sided stencils
     # there); D_x is taken on each whole slice, as cutting the box out first
@@ -369,9 +369,7 @@ def run_sweep(
             {
                 "eps": eps,
                 "sup_u_gap": sup_value_gap(sol.value, limit.value),
-                "sup_d1_marginal": sup_marginal_gap(
-                    sol.flow.marginal_flow(), limit.flow.marginal_flow()
-                ),
+                "sup_d1_marginal": sup_marginal_gap(sol.flow, limit.flow),
                 "sup_d1_joint": sup_joint,
                 "osc_v": velocity_oscillation(sol.value),
                 "lemma41_ok": audit.lemma41_ok,

@@ -48,12 +48,12 @@ DEFAULTS = {
 # not an allocation failure. The artifact writers stream a chunk of rows at a
 # time, so the budget covers writing value.csv too.
 GRID_MEMORY_BUDGET = 8 * 2**30
-# bytes per particle and time node: a (t, x, v) flow is 16 (float64 positions and
-# velocities), and a coupled sweep holds five, its limit flow and four of a Picard
-# loop (the iterate, the best iterate, the last transport and the next); its
-# float32 Anderson history holds _MEMORY difference pairs and the pending pair.
-# Traced peaks (21x17x201 grid, 10,000 particles): 54 N_t n bytes for a decoupled
-# two-rung sweep and 121 for a coupled one whose history is full.
+# bytes per particle and time node: 16 for a float64 (t, x, v) flow, 8 for a position
+# flow. A coupled sweep holds 64, three joint and two position flows' worth: a Picard
+# loop's last transport (16); its iterate, best iterate, and the mixing's residual, step
+# and next iterate (8 each); the limit flow (8, or 16 in a control sweep); and a float32
+# Anderson history of _MEMORY pairs and the pending pair. Traced peaks on a 21x17 grid:
+# 54 N_t n decoupled, 112 coupled (N_t 201, n 10,000), 124 coupled control (1601, 2,000).
 FLOW_BYTES = 16 * 5
 ANDERSON_BYTES = 8 * (_MEMORY + 1)
 

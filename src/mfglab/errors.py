@@ -1,4 +1,6 @@
-"""Exception types shared across the solver modules."""
+"""Exception types shared across the solver modules, and the integer check that raises them."""
+
+import operator
 
 
 class MFGLabError(Exception):
@@ -36,3 +38,11 @@ class NumericalError(MFGLabError):
         super().__init__(message)
         self.best = best
         self.residual = residual
+
+
+def as_index(n, what, error):
+    """n as an int, or `error` for a count or seed that operator.index refuses (41.5, "41")."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {n!r}") from None

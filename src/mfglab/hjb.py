@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .errors import ConfigurationError, InvalidInputError, UnsupportedModelError
+from .errors import ConfigurationError, InvalidInputError, UnsupportedModelError, as_index
 from .measures import MeasureFlow, ParticleEnsemble, linear_binning
 from .model import LagrangianSpec, TerminalCost
 
@@ -70,7 +70,7 @@ class PhaseGrid:
     @np.errstate(over="ignore", invalid="ignore")  # an overflowing span fails the checks quietly
     def regular(cls, R_x=3.0, R_v=4.0, T=1.0, N_x=101, N_v=81, N_t=201):
         for name, n in (("x", N_x), ("v", N_v), ("t", N_t)):
-            if not n >= 3:  # before np.linspace, which refuses a negative count
+            if not as_index(n, f"N_{name}", ConfigurationError) >= 3:  # before np.linspace
                 raise ConfigurationError(f"grid axis {name} needs at least 3 nodes")
         return cls(
             x=np.linspace(-R_x, R_x, N_x),
@@ -122,7 +122,7 @@ class ControlSet:
     @classmethod
     @np.errstate(over="ignore", invalid="ignore")  # an overflowing span fails the checks quietly
     def symmetric(cls, a_max: float, n: int):
-        if not n >= 1:  # before np.linspace, which refuses a negative count
+        if not as_index(n, "the control count", ConfigurationError) >= 1:  # before np.linspace
             raise ConfigurationError(f"control set needs at least one point, got {n}")
         return cls(np.linspace(-a_max, a_max, n))
 

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, as_index
 
 UNIT_BOX = ((-1.0, 1.0), (-1.0, 1.0))  # the default (x, v) box of the initial ensembles
 _WEIGHT_TOL = 1e-12
@@ -137,9 +137,6 @@ class MeasureFlow:
 
     def marginal(self, k: int) -> ParticleEnsemble:
         return ParticleEnsemble(self.positions[k], None, self.weights)
-
-    def marginal_flow(self) -> "MeasureFlow":
-        return MeasureFlow(self.times, self.positions, None, self.weights)
 
     def index_at(self, t: float) -> int:
         """Nearest time-node index."""
@@ -306,8 +303,8 @@ def linear_binning(flow: MeasureFlow, nodes):
 
 
 def _ensemble_bounds(n, box):
-    """x0, x1, v0, v1 of an ensemble's (x, v) box, after checking n >= 1 and lo < hi."""
-    if not n >= 1:
+    """x0, x1, v0, v1 of an ensemble's (x, v) box, after checking an integer n >= 1 and lo < hi."""
+    if not as_index(n, "the particle count", InvalidInputError) >= 1:
         raise InvalidInputError(f"an ensemble needs at least one particle, got n = {n}")
     (x0, x1), (v0, v1) = box
     if not (x0 < x1 and v0 < v1):
@@ -329,7 +326,7 @@ def lattice_ensemble(n: int, box=UNIT_BOX) -> ParticleEnsemble:
 def gaussian_ensemble(n: int, box=UNIT_BOX, seed: int = 0) -> ParticleEnsemble:
     """I.i.d. truncated-Gaussian particles with a fixed seed."""
     x0, x1, v0, v1 = _ensemble_bounds(n, box)
-    if not seed >= 0:
+    if not as_index(seed, "the seed", InvalidInputError) >= 0:
         raise InvalidInputError(f"the seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     cx, cv = 0.5 * (x0 + x1), 0.5 * (v0 + v1)

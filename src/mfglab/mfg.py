@@ -3,10 +3,10 @@
 Anderson-accelerated Picard iteration: solve the backward value problem given
 the current measure flow f, push the particles forward to T(f), and stop when
 the residual sup_t W1(T(f), f) is below the tolerance. Otherwise the next
-iterate mixes the particle paths of past iterates and residuals (type-II
-Anderson, Walker & Ni, SIAM J. Numer. Anal. 49, 2011). The state-control
-limit has no loop of its own: it is the classical limit's fixed point with the
-feedback velocities attached by one more transport.
+iterate mixes the positions of past iterates and residuals (type-II
+Anderson, Walker & Ni, SIAM J. Numer. Anal. 49, 2011); every iterate is a
+position flow. The state-control limit has no loop of its own: it is the
+classical limit's fixed point with its feedback velocities attached.
 """
 
 from __future__ import annotations
@@ -68,11 +68,10 @@ def _require_velocities(mu0: ParticleEnsemble):
 
 
 def free_transport_flow(mu0: ParticleEnsemble, grid: PhaseGrid) -> MeasureFlow:
+    """Positions of free flight, x + t v: the first iterate of an eps rung."""
     _require_velocities(mu0)
-    t = grid.t
-    X = mu0.positions[None, :] + t[:, None] * mu0.velocities[None, :]
-    V = np.broadcast_to(mu0.velocities, (t.size, mu0.size)).copy()
-    return MeasureFlow(t, X, V, mu0.weights)
+    X = mu0.positions[None, :] + grid.t[:, None] * mu0.velocities[None, :]
+    return MeasureFlow(grid.t, X, None, mu0.weights)
 
 
 def transport_eps(mu0: ParticleEnsemble, field: ValueField, eps: float) -> MeasureFlow:
@@ -91,9 +90,8 @@ def transport_eps(mu0: ParticleEnsemble, field: ValueField, eps: float) -> Measu
     dt = grid.dt
     n_sub = max(1, int(np.ceil(dt / min(dt, eps / EPS_SUBSTEP_DIVISOR))))
     dti = dt / n_sub
-    n = mu0.size
-    X = np.empty((t.size, n))
-    V = np.empty((t.size, n))
+    X = np.empty((t.size, mu0.size))
+    V = np.empty_like(X)
     X[0], V[0] = mu0.positions, mu0.velocities
     for k in range(t.size - 1):
         xc, vc = X[k].copy(), V[k].copy()
@@ -111,27 +109,21 @@ def transport_along_velocity(
     mu0: ParticleEnsemble, field: ValueField, spec: LagrangianSpec
 ) -> MeasureFlow:
     """Push the positions of mu0 along the optimizing velocity b(t, x) of a limit field,
-    in LIMIT_SUBSTEPS sub-steps per time step.
-
-    The returned flow carries velocities[k, i] = b(t_k, x_i(t_k)).
+    in LIMIT_SUBSTEPS sub-steps per time step. The returned flow is positions only.
     """
     grid = field.grid
     b_field = optimal_velocity_field(spec, gradient_x(field))  # (n_t, n_x)
     t = grid.t
-    dt = grid.dt
-    dti = dt / LIMIT_SUBSTEPS
+    dti = grid.dt / LIMIT_SUBSTEPS
     X = np.empty((t.size, mu0.size))
-    B = np.empty_like(X)
     X[0] = mu0.positions
-    B[0] = interp_slice_x(b_field[0], grid, X[0])
     for k in range(t.size - 1):
         xc = X[k].copy()
         for _ in range(LIMIT_SUBSTEPS):
             xc = xc + dti * interp_slice_x(b_field[k], grid, xc)
         _check_box(xc, None, grid, t[k + 1])
         X[k + 1] = xc
-        B[k + 1] = interp_slice_x(b_field[k + 1], grid, xc)
-    return MeasureFlow(t, X, B, mu0.weights)
+    return MeasureFlow(t, X, None, mu0.weights)
 
 
 # Anderson mixing constants; CHANGES.md records the measurement behind them
@@ -203,9 +195,9 @@ def _picard(spec, solve_value, transport, init_flow, tol_fp, max_iter, kind, r_x
     the pair with the smallest residual, flagged not converged. Only that
     pair's flow f is kept, and its u is solved again at the end.
 
-    Only positions are mixed: every coupling reads positions, so the iterate
-    carries the velocities of its latest transport. Mixed positions are clipped
-    to [-r_x, r_x], the box every transported particle lies in.
+    Every coupling and the residual read positions only, so every iterate, the
+    kept best one too, is a position flow. Mixed positions are clipped to
+    [-r_x, r_x], the box every transported particle lies in.
     """
     if max_iter < 1:
         raise InvalidInputError("max_iter must be at least 1")
@@ -239,7 +231,7 @@ def _picard(spec, solve_value, transport, init_flow, tol_fp, max_iter, kind, r_x
         X = mixer.step(X.ravel(), (new.positions - X).ravel()).reshape(X.shape)
         np.clip(X, -r_x, r_x, out=X)
         # the transported positions go before the next value solve
-        flow = MeasureFlow(flow.times, X, new.velocities, flow.weights)
+        flow = MeasureFlow(flow.times, X, None, flow.weights)
         del new
     return best_pair()
 
@@ -294,7 +286,7 @@ def solve_limit_classical(
     return _picard(
         spec,
         lambda flow: solve_hjb_limit_classical(grid, spec, flow, g),
-        lambda u: transport_along_velocity(mu0, u, spec).marginal_flow(),
+        lambda u: transport_along_velocity(mu0, u, spec),
         init_flow,
         tol_fp, max_iter, "classical_limit", grid.R_x,
     )
@@ -308,18 +300,21 @@ def solve_mfg_of_control(
     tol_fp: float = TOL_FP,
     max_iter: int = MAX_ITER,
 ) -> MFGSolution:
-    """State-control limit: the classical limit plus one velocity reconstruction.
+    """State-control limit: the classical limit plus its feedback velocities.
 
     Every catalog coupling reads the position marginal only, so the position
     fixed point is the classical one, with its iterations and residuals. The
     joint flow keeps the initial ensemble at t = 0 and attaches the optimizing
-    feedback velocity b(t, x_i) at later nodes.
+    feedback velocity b(t_k, x_i(t_k)) to the classical positions at later nodes.
     """
     if not spec.is_quadratic_kinetic:
         raise UnsupportedModelError("the state-control limit requires the quadratic kinetic term")
     _require_velocities(mu0)
     sol = solve_limit_classical(spec, g, grid, mu0, tol_fp=tol_fp, max_iter=max_iter)
-    flow = transport_along_velocity(mu0, sol.value, spec)
-    # the initial condition takes precedence over the reconstruction
-    flow.velocities[0] = mu0.velocities
-    return replace(sol, flow=flow, kind="mfg_of_control")
+    b_field = optimal_velocity_field(spec, gradient_x(sol.value))  # (n_t, n_x)
+    X = sol.flow.positions
+    V = np.empty_like(X)
+    V[0] = mu0.velocities  # the initial condition takes precedence over the feedback
+    for k in range(1, X.shape[0]):
+        V[k] = interp_slice_x(b_field[k], grid, X[k])
+    return replace(sol, flow=replace(sol.flow, velocities=V), kind="mfg_of_control")

@@ -588,6 +588,4 @@ def test_cli_matches_api(runner, tmp_path, variant):
     # the sweep's eps = 0.2 rung is that solve, compared with the solve-limit answer
     row = report.rows[plan.eps_ladder.index(0.2)]
     assert row["sup_u_gap"] == sup_value_gap(sol.value, limit.value)
-    assert row["sup_d1_marginal"] == sup_marginal_gap(
-        sol.flow.marginal_flow(), limit.flow.marginal_flow()
-    )
+    assert row["sup_d1_marginal"] == sup_marginal_gap(sol.flow, limit.flow)

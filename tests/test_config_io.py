@@ -177,6 +177,14 @@ TYPED_ERRORS = {
     "gaussian-box": (lambda: gaussian_ensemble(10, REVERSED_V), InvalidInputError, "lo < hi"),
     "grid-N_x": (lambda: PhaseGrid.regular(N_x=-5), ConfigurationError, "at least 3 nodes"),
     "controls-n": (lambda: ControlSet.symmetric(8.0, -1), ConfigurationError, "at least one"),
+    # counts and seeds that operator.index refuses
+    "grid-N_x-frac": (lambda: PhaseGrid.regular(N_x=41.5), ConfigurationError, "N_x must be an int"),
+    "controls-n-frac": (lambda: ControlSet.symmetric(8.0, 21.5), ConfigurationError, "must be an int"),
+    "gaussian-frac": (lambda: gaussian_ensemble(10.5), InvalidInputError, "count must be an int"),
+    "gaussian-seed-frac": (
+        lambda: gaussian_ensemble(10, seed=1.5), InvalidInputError, "seed must be an int"
+    ),
+    "lattice-frac": (lambda: lattice_ensemble(10.5), InvalidInputError, "count must be an int"),
 }
 
 

@@ -284,13 +284,19 @@ def test_mfg_of_control_reconstruction_consistency():
 
 
 @pytest.mark.parametrize("kappa_c", [0.5, 2.0])
-def test_mfg_of_control_is_classical_limit_plus_feedback(kappa_c):
-    """The control limit reuses the classical fixed point and attaches b(t, x) once."""
+def test_mfg_of_control_is_classical_limit_plus_feedback(kappa_c, monkeypatch):
+    """The control limit reuses the classical fixed point and attaches b(t, x) to
+    its positions, with one transport per Picard iteration and none after."""
     spec = make_lagrangian("quadratic", kappa_c=kappa_c)
     mu0 = lattice_ensemble(36)
     classical = solve_limit_classical(spec, ZERO_G, SMALL, mu0)
+    assert classical.flow.velocities is None
+    transports = []
+    transport = mfg.transport_along_velocity
+    monkeypatch.setattr(mfg, "transport_along_velocity", lambda *a: transports.append(a) or transport(*a))
     sol = solve_mfg_of_control(spec, ZERO_G, SMALL, mu0)
     assert classical.iterations > 1  # coupled: the classical Picard loop ran
+    assert classical.converged and len(transports) == classical.iterations
     assert sol.kind == "mfg_of_control"
     assert (sol.iterations, sol.converged) == (classical.iterations, classical.converged)
     assert sol.fixed_point_gap == classical.fixed_point_gap
@@ -489,6 +495,23 @@ def test_picard_rejects_empty_iteration_budget(max_iter):
 def test_free_transport_flow_requires_velocities():
     with pytest.raises(InvalidInputError):
         free_transport_flow(ParticleEnsemble(np.array([0.0])), SMALL)
+
+
+def test_coupled_rung_iterates_on_position_flows(monkeypatch):
+    """Every flow a coupled rung's HJB solves read is positions only: the first
+    iterate, the mixed ones and the best one solved again. The returned flow is
+    the joint transport of the returned value field."""
+    spec = make_lagrangian("quadratic", kappa_c=8.0)
+    mu0 = lattice_ensemble(64)
+    flows = []
+    solve = mfg.solve_hjb_acceleration
+    monkeypatch.setattr(
+        mfg, "solve_hjb_acceleration", lambda g, s, m, *a, **k: flows.append(m) or solve(g, s, m, *a, **k)
+    )
+    sol = solve_eps_system(spec, ZERO_G, SMALL, mu0, 0.05, max_iter=2)
+    assert not sol.converged and len(flows) == 3
+    assert all(flow.velocities is None for flow in flows)
+    _assert_consistent_pair(sol, mu0, 0.05)
 
 
 def test_compact_support_propagation():
