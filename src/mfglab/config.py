@@ -46,7 +46,9 @@ DEFAULTS = {
 # control), the particle flows, a coupled run's Anderson history and a control
 # sweep's joint-W1 cost matrix (8 n^2); a larger run is a configuration error,
 # not an allocation failure. The artifact writers stream a chunk of rows at a
-# time, so the budget covers writing value.csv too.
+# time, so the budget covers writing value.csv too. A backward step's candidate
+# rows are bounded by hjb.CANDIDATE_CHUNK_BYTES per CPU, not by N_a, so the
+# estimate leaves them out.
 GRID_MEMORY_BUDGET = 8 * 2**30
 # bytes per particle and time node: 16 for a float64 (t, x, v) flow, 8 for a position
 # flow. A coupled sweep holds 64, three joint and two position flows' worth: a Picard

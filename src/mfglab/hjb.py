@@ -5,17 +5,20 @@ control set; the limit problems are solved on (t, x) with velocity controls.
 Foot points fall on fixed offsets of the grid, so the multilinear interpolation
 stencils form time-independent sparse operators, built once per solve (once
 per eps rung of a coupled Picard loop, as an `AccelerationOperator`), and
-each backward step is a sparse matvec plus a min over controls. A block's
-operator is allocated whole and filled one control at a time. Both solvers
-run one backward sweep (`_backward_sweep`) over blocks of controls, each with
-its own operator. The penalized solver makes one contiguous block per CPU of
-the process's affinity mask, and the sweep takes the minimum over each block
-but the first on a worker thread; the exact `np.minimum` of the block minima
-makes the values independent of the CPU count. The limit solver has one block,
-so it runs on the calling thread. This is the only module of the package that
-starts threads. A coupled running cost sees the measure flow through its
-position marginals, binned once per solve on the lattice of the x axis
-(`measures.linear_binning`).
+each backward step is a sparse matvec plus a min over controls. Both
+solvers run one backward sweep (`_backward_sweep`) over blocks of controls.
+The penalized solver makes one contiguous block per CPU of the process's
+affinity mask, and splits each block into chunks of whole controls, each with
+its own operator, allocated whole and filled one control at a time. A chunk
+holds at most `CANDIDATE_CHUNK_BYTES` of float64 candidates (and at least one
+control), so a step holds one chunk's candidates per thread, not a block's.
+The sweep takes the minimum over each block but the first on a worker
+thread, chunk by chunk; the exact `np.minimum` of the chunk and block minima
+makes the values independent of the chunking and of the CPU count. The limit
+solver has one block of one chunk, so it runs on the calling thread. This is
+the only module of the package that starts threads. A coupled running cost
+sees the measure flow through its position marginals, binned once per solve
+on the lattice of the x axis (`measures.linear_binning`).
 
 Each solver allocates its value field, which outlives the solve, before the
 operator it builds, which dies with it. Once a freed large array has raised
@@ -41,6 +44,8 @@ from .model import LagrangianSpec, TerminalCost
 # the default base acceleration set: BASE_N_A points on [-BASE_A_MAX, BASE_A_MAX]
 BASE_A_MAX = 8.0
 BASE_N_A = 41
+# float64 candidates one operator chunk may hold: 2^18 rows, 3 controls of the 321x251 grid
+CANDIDATE_CHUNK_BYTES = 2**21
 
 
 @dataclass(frozen=True)
@@ -222,7 +227,7 @@ def _acceleration_block(grid: PhaseGrid, spec: LagrangianSpec, eps: float, a: np
     foot point of node (i, j) under a[c], summing its four corners in a fixed
     order; const[c] holds that candidate's control cost, trapezoidal foot-point
     cost and growth-envelope penalties. Every entry depends on its own control
-    only, so a block of controls gives exactly the rows of the full set. The
+    only, so a chunk of controls gives exactly the rows of the full set. The
     arrays are allocated at their final size and filled one control at a time,
     so the construction holds one control's foot points and stencils besides.
     """
@@ -249,11 +254,21 @@ def _acceleration_block(grid: PhaseGrid, spec: LagrangianSpec, eps: float, a: np
     return indices, data, const.reshape(n_a, n_x * n_v)
 
 
-def _block_min(S, const, u_next):
-    """Smallest candidate of one control block at every node."""
+def _chunk_min(S, const, u_next):
+    """Smallest candidate of one chunk of controls at every node."""
     cand = (S @ u_next).reshape(const.shape)
     cand += const
     return cand.min(axis=0)
+
+
+def _block_min(chunks, u_next):
+    """Smallest candidate of one control block at every node, one chunk
+    `(S, const)` at a time: a chunk's candidates are freed before the next
+    chunk's are computed."""
+    best = _chunk_min(*chunks[0], u_next)
+    for S, const in chunks[1:]:
+        np.minimum(best, _chunk_min(S, const, u_next), out=best)
+    return best
 
 
 def _backward_sweep(grid: PhaseGrid, spec: LagrangianSpec, m_flow, g, blocks, node_running, u):
@@ -261,11 +276,13 @@ def _backward_sweep(grid: PhaseGrid, spec: LagrangianSpec, m_flow, g, blocks, no
     time node.
 
     u(T) is the terminal cost. Each step back takes the smallest candidate of
-    the control blocks `(S, const)` at u(t+dt), every block but the first on a
-    worker thread, and adds dt times the running cost at the node:
-    `node_running`, which does not depend on t, plus the binned coupling at t.
-    The workers run only `_block_min`, so `coupling_value` stays on this
-    thread, as perfbench's tracer keeps one span stack for all threads.
+    the control blocks at u(t+dt), every block but the first on a worker
+    thread, and adds dt times the running cost at the node: `node_running`,
+    which does not depend on t, plus the binned coupling at t. A block is a
+    sequence of chunks `(S, const)`; its thread evaluates them in turn and
+    reduces their minima into one array, so it holds one chunk's candidates at
+    a time. The workers run only `_block_min`, so `coupling_value` stays on
+    this thread, as perfbench's tracer keeps one span stack for all threads.
     """
     x, n_t, dt = grid.x, grid.t.size, grid.dt
     x_col = (-1,) + (1,) * (node_running.ndim - 1)  # an x vector along the first axis of a slice
@@ -276,8 +293,8 @@ def _backward_sweep(grid: PhaseGrid, spec: LagrangianSpec, m_flow, g, blocks, no
     with ThreadPoolExecutor(max_workers=max(1, len(blocks) - 1)) as pool:
         for k in range(n_t - 2, -1, -1):
             u_next = u[k + 1].ravel()
-            rest = [pool.submit(_block_min, S, const, u_next) for S, const in blocks[1:]]
-            best = _block_min(*blocks[0], u_next)
+            rest = [pool.submit(_block_min, chunks, u_next) for chunks in blocks[1:]]
+            best = _block_min(blocks[0], u_next)
             for part in rest:
                 np.minimum(best, part.result(), out=best)
             if binned is not None:
@@ -289,8 +306,9 @@ def _backward_sweep(grid: PhaseGrid, spec: LagrangianSpec, m_flow, g, blocks, no
 @dataclass(frozen=True, eq=False)
 class AccelerationOperator:
     """The part of an acceleration solve that does not depend on the measure flow
-    or the terminal cost: the control blocks `(S, const)` and the node half of
-    the running cost, for one grid, spec, eps and control set.
+    or the terminal cost: the control blocks, each a tuple of chunks
+    `(S, const)`, and the node half of the running cost, for one grid, spec,
+    eps and control set.
 
     A coupled Picard loop re-solves the same HJB against a new flow at every
     iteration, so it builds this once (`acceleration_operator`) and passes it to
@@ -328,10 +346,13 @@ def acceleration_operator(
 
     The controls (default `acceleration_controls(grid, eps)`) are split into
     min(CPUs, controls) contiguous blocks whose sizes differ by at most one,
-    each with its own operator, so `_backward_sweep` minimizes one block per
-    CPU at every step. `np.array_split` puts the largest block first, so every
-    block's row pointer is a prefix of the first block's, and the operators
-    share that one array.
+    so `_backward_sweep` minimizes one block per CPU at every step. Each block
+    is split in turn into the fewest contiguous chunks of whole controls, sizes
+    again differing by at most one, whose candidates fit in
+    `CANDIDATE_CHUNK_BYTES` (a chunk holds one control at least). Every chunk
+    has its own operator and constant rows, allocated at their final size; a
+    block below the chunk size is one chunk. The chunks' row pointers are
+    prefixes of one array, sized for the largest chunk, that they all share.
     """
     if not 0 < eps < np.inf:
         raise InvalidInputError("eps must be positive and finite; use a limit solver for eps = 0")
@@ -342,13 +363,21 @@ def acceleration_operator(
             "time step moves the velocity foot point more than 10 grid cells; refine t or coarsen a"
         )
     a = controls.values
-    parts = np.array_split(a, min(_n_cpus(), a.size))
-    built = [_acceleration_block(grid, spec, eps, a_b) for a_b in parts]
     n_nodes = grid.x.size * grid.v.size
-    # allocated after the blocks, so it adds nothing to the construction peak
-    indptr = _row_pointer(parts[0].size * n_nodes, 4)
+    per_chunk = max(1, CANDIDATE_CHUNK_BYTES // (8 * n_nodes))
+    parts = [
+        np.array_split(block, -(-block.size // per_chunk))
+        for block in np.array_split(a, min(_n_cpus(), a.size))
+    ]
+    built = [[_acceleration_block(grid, spec, eps, a_c) for a_c in chunks] for chunks in parts]
+    # allocated after the chunks, so it adds nothing to the construction peak
+    indptr = _row_pointer(max(a_c.size for chunks in parts for a_c in chunks) * n_nodes, 4)
     blocks = tuple(
-        (_stencil_operator(n_nodes, indices, data, indptr), const) for indices, data, const in built
+        tuple(
+            (_stencil_operator(n_nodes, indices, data, indptr), const)
+            for indices, data, const in chunks
+        )
+        for chunks in built
     )
     # trapezoid rule: half the running cost at the node, half at the foot point
     node_running = 0.5 * spec.kinetic(grid.v)[None, :] + 0.5 * spec.potential(grid.x)[:, None]
@@ -409,7 +438,7 @@ def solve_hjb_limit_classical(
     S = _stencil_operator(x.size, indices, np.stack((1.0 - fx, fx), axis=-1), indptr)
     pen_rate = spec.M0 * (1.0 + grid.T) * (1.0 + grid.R_v**2) + g.dg_bound
     const = dt * spec.kinetic(b)[:, None] + pen_rate * _excess(foot, x)
-    _backward_sweep(grid, spec, m_flow, g, [(S, const)], spec.potential(x), u)
+    _backward_sweep(grid, spec, m_flow, g, [[(S, const)]], spec.potential(x), u)
     return ValueField(u, grid, 0.0)
 
 

@@ -225,6 +225,71 @@ def test_pruned_holder_margin_equals_all_pairs(uniform, shape):
     assert analysis._pairwise_holder_margin(flow, q2) == expected
 
 
+_TIME_AXES = {
+    "linspace": np.linspace(0.0, 1.0, 23),  # steps unequal in their last bits
+    "exact": np.arange(23) * 0.25,  # equal steps: np.gradient's uniform formula
+    "uneven": np.cumsum(np.random.default_rng(4).uniform(0.5, 1.5, 23)),
+}
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, None])
+@pytest.mark.parametrize("axis", sorted(_TIME_AXES))
+def test_time_block_reductions_equal_numpy(axis, block_rows, monkeypatch):
+    """The audits' time-axis reductions, taken one block of time rows at a time,
+    give np.trapezoid and np.gradient bit for bit, for blocks of one row, of
+    three rows and of the whole axis."""
+    t, n = _TIME_AXES[axis], 7
+    steps = np.diff(t)
+    assert bool(np.all(steps == steps[0])) == (axis == "exact")
+    if block_rows is not None:
+        monkeypatch.setattr(analysis, "_ROW_BLOCK_VALUES", block_rows * n)
+    rng = np.random.default_rng(5)
+    f = rng.normal(size=(t.size, n)) * 10.0 ** rng.uniform(-6, 6, size=(t.size, 1))
+    rows = lambda k0, k1: f[k0:k1]
+    assert np.array_equal(analysis._trapezoid_rows(rows, t, n), np.trapezoid(f, t, axis=0))
+    grad = np.gradient(f, t, axis=0)
+    for k0, k1 in ((0, t.size), (0, 1), (1, 5), (4, t.size), (t.size - 1, t.size)):
+        assert np.array_equal(analysis._time_gradient(f, t, k0, k1), grad[k0:k1])
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, None])
+def test_flow_audits_equal_the_whole_flow_formulas(block_rows, monkeypatch):
+    """The energy, Hoelder and acceleration margins taken in blocks of time rows
+    are the floats of the whole-flow formulas and of every node pair."""
+    spec = make_lagrangian("quadratic")
+    g = make_terminal("atan", amplitude=1.0)
+    sol = solve_eps_system(spec, g, SMALL, gaussian_ensemble(64, seed=2), 0.1)
+    V, t, T = sol.flow.velocities, sol.flow.times, SMALL.T
+    if block_rows is not None:
+        monkeypatch.setattr(analysis, "_ROW_BLOCK_VALUES", block_rows * V.shape[1])
+    audit = audit_estimates(sol, spec, g)
+    energies = np.trapezoid(V**2, t, axis=0)
+    assert audit.cor42_margin == float(np.min(audit.q1 * (1.0 + V[0] ** 2) - energies))
+    assert audit.cor43_margin == _all_pairs_holder_margin(sol.flow, audit.q2)
+    acc = np.gradient(V, t, axis=0)
+    mask = t >= analysis.ACCEL_CUTOFF * T
+    assert audit.prop52_value == float(np.max(np.trapezoid(acc[mask] ** 2, t[mask], axis=0)))
+
+
+def test_flow_audits_peak_memory():
+    """The audits reduce the flow's time axis one block of time rows at a time,
+    so besides the Hoelder audit's sorted positions (8 N_t n bytes) they hold
+    blocks of a bounded size. On a 21x17x201 rung with 20,000 particles the
+    audit's traced peak is 9.1 N_t n bytes; the whole-flow energies,
+    acceleration and adjacent distances peaked at 29.6 N_t n."""
+    grid = PhaseGrid.regular(N_x=21, N_v=17)
+    spec = make_lagrangian("quadratic")
+    sol = solve_eps_system(spec, ZERO_G, grid, gaussian_ensemble(20000, seed=1), 0.05)
+    tracemalloc.start()
+    try:
+        audit_estimates(sol, spec, ZERO_G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n_t, n = sol.flow.positions.shape
+    assert peak < 10 * n_t * n, f"traced peak {peak / (n_t * n):.1f} N_t n bytes"
+
+
 @pytest.fixture(scope="module")
 def joint_pair():
     spec = make_lagrangian("quadratic")

@@ -456,26 +456,68 @@ def test_control_blocks_bit_identical_for_any_cpu_count(n_cpus, coupled, monkeyp
     assert np.array_equal(np.concatenate(blocks), controls.values)
 
 
+def _chunk_controls(monkeypatch, grid, per_chunk):
+    """Size `hjb.CANDIDATE_CHUNK_BYTES` to `per_chunk` controls' candidate rows on `grid`."""
+    monkeypatch.setattr(hjb, "CANDIDATE_CHUNK_BYTES", per_chunk * 8 * grid.x.size * grid.v.size)
+
+
+@pytest.mark.parametrize("per_chunk", [1, 2])
+@pytest.mark.parametrize("coupled", [False, True])
+@pytest.mark.parametrize("n_cpus", [1, 2, 3])
+def test_chunked_blocks_bit_identical_to_one_chunk(n_cpus, coupled, per_chunk, monkeypatch):
+    """With the chunk size cut to one or two controls, the 7 controls split into
+    blocks of 7, 4/3 or 3/2/2 and those into chunks of at most `per_chunk`
+    controls, so blocks hold uneven chunk counts; the min over chunks and
+    blocks is exact, so the values equal the one-chunk solve bit for bit."""
+    grid, spec, m_flow, g, controls = _gather_case("cosine", coupled)
+    monkeypatch.setattr(hjb, "_n_cpus", lambda: 1)
+    ref = solve_hjb_acceleration(grid, spec, m_flow, g, 0.05, controls).values
+    chunks = []
+    build_chunk = hjb._acceleration_block
+
+    def recording_chunk(grid, spec, eps, a):
+        chunks.append(a.copy())
+        return build_chunk(grid, spec, eps, a)
+
+    monkeypatch.setattr(hjb, "_n_cpus", lambda: n_cpus)
+    monkeypatch.setattr(hjb, "_acceleration_block", recording_chunk)
+    _chunk_controls(monkeypatch, grid, per_chunk)
+    u = solve_hjb_acceleration(grid, spec, m_flow, g, 0.05, controls).values
+    assert np.array_equal(u, ref)
+    blocks = np.array_split(controls.values, n_cpus)
+    assert len(chunks) == sum(-(-b.size // per_chunk) for b in blocks) > n_cpus
+    assert max(c.size for c in chunks) == per_chunk
+    assert np.array_equal(np.concatenate(chunks), controls.values)
+
+
 @pytest.mark.parametrize("n_cpus", [1, 2, 3])
 @pytest.mark.parametrize("name", ["quadratic", "cosine", "quartic"])
 def test_control_blocks_store_the_one_shot_construction(name, n_cpus, monkeypatch):
-    """Each block, filled one control at a time, stores the CSR entries and
+    """Each chunk, filled one control at a time, stores the CSR entries and
     constant rows of the reference built for all of its controls at once, bit
-    for bit, with foot points that clamp on both axes. Every block's row
-    pointer is a view of the first block's."""
+    for bit, with foot points that clamp on both axes. A block is one chunk at
+    the default chunk size and splits into the fewest chunks of at most two
+    controls, sizes differing by at most one, at a size of two controls.
+    Every chunk's row pointer is a view of the first chunk's."""
     grid, spec, _, _, controls = _gather_case(name, False)
     monkeypatch.setattr(hjb, "_n_cpus", lambda: n_cpus)
-    op = hjb.acceleration_operator(grid, spec, 0.05, controls)
     parts = np.array_split(controls.values, n_cpus)
-    assert len(op.blocks) == len(parts)
-    first_indptr = op.blocks[0][0].indptr
-    for (S, const), a in zip(op.blocks, parts):
-        lin, wgt, ref_const = _ref_block(grid, spec, 0.05, a)
-        assert np.shares_memory(S.indptr, first_indptr)
-        assert np.array_equal(S.indptr, np.arange(0, lin.size + 1, 4))
-        assert np.array_equal(S.indices, lin.transpose(0, 2, 1).ravel())
-        assert np.array_equal(S.data, wgt.transpose(0, 2, 1).ravel())
-        assert np.array_equal(const, ref_const)
+    for per_chunk in (None, 2):
+        if per_chunk is not None:
+            _chunk_controls(monkeypatch, grid, per_chunk)
+        op = hjb.acceleration_operator(grid, spec, 0.05, controls)
+        assert len(op.blocks) == len(parts)
+        first_indptr = op.blocks[0][0][0].indptr
+        for chunks, block in zip(op.blocks, parts):
+            n_chunks = 1 if per_chunk is None else -(-block.size // per_chunk)
+            assert len(chunks) == n_chunks
+            for (S, const), a in zip(chunks, np.array_split(block, n_chunks), strict=True):
+                lin, wgt, ref_const = _ref_block(grid, spec, 0.05, a)
+                assert np.shares_memory(S.indptr, first_indptr)
+                assert np.array_equal(S.indptr, np.arange(0, lin.size + 1, 4))
+                assert np.array_equal(S.indices, lin.transpose(0, 2, 1).ravel())
+                assert np.array_equal(S.data, wgt.transpose(0, 2, 1).ravel())
+                assert np.array_equal(const, ref_const)
 
 
 def test_acceleration_operator_must_match_the_solve():
@@ -554,6 +596,18 @@ def test_decoupled_solve_allocates_its_value_field_before_its_operator(monkeypat
     assert at_build[0] >= field_bytes, f"{at_build[0]} bytes traced at the build, u is {field_bytes}"
 
 
+def _operator_bytes(op):
+    """Bytes of the chunks' arrays, a buffer that several chunks share (the row
+    pointer) counted once."""
+    buffers = {}  # owning array of each chunk array
+    for chunks in op.blocks:
+        for S, const in chunks:
+            for arr in (S.data, S.indices, S.indptr, const):
+                owner = arr if arr.base is None else arr.base
+                buffers[id(owner)] = owner.nbytes
+    return sum(buffers.values())
+
+
 @pytest.mark.parametrize("n_cpus", [1, 2])
 def test_acceleration_operator_peak_memory(n_cpus, monkeypatch):
     """The blocks are allocated first and filled one control at a time, so the
@@ -572,10 +626,33 @@ def test_acceleration_operator_peak_memory(n_cpus, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    buffers = {}  # owning array of each block array, so a shared buffer is counted once
-    for S, const in op.blocks:
-        for arr in (S.data, S.indices, S.indptr, const):
-            owner = arr if arr.base is None else arr.base
-            buffers[id(owner)] = owner.nbytes
-    held = sum(buffers.values())
+    held = _operator_bytes(op)
     assert peak <= 1.1 * held, f"traced peak {peak / 1e6:.2f} MB for {held / 1e6:.2f} MB of blocks"
+
+
+def test_chunked_solve_peak_memory(monkeypatch):
+    """A step holds one chunk's candidates per thread, not a block's. On a
+    161x121x11 grid with 41 controls and two CPUs the blocks of 21 and 20
+    controls split into chunks of 11/10 and 10/10 controls (13 fit in
+    `CANDIDATE_CHUNK_BYTES`), and one solve's traced peak is within u, the
+    operator, two chunks' candidates and eight node arrays (the threads' minima
+    and the step's running cost): 51.55 MB, 5.3 node arrays above the first
+    three. Materializing each block's 21 or 20 controls of candidates at once
+    peaked at 55.29 MB, with a larger row pointer, 24.2 node arrays above."""
+    monkeypatch.setattr(hjb, "_n_cpus", lambda: 2)
+    grid = PhaseGrid.regular(N_x=161, N_v=121, N_t=11)
+    controls = ControlSet.symmetric(6.0, 41)
+    spec = make_lagrangian("quadratic")
+    op = hjb.acceleration_operator(grid, spec, 0.2, controls)
+    assert [[const.shape[0] for _, const in chunks] for chunks in op.blocks] == [[11, 10], [10, 10]]
+    held, chunk = _operator_bytes(op), op.blocks[0][0][1].nbytes
+    del op
+    tracemalloc.start()
+    try:
+        solve_hjb_acceleration(grid, spec, None, ZERO_G, 0.2, controls)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    node_bytes = 8 * grid.x.size * grid.v.size
+    bound = grid.t.size * node_bytes + held + 2 * chunk + 8 * node_bytes
+    assert peak <= bound, f"traced peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
