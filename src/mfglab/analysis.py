@@ -8,9 +8,18 @@ rather than a tuned threshold. Gaps, oscillations and the gradient bound are
 read on the probe box |x|, |v| <= PROBE_RADIUS = 2 (the convergence is locally
 uniform), and the acceleration energy on [0.1 T, T]. Every measurement on a
 value field is taken one time slice at a time, allocating nothing its size,
-and the audits reduce a particle flow's time axis one block of time rows at a
-time, allocating nothing of the flow's size but the Hoelder audit's sorted
-positions.
+and the audits and the marginal gap reduce a particle flow's time axis one
+block of time rows at a time (``measures._row_blocks``), allocating nothing of
+the flow's size but the Hoelder audit's sorted positions.
+
+A control rung takes every measurement that reads its value field or whole
+flows first. It then copies the rows of its five joint probes, 4 n floats per
+probe, into a buffer allocated before its solve, and drops its solution. So
+its exact assignments, each with an 8 n^2-byte cost matrix, run beside the
+limit solution and those rows only: not beside the rung's value field
+(6.6 MB on the 101x81x101 grid) or its flows (3.2 MB at n = 2000). The buffer
+lies below the rung's arrays on the heap, so they are freed into one block
+at its top, where the next cost matrix fits.
 
 Two measurements skip exact work that cannot change their number. The Hoelder
 audit skips every node pair whose triangle-inequality bound cannot go below the
@@ -36,6 +45,7 @@ from .measures import (
     ParticleEnsemble,
     W1Result,
     _joint_w1_bounds,
+    _row_blocks,
     _w1_quantile,
     sup_w1_marginal,
     wasserstein1_joint,
@@ -49,7 +59,6 @@ PROBE_RADIUS = 2.0
 ACCEL_CUTOFF = 0.1  # the acceleration-energy audit runs over [ACCEL_CUTOFF * T, T]
 _BOUND_SLACK = 1e-9  # relative slack between a distance bound and the value it bounds
 _PROBE_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)  # fractions of T where the joint flows are compared
-_ROW_BLOCK_VALUES = 2**18  # values per block of time rows in the audits of a particle flow
 
 REPORT_COLUMNS = (
     "eps",
@@ -139,13 +148,6 @@ class EstimateAudit:
     @property
     def lemma41_ok(self) -> bool:
         return self.lemma41_margin >= -1e-9
-
-
-def _row_blocks(n_rows: int, n_cols: int):
-    """Consecutive slices of range(n_rows), each of at most _ROW_BLOCK_VALUES
-    values of n_cols columns (one row at least)."""
-    step = max(1, _ROW_BLOCK_VALUES // n_cols)
-    return [slice(k, min(k + step, n_rows)) for k in range(0, n_rows, step)]
 
 
 def _trapezoid_rows(rows, t, n_cols):
@@ -304,14 +306,31 @@ def sup_marginal_gap(a: MeasureFlow, b: MeasureFlow) -> float:
     return sup_w1_marginal(a, b)
 
 
-def _joint_probes(eps_solution: MFGSolution, control_solution: MFGSolution, fractions):
-    """(t, eps ensemble, control ensemble) at the time nodes nearest fractions of T."""
+def _joint_probes(
+    eps_solution: MFGSolution, control_solution: MFGSolution, fractions=_PROBE_FRACTIONS, out=None
+):
+    """(t, eps ensemble, control ensemble) at the time nodes nearest fractions of T.
+
+    The ensembles hold copies of their rows, so they keep neither flow alive:
+    per probe the eps x and v rows, then the control ones, in ``out`` (shape
+    (len(fractions), 4, n); a new array when None).
+    """
     fa, fb = eps_solution.flow, control_solution.flow
     if fa.velocities is None or fb.velocities is None:
         raise InvalidInputError("joint comparison needs phase-space flows")
+    if fa.n_particles != fb.n_particles:
+        raise InvalidInputError("joint W1 needs equal counts and uniform weights")
     T = fa.times[-1]
-    probes = [(fa.index_at(frac * T), fb.index_at(frac * T)) for frac in fractions]
-    return [(float(fa.times[ka]), fa.ensemble(ka), fb.ensemble(kb)) for ka, kb in probes]
+    nodes = [(fa.index_at(frac * T), fb.index_at(frac * T)) for frac in fractions]
+    if out is None:
+        out = np.empty((len(nodes), 4, fa.n_particles))
+    probes = []
+    for (ka, kb), (xa, va, xb, vb) in zip(nodes, out, strict=True):
+        xa[:], va[:] = fa.positions[ka], fa.velocities[ka]
+        xb[:], vb[:] = fb.positions[kb], fb.velocities[kb]
+        a, b = ParticleEnsemble(xa, va, fa.weights), ParticleEnsemble(xb, vb, fb.weights)
+        probes.append((float(fa.times[ka]), a, b))
+    return probes
 
 
 def compare_joint_reconstruction(
@@ -328,8 +347,9 @@ def compare_joint_reconstruction(
     ]
 
 
-def _sup_joint_gap(eps_solution: MFGSolution, control_solution: MFGSolution) -> float:
-    """max over probes of compare_joint_reconstruction's d1, solving only probes that can hold it.
+def _sup_joint_gap(probes) -> float:
+    """max of the joint d1 over ``_joint_probes``' list of (t, a, b), solving
+    only the probes that can hold it.
 
     Each probe's rank-pairing bounds (a few milliseconds) bracket its W1. The
     probes are solved in descending upper bound, and the walk stops at the
@@ -338,7 +358,6 @@ def _sup_joint_gap(eps_solution: MFGSolution, control_solution: MFGSolution) -> 
     later probe can hold the maximum. The result is the same float as the
     maximum over every probe.
     """
-    probes = _joint_probes(eps_solution, control_solution, _PROBE_FRACTIONS)
     bounds = [_joint_w1_bounds(a, b) for _, a, b in probes]
     best = max(lower for lower, _ in bounds)
     solved = {}
@@ -405,8 +424,13 @@ def run_sweep(
         raise InvalidInputError("a control sweep needs uniform weights in mu0")
     limit = solve_limit(spec, g, grid, mu0, tol_fp=tol_fp, max_iter=max_iter)
 
+    joint = variant == "control"
     rows = []
     for eps in plan.eps_ladder:
+        # taken before the solve, the probe rows' buffer lies below the rung's
+        # value field and flows, which then free into one block at the heap top,
+        # where the joint W1's 8 n^2-byte cost matrix fits
+        probe_rows = np.empty((len(_PROBE_FRACTIONS), 4, mu0.size)) if joint else None
         try:
             sol = solve_eps_system(
                 spec, g, grid, mu0, eps, controls, tol_fp=tol_fp, max_iter=max_iter
@@ -415,24 +439,25 @@ def run_sweep(
             rows.append(_nan_row(eps))
             continue
         audit = audit_estimates(sol, spec, g)
-        sup_joint = _sup_joint_gap(sol, limit) if variant == "control" else float("nan")
-        rows.append(
-            {
-                "eps": eps,
-                "sup_u_gap": sup_value_gap(sol.value, limit.value),
-                "sup_d1_marginal": sup_marginal_gap(sol.flow, limit.flow),
-                "sup_d1_joint": sup_joint,
-                "osc_v": velocity_oscillation(sol.value),
-                "lemma41_ok": audit.lemma41_ok,
-                "cor42_margin": audit.cor42_margin,
-                "cor43_margin": audit.cor43_margin,
-                "prop46_margin": audit.prop46_margin,
-                "prop52_value": audit.prop52_value,
-                "iters": sol.iterations,
-                "converged": sol.converged,
-            }
-        )
-        del sol  # the next rung is solved without this one's value field and flow
+        row = {
+            "eps": eps,
+            "sup_u_gap": sup_value_gap(sol.value, limit.value),
+            "sup_d1_marginal": sup_marginal_gap(sol.flow, limit.flow),
+            "sup_d1_joint": float("nan"),
+            "osc_v": velocity_oscillation(sol.value),
+            "lemma41_ok": audit.lemma41_ok,
+            "cor42_margin": audit.cor42_margin,
+            "cor43_margin": audit.cor43_margin,
+            "prop46_margin": audit.prop46_margin,
+            "prop52_value": audit.prop52_value,
+            "iters": sol.iterations,
+            "converged": sol.converged,
+        }
+        probes = _joint_probes(sol, limit, out=probe_rows) if joint else None
+        del sol  # the joint walk and the next rung run without this rung's value field and flows
+        if joint:
+            row["sup_d1_joint"] = _sup_joint_gap(probes)
+        rows.append(row)
 
     rates = {}
     if len(plan.eps_ladder) >= 3:

@@ -4,6 +4,7 @@ import json
 import os
 import threading
 import tracemalloc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,7 +30,7 @@ from mfglab import (
     sup_value_gap,
     velocity_oscillation,
 )
-from mfglab import analysis
+from mfglab import analysis, measures
 from mfglab.analysis import REPORT_COLUMNS, ConvergenceReport, energy_constant, holder_constant
 from mfglab.measures import MeasureFlow, ParticleEnsemble, _w1_quantile, wasserstein1_joint
 
@@ -242,7 +243,7 @@ def test_time_block_reductions_equal_numpy(axis, block_rows, monkeypatch):
     steps = np.diff(t)
     assert bool(np.all(steps == steps[0])) == (axis == "exact")
     if block_rows is not None:
-        monkeypatch.setattr(analysis, "_ROW_BLOCK_VALUES", block_rows * n)
+        monkeypatch.setattr(measures, "_ROW_BLOCK_VALUES", block_rows * n)
     rng = np.random.default_rng(5)
     f = rng.normal(size=(t.size, n)) * 10.0 ** rng.uniform(-6, 6, size=(t.size, 1))
     rows = lambda k0, k1: f[k0:k1]
@@ -261,7 +262,7 @@ def test_flow_audits_equal_the_whole_flow_formulas(block_rows, monkeypatch):
     sol = solve_eps_system(spec, g, SMALL, gaussian_ensemble(64, seed=2), 0.1)
     V, t, T = sol.flow.velocities, sol.flow.times, SMALL.T
     if block_rows is not None:
-        monkeypatch.setattr(analysis, "_ROW_BLOCK_VALUES", block_rows * V.shape[1])
+        monkeypatch.setattr(measures, "_ROW_BLOCK_VALUES", block_rows * V.shape[1])
     audit = audit_estimates(sol, spec, g)
     energies = np.trapezoid(V**2, t, axis=0)
     assert audit.cor42_margin == float(np.min(audit.q1 * (1.0 + V[0] ** 2) - energies))
@@ -329,7 +330,7 @@ def test_compare_joint_reconstruction_equals_sequential_probes(monkeypatch, join
 
 def test_joint_w1_runs_on_the_calling_thread(monkeypatch, joint_pair):
     threads = _count_w1_calls(monkeypatch)
-    analysis._sup_joint_gap(*joint_pair)
+    _joint_gap(*joint_pair)
     compare_joint_reconstruction(*joint_pair)
     assert len(threads) > 5 and set(threads) == {threading.get_ident()}
 
@@ -343,6 +344,10 @@ def _flows(positions_a, velocities_a, positions_b, velocities_b, weights=None):
         SimpleNamespace(flow=MeasureFlow(t, positions_a, velocities_a, w)),
         SimpleNamespace(flow=MeasureFlow(t, positions_b, velocities_b, w)),
     )
+
+
+def _joint_gap(*pair):
+    return analysis._sup_joint_gap(analysis._joint_probes(*pair))
 
 
 def _max_over_probes(*pair):
@@ -366,14 +371,14 @@ def _count_w1_calls(monkeypatch):
 def test_sup_joint_gap_equals_max_over_probes(monkeypatch, joint_pair, n_cpus):
     expected = _max_over_probes(*joint_pair)
     _report_cpus(monkeypatch, n_cpus)
-    assert analysis._sup_joint_gap(*joint_pair) == expected
+    assert _joint_gap(*joint_pair) == expected
 
 
 def test_sup_joint_gap_of_identical_flows_is_zero():
     rng = np.random.default_rng(22)
     X, V = rng.normal(size=(2, 5, 30))
     pair = _flows(X, V, X, V)
-    assert analysis._sup_joint_gap(*pair) == 0.0 == _max_over_probes(*pair)
+    assert _joint_gap(*pair) == 0.0 == _max_over_probes(*pair)
 
 
 def test_sup_joint_gap_solves_past_a_loose_bound(monkeypatch):
@@ -391,7 +396,7 @@ def test_sup_joint_gap_solves_past_a_loose_bound(monkeypatch):
     pair = _flows(X, V, Xb, Vb)
     expected = _max_over_probes(*pair)
     calls = _count_w1_calls(monkeypatch)
-    assert analysis._sup_joint_gap(*pair) == expected
+    assert _joint_gap(*pair) == expected
     assert len(calls) == 2
 
 
@@ -402,7 +407,7 @@ def test_sup_joint_gap_refuses_weighted_flows(monkeypatch):
     pair = _flows(X, V, Xb, Vb, weights=w / w.sum())
     calls = _count_w1_calls(monkeypatch)
     with pytest.raises(InvalidInputError, match="uniform weights"):
-        analysis._sup_joint_gap(*pair)
+        _joint_gap(*pair)
     assert calls == []  # refused by the bounds, before any assignment
     with pytest.raises(InvalidInputError, match="uniform weights"):
         compare_joint_reconstruction(*pair)
@@ -436,7 +441,7 @@ def test_sup_joint_gap_stop_rule_has_a_relative_slack(monkeypatch, first_lower):
     bounds = [(first_lower, 1.0), (0.0, 0.6 * (1.0 - 1e-12))] + [(0.0, 0.0)] * 3
     values = [0.6 * (1.0 - 1e-13), 0.6, 0.0, 0.0, 0.0]
     solved = _fake_probes(monkeypatch, bounds, values)
-    assert analysis._sup_joint_gap(*_one_particle_probes()) == 0.6
+    assert _joint_gap(*_one_particle_probes()) == 0.6
     assert solved == [0, 1]  # descending bounds, stopped at the first that cannot reach 0.6
 
 
@@ -446,7 +451,7 @@ def test_sup_joint_gap_solves_the_probes_left_by_the_bounds_in_turn(monkeypatch)
     bounds = [(0.0, 0.0), (0.5, 0.9), (0.1, 0.45), (0.2, 0.7), (0.1, 0.6)]
     values = [0.0, 0.55, 0.3, 0.65, 0.4]
     solved = _fake_probes(monkeypatch, bounds, values)
-    assert analysis._sup_joint_gap(*_one_particle_probes()) == 0.65
+    assert _joint_gap(*_one_particle_probes()) == 0.65
     assert solved == [1, 3]  # probe 4's bound 0.6 is below the 0.65 of probe 3
 
 
@@ -454,21 +459,98 @@ def test_sup_joint_gap_solves_fewer_probes_on_a_gaussian_sweep(monkeypatch):
     spec = make_lagrangian("quadratic")
     mu0 = gaussian_ensemble(300, seed=1)
     plan = SweepPlan(eps_ladder=(0.2, 0.1, 0.05))
-    sup_joint_gap = analysis._sup_joint_gap
+    sup_joint_gap, solve_limit, solve = (
+        analysis._sup_joint_gap,
+        analysis.solve_mfg_of_control,
+        analysis.solve_eps_system,
+    )
     calls = _count_w1_calls(monkeypatch)
-    solved, full = [], []
+    fractions = analysis._PROBE_FRACTIONS
+    limits, solved, full, given = [], [], [], []
 
-    def recording(sol, limit):
+    def limit_solving(*args, **kwargs):
+        limits.append(solve_limit(*args, **kwargs))
+        return limits[-1]
+
+    def solving(*args, **kwargs):  # the reference, read from the rung's and the limit's flows
+        sol = solve(*args, **kwargs)
+        fa, fb = sol.flow, limits[0].flow
+        nodes = [(fa.index_at(f * fa.times[-1]), fb.index_at(f * fa.times[-1])) for f in fractions]
+        w1s = [float(wasserstein1_joint(fa.ensemble(ka), fb.ensemble(kb))) for ka, kb in nodes]
+        full.append(max(w1s))
+        return sol
+
+    def recording(probes):
         before = len(calls)
-        got = sup_joint_gap(sol, limit)
+        got = sup_joint_gap(probes)
         solved.append(len(calls) - before)
-        full.append(_max_over_probes(sol, limit))
+        assert len(probes) == len(fractions)
+        given.append(max(float(wasserstein1_joint(a, b)) for _, a, b in probes))
         return got
 
+    monkeypatch.setattr(analysis, "solve_mfg_of_control", limit_solving)
+    monkeypatch.setattr(analysis, "solve_eps_system", solving)
     monkeypatch.setattr(analysis, "_sup_joint_gap", recording)
     report = run_sweep(plan, spec, ZERO_G, SMALL, mu0, variant="control")
-    assert [row["sup_d1_joint"] for row in report.rows] == full
+    assert len(limits) == 1 and len(full) == 3
+    assert [row["sup_d1_joint"] for row in report.rows] == full == given
     assert len(solved) == 3 and all(k < 5 for k in solved)
+
+
+def test_control_rung_drops_its_value_field_and_flows_before_the_joint_w1(monkeypatch):
+    """A control rung takes its other measurements first, keeps copies of its
+    joint probes' rows and drops its solution: no exact assignment runs while
+    the rung's value field or flows are alive.
+
+    The copies go to a buffer allocated before the rung's solve, so that the
+    freed value field and flows lie above it on the heap, in one block where
+    the assignment's cost matrix fits; the order of calls is checked here."""
+    solve, w1, joint_probes = (
+        analysis.solve_eps_system,
+        analysis.wasserstein1_joint,
+        analysis._joint_probes,
+    )
+    n, shape = 100, (len(analysis._PROBE_FRACTIONS), 4, 100)
+    refs, alive, events = [], [], []
+
+    class Numpy:  # analysis's numpy, recording the probe buffers it allocates
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def empty(self, *args, **kwargs):
+            out = np.empty(*args, **kwargs)
+            if out.shape == shape:
+                events.append(("buffer", out))
+            return out
+
+    def solving(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        arrays = (sol.value.values, sol.flow.positions, sol.flow.velocities)
+        assert all(a.base is None for a in arrays)  # each owns its memory
+        refs.extend(weakref.ref(a) for a in arrays)
+        events.append(("solve", None))
+        return sol
+
+    def probing(*args, out=None, **kwargs):
+        events.append(("probes", out))
+        return joint_probes(*args, out=out, **kwargs)
+
+    def checking(a, b):
+        alive.append(sum(ref() is not None for ref in refs))
+        return w1(a, b)
+
+    monkeypatch.setattr(analysis, "np", Numpy())
+    monkeypatch.setattr(analysis, "solve_eps_system", solving)
+    monkeypatch.setattr(analysis, "_joint_probes", probing)
+    monkeypatch.setattr(analysis, "wasserstein1_joint", checking)
+    plan = SweepPlan(eps_ladder=(0.2, 0.1, 0.05))
+    mu0 = gaussian_ensemble(n, seed=3)
+    run_sweep(plan, make_lagrangian("quadratic"), ZERO_G, SMALL, mu0, variant="control")
+    assert len(refs) == 9 and len(alive) >= 3
+    assert alive == [0] * len(alive)
+    assert [kind for kind, _ in events] == ["buffer", "solve", "probes"] * 3
+    for rung in range(3):  # each rung's probes fill the buffer taken before its solve
+        assert events[3 * rung + 2][1] is events[3 * rung][1]
 
 
 def test_run_sweep_classical_report():
