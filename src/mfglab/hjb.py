@@ -5,7 +5,10 @@ control set; the limit problems are solved on (t, x) with velocity controls.
 Foot points fall on fixed offsets of the grid, so the multilinear interpolation
 stencils form time-independent sparse operators, built once per solve (once
 per eps rung of a coupled Picard loop, as an `AccelerationOperator`), and
-each backward step is a sparse matvec plus a min over controls. Both
+each backward step is a sparse matvec plus a min over controls. An operator
+is kept as its CSR arrays (`CSRStencil`) and applied by scipy's compiled
+`csr_matvec`, the call that `csr_matrix @ u` makes, which `_scipy` loads
+without the rest of `scipy.sparse`. Both
 solvers run one backward sweep (`_backward_sweep`) over blocks of controls.
 The penalized solver makes one contiguous block per CPU of the process's
 affinity mask, and splits each block into chunks of whole controls, each with
@@ -33,10 +36,11 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 
+from ._scipy import csr_matvec
 from .errors import ConfigurationError, InvalidInputError, UnsupportedModelError, as_index
 from .measures import MeasureFlow, ParticleEnsemble, linear_binning
 from .model import LagrangianSpec, TerminalCost
@@ -199,16 +203,33 @@ def _row_pointer(n_rows, n_corners):
     return np.arange(0, n_entries + 1, n_corners, dtype=_index_dtype(n_entries))
 
 
-def _stencil_operator(n_cols, indices, data, indptr):
+class CSRStencil(NamedTuple):
+    """A CSR operator with n_cols columns: row r holds its entries
+    indices[indptr[r]:indptr[r + 1]] and data[indptr[r]:indptr[r + 1]]."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    n_cols: int
+
+
+def _stencil_operator(n_cols, indices, data, indptr) -> CSRStencil:
     """CSR operator with n_cols columns from `indices` and `data` of one shape,
     whose last axis is the interpolation corners and whose leading axes, in C
     order, are the rows: row r holds the (column, weight) pairs of its corners
     in order, so the matvec sums them in that order. `indptr` is a
-    `_row_pointer` of at least that many rows; the operator keeps a view of it."""
+    `_row_pointer` of at least that many rows; the operator keeps a view of it.
+    The checks are the constant-time ones `csr_matrix` makes, which the
+    compiled matvec relies on."""
     n_rows = data.size // data.shape[-1]
-    return sparse.csr_matrix(
-        (data.reshape(-1), indices.reshape(-1), indptr[: n_rows + 1]), shape=(n_rows, n_cols)
-    )
+    S = CSRStencil(indptr[: n_rows + 1], indices.reshape(-1), data.reshape(-1), n_cols)
+    if not (
+        S.indices.dtype == S.indptr.dtype
+        and S.indptr.size == n_rows + 1
+        and S.indptr[-1] == S.indices.size == S.data.size
+    ):
+        raise ValueError("the stencil's row pointer, indices and weights are not a CSR operator")
+    return S
 
 
 def _n_cpus() -> int:
@@ -254,9 +275,12 @@ def _acceleration_block(grid: PhaseGrid, spec: LagrangianSpec, eps: float, a: np
     return indices, data, const.reshape(n_a, n_x * n_v)
 
 
-def _chunk_min(S, const, u_next):
+def _chunk_min(S: CSRStencil, const, u_next):
     """Smallest candidate of one chunk of controls at every node."""
-    cand = (S @ u_next).reshape(const.shape)
+    n_rows = S.indptr.size - 1
+    cand = np.zeros(n_rows)
+    csr_matvec(n_rows, S.n_cols, S.indptr, S.indices, S.data, u_next, cand)
+    cand = cand.reshape(const.shape)
     cand += const
     return cand.min(axis=0)
 

@@ -22,6 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._scipy import linear_sum_assignment
 from .errors import InvalidInputError, as_index
 
 UNIT_BOX = ((-1.0, 1.0), (-1.0, 1.0))  # the default (x, v) box of the initial ensembles
@@ -236,8 +237,6 @@ def wasserstein1_joint(a: ParticleEnsemble, b: ParticleEnsemble) -> W1Result:
     if not a.is_joint:
         return W1Result(wasserstein1_1d(a, b), True)
     _require_assignment_pair(a, b)
-    from scipy.optimize import linear_sum_assignment
-
     cost = _ground_cost(a, b)
     rows, cols = linear_sum_assignment(cost)
     return W1Result(float(cost[rows, cols].mean()), True)

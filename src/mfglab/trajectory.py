@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InvalidInputError, UnsupportedModelError
 from .measures import MeasureFlow
@@ -29,16 +28,20 @@ ROUNDING_ULPS = 8  # cost rises up to this many ulp are rounding, not ascent
 _EPS = np.finfo(float).eps
 
 
-def d1_matrix(n: int, h: float) -> sp.csr_matrix:
-    """First derivative: centered interior, one-sided at the ends."""
+def d1_matrix(n: int, h: float):
+    """First derivative as a CSR matrix: centered interior, one-sided at the ends."""
+    import scipy.sparse as sp
+
     lower, main, upper = np.full(n - 1, -0.5 / h), np.zeros(n), np.full(n - 1, 0.5 / h)
     main[0], upper[0] = -1.0 / h, 1.0 / h
     lower[-1], main[-1] = -1.0 / h, 1.0 / h
     return sp.diags([lower, main, upper], [-1, 0, 1], format="csr")
 
 
-def d2_matrix(n: int, h: float) -> sp.csr_matrix:
-    """Second difference: standard interior stencil, end rows copy the adjacent one."""
+def d2_matrix(n: int, h: float):
+    """Second difference as a CSR matrix: interior stencil, end rows copy the adjacent one."""
+    import scipy.sparse as sp
+
     inner = sp.diags(np.array([1.0, -2.0, 1.0]) / h**2, [0, 1, 2], shape=(n - 2, n), format="csr")
     return sp.vstack([inner[:1], inner, inner[-1:]], format="csr")
 
@@ -142,7 +145,10 @@ class _Functional:
         G[-1] += float(self.g.dg(x[-1], self.m_T))
         return G
 
-    def hess(self, x) -> sp.csr_matrix:
+    def hess(self, x):
+        """The Hessian as a CSR matrix."""
+        import scipy.sparse as sp
+
         kdd = self.spec.kinetic_dd(self.D1 @ x)
         curv = self.spec.potential_dd(x) + self._coupling(x, 2)
         H = self.h * (self.D1.T @ sp.diags(self.w * kdd) @ self.D1 + sp.diags(self.w * curv))

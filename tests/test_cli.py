@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 from click.testing import CliRunner
@@ -486,17 +487,36 @@ def test_control_sweep_over_memory_budget_is_config_error(runner, tmp_path):
 
 
 def test_cli_import_leaves_out_scipy_optimize():
-    """scipy.optimize is imported where an exact joint W1 is first solved, and
-    scipy.linalg where a curve is first solved (`trajectory._descent`)."""
+    """scipy.linalg and scipy.sparse are imported where a curve is first solved
+    (`trajectory`), and scipy.optimize never: the HJB step and the exact joint
+    W1 run the two compiled modules that `mfglab._scipy` loads by file, so
+    neither a decoupled solve nor an assignment loads a scipy subpackage or
+    scipy's array-API layer."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    modules = "('scipy.optimize', 'scipy.linalg')"
-    code = f"import sys, mfglab.cli; print([m for m in {modules} if m in sys.modules])"
+    code = textwrap.dedent(
+        """
+        import sys, mfglab.cli
+        print([m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules])
+        from mfglab import (
+            PhaseGrid, gaussian_ensemble, make_lagrangian, make_terminal, solve_eps_system,
+            wasserstein1_joint,
+        )
+        grid = PhaseGrid.regular(N_x=21, N_v=17, N_t=21)
+        mu = gaussian_ensemble(50, seed=1)
+        sol = solve_eps_system(make_lagrangian('quadratic'), make_terminal('zero'), grid, mu, 0.2)
+        assert wasserstein1_joint(mu, sol.flow.ensemble(sol.flow.n_times - 1)).exact
+        held = ('scipy.sparse', 'scipy.optimize', 'scipy.linalg', 'scipy._lib._array_api')
+        print(sorted(m for m in sys.modules if m.startswith(held)))
+        """
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    after_import, after_solves = out.stdout.strip().splitlines()
+    assert after_import == "[]"
+    assert after_solves == "['scipy.optimize._lsap', 'scipy.sparse._sparsetools']"
 
 
 def test_negative_seed_option_is_usage_error(runner, tmp_path):
