@@ -5,9 +5,10 @@ exact joint W1's assignment is `scipy.optimize._lsap.linear_sum_assignment`
 (Crouse, IEEE TAES 52, 2016). Importing either subpackage runs its
 `__init__`, which loads the whole subpackage and scipy's array-API layer
 (about 0.45 s and 50 MiB for the two); the extension modules alone take under
-a millisecond and 0.2 MiB. Each is loaded from its file under its full name,
-so a later `import scipy.sparse` or `scipy.optimize` reuses it, as this
-module reuses one imported earlier. No other module names them.
+a millisecond and 0.2 MiB. Each is loaded from its file and left out of
+`sys.modules`, so a later `import scipy.sparse` or `scipy.optimize` loads it
+again, binds it to its subpackage and shares its functions; one imported
+earlier is reused. No other module names them.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ def _extension(subpackage: str, name: str):
         )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    sys.modules[fullname] = module
+    sys.modules.pop(fullname, None)  # where creating a single-phase module put it
     return module
 
 

@@ -8,9 +8,9 @@ rather than a tuned threshold. Gaps, oscillations and the gradient bound are
 read on the probe box |x|, |v| <= PROBE_RADIUS = 2 (the convergence is locally
 uniform), and the acceleration energy on [0.1 T, T]. Every measurement on a
 value field is taken one time slice at a time, allocating nothing its size,
-and the audits and the marginal gap reduce a particle flow's time axis one
-block of time rows at a time (``measures._row_blocks``), allocating nothing of
-the flow's size but the Hoelder audit's sorted positions.
+and on a particle flow one or two time rows at a time (the Hoelder audit's
+adjacent distances a block of rows, ``_row_blocks``), allocating nothing of
+the flow's size but that audit's sorted positions.
 
 A control rung takes every measurement that reads its value field or whole
 flows first. It then copies the rows of its five joint probes, 4 n floats per
@@ -33,6 +33,7 @@ the full computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import NamedTuple
 
 import numpy as np
@@ -45,7 +46,6 @@ from .measures import (
     ParticleEnsemble,
     W1Result,
     _joint_w1_bounds,
-    _row_blocks,
     _w1_quantile,
     sup_w1_marginal,
     wasserstein1_joint,
@@ -59,6 +59,7 @@ PROBE_RADIUS = 2.0
 ACCEL_CUTOFF = 0.1  # the acceleration-energy audit runs over [ACCEL_CUTOFF * T, T]
 _BOUND_SLACK = 1e-9  # relative slack between a distance bound and the value it bounds
 _PROBE_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)  # fractions of T where the joint flows are compared
+_ROW_BLOCK_VALUES = 2**18  # values per block of rows of the Hoelder audit's adjacent distances
 
 REPORT_COLUMNS = (
     "eps",
@@ -150,42 +151,37 @@ class EstimateAudit:
         return self.lemma41_margin >= -1e-9
 
 
-def _trapezoid_rows(rows, t, n_cols):
-    """np.trapezoid(y, t, axis=0) bit for bit, where rows(k0, k1) gives y[k0:k1],
-    one block of time intervals at a time. np.trapezoid adds the interval
-    terms of a C-ordered array in order along axis 0, so each block's terms
-    continue the running sum of the blocks before it."""
-    total = None
-    for b in _row_blocks(t.size - 1, n_cols):
-        y = rows(b.start, b.stop + 1)
-        terms = np.diff(t[b.start : b.stop + 1])[:, None] * (y[1:] + y[:-1]) / 2.0
-        if total is not None:
-            terms[0] += total
-        total = np.add.reduce(terms, axis=0)
+def _time_integral(row, t):
+    """np.trapezoid(y, t, axis=0) bit for bit, where row(k) gives y[k]: as it does
+    on a C-ordered y, this adds the interval terms in order, two rows at a time."""
+    rows = zip(t, map(row, range(t.size)))
+    terms = ((t1 - t0) * (y1 + y0) / 2.0 for (t0, y0), (t1, y1) in pairwise(rows))
+    total = next(terms)
+    for term in terms:
+        total += term
     return total
 
 
-def _time_gradient(f, t, k0, k1):
-    """np.gradient(f, t, axis=0)[k0:k1] bit for bit (second-order interior,
-    first-order edges), reading only rows k0 - 1 to k1 of f. Like np.gradient,
-    it takes the uniform-spacing formula when every step of t is equal."""
+def _gradient_row(f, t, k):
+    """np.gradient(f, t, axis=0)[k] bit for bit (second-order interior,
+    first-order edges), from rows k - 1 to k + 1 of f. Like np.gradient, it
+    takes the uniform-spacing formula when every step of t is equal."""
     dt = np.diff(t)
-    out = np.empty((k1 - k0,) + f.shape[1:])
-    lo, hi = max(k0, 1), min(k1, t.size - 1)  # the interior rows
-    if lo < hi:
-        if np.all(dt == dt[0]):
-            out[lo - k0 : hi - k0] = (f[lo + 1 : hi + 1] - f[lo - 1 : hi - 1]) / (2.0 * dt[0])
-        else:
-            dx1, dx2 = dt[lo - 1 : hi - 1, None], dt[lo:hi, None]
-            a = -(dx2) / (dx1 * (dx1 + dx2))
-            b = (dx2 - dx1) / (dx1 * dx2)
-            c = dx1 / (dx2 * (dx1 + dx2))
-            out[lo - k0 : hi - k0] = a * f[lo - 1 : hi - 1] + b * f[lo:hi] + c * f[lo + 1 : hi + 1]
-    if k0 == 0:
-        out[0] = (f[1] - f[0]) / dt[0]
-    if k1 == t.size:
-        out[-1] = (f[-1] - f[-2]) / dt[-1]
-    return out
+    if k in (0, t.size - 1):
+        j = min(k, t.size - 2)
+        return (f[j + 1] - f[j]) / dt[j]
+    if np.all(dt == dt[0]):
+        return (f[k + 1] - f[k - 1]) / (2.0 * dt[0])
+    d1, d2 = dt[k - 1], dt[k]
+    a, b, c = -d2 / (d1 * (d1 + d2)), (d2 - d1) / (d1 * d2), d1 / (d2 * (d1 + d2))
+    return a * f[k - 1] + b * f[k] + c * f[k + 1]
+
+
+def _row_blocks(n_rows: int, n_cols: int):
+    """Consecutive index blocks of range(n_rows), each of at most
+    _ROW_BLOCK_VALUES values of n_cols columns (one row at least)."""
+    step = max(1, _ROW_BLOCK_VALUES // n_cols)
+    return [np.arange(k, min(k + step, n_rows)) for k in range(0, n_rows, step)]
 
 
 def _pairwise_holder_margin(flow: MeasureFlow, q2: float) -> float:
@@ -209,8 +205,7 @@ def _pairwise_holder_margin(flow: MeasureFlow, q2: float) -> float:
         def d1(ks, ls):
             return np.array([_w1_quantile(X[k], w, X[l], w) for k, l in np.broadcast(ks, ls)])
 
-    rows = [np.arange(b.start, b.stop) for b in _row_blocks(t.size - 1, X.shape[1])]
-    adjacent = np.concatenate([d1(ks, ks + 1) for ks in rows])
+    adjacent = np.concatenate([d1(ks, ks + 1) for ks in _row_blocks(t.size - 1, X.shape[1])])
     D = np.concatenate(([0.0], np.cumsum(adjacent)))
     margin = float(np.min(q2 * np.sqrt(t[1:] - t[:-1]) - adjacent))
     for k in range(t.size - 2):
@@ -241,7 +236,7 @@ def audit_estimates(
 
     q1 = energy_constant(spec, g, T)
     V, times = flow.velocities, flow.times
-    energies = _trapezoid_rows(lambda k0, k1: V[k0:k1] ** 2, times, V.shape[1])
+    energies = _time_integral(lambda k: V[k] ** 2, times)
     cor42 = float(np.min(q1 * (1.0 + V[0] ** 2) - energies))
 
     q2 = holder_constant(spec, g, T, flow.ensemble(0))
@@ -259,8 +254,8 @@ def audit_estimates(
 
     # the acceleration dv/dt on the time nodes of [ACCEL_CUTOFF T, T], a suffix of the axis
     kc = int(np.argmax(times >= ACCEL_CUTOFF * T))
-    acc_sq = lambda k0, k1: _time_gradient(V, times, kc + k0, kc + k1) ** 2
-    prop52 = float(np.max(_trapezoid_rows(acc_sq, times[kc:], V.shape[1])))
+    acc_sq = lambda k: _gradient_row(V, times, kc + k) ** 2
+    prop52 = float(np.max(_time_integral(acc_sq, times[kc:])))
 
     return EstimateAudit(lemma41, cor42, cor43, prop46, prop52, q1, q2)
 

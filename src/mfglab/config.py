@@ -54,8 +54,8 @@ GRID_MEMORY_BUDGET = 8 * 2**30
 # flow. A coupled sweep holds 64, three joint and two position flows' worth: a Picard
 # loop's last transport (16); its iterate, best iterate, and the mixing's residual, step
 # and next iterate (8 each); the limit flow (8, or 16 in a control sweep); and a float32
-# Anderson history of _MEMORY pairs and the pending pair. Traced peaks on a 21x17 grid:
-# 54 N_t n decoupled, 112 coupled (N_t 201, n 10,000), 124 coupled control (1601, 2,000).
+# Anderson history of _MEMORY pairs and the pending pair. Six-rung sweeps on a 21x17 grid trace
+# 34.5 N_t n decoupled, 80.5 coupled (kappa_c 0.5, N_t 201, n 10,000), 88.6 control (1601, 2,000).
 FLOW_BYTES = 16 * 5
 ANDERSON_BYTES = 8 * (_MEMORY + 1)
 

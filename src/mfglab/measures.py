@@ -27,8 +27,6 @@ from .errors import InvalidInputError, as_index
 
 UNIT_BOX = ((-1.0, 1.0), (-1.0, 1.0))  # the default (x, v) box of the initial ensembles
 _WEIGHT_TOL = 1e-12
-_COST_BLOCK = 1 << 16  # |dv| entries per block of the joint ground cost (512 kB)
-_ROW_BLOCK_VALUES = 2**18  # values per block of time rows in the reductions of a particle flow
 _SLOPES = (-1.0, -2.0 / 3.0, -1.0 / 3.0, 0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0)
 # rank-pairing directions (c, s): twelve points of max(|c|, |s|) = 1, among them x, v, x + v, x - v
 _RANK_DIRECTIONS = tuple((1.0, t) for t in _SLOPES) + tuple((t, 1.0) for t in _SLOPES[1:-1])
@@ -167,31 +165,18 @@ def _w1_quantile(xa, wa, xb, wb):
     return float(np.sum(seg * np.abs(qa - qb)))
 
 
-def _row_blocks(n_rows: int, n_cols: int):
-    """Consecutive slices of range(n_rows), each of at most _ROW_BLOCK_VALUES
-    values of n_cols columns (one row at least)."""
-    step = max(1, _ROW_BLOCK_VALUES // n_cols)
-    return [slice(k, min(k + step, n_rows)) for k in range(0, n_rows, step)]
-
-
 def sup_w1_marginal(a: MeasureFlow, b: MeasureFlow) -> float:
     """sup over time rows of W1 between the position marginals of two flows.
 
-    Equal-count uniform flows pair their sorted rows, one block of time rows
-    at a time, so each sorted copy is a block's size; others go through the
-    quantile formula row by row.
+    Equal-count uniform flows pair their sorted rows; others go through the
+    quantile formula. Either way one time row is taken at a time, so the
+    working set is a few arrays of one row's size.
     """
     if a.n_times != b.n_times:
         raise InvalidInputError("the flows must have the same number of time rows")
-    if a.n_particles == b.n_particles and a.uniform_weights() and b.uniform_weights():
-
-        def sorted_rows(f, r):
-            return np.sort(f.positions[r], axis=1)
-
-        rows = _row_blocks(a.n_times, a.n_particles)
-        d1 = [np.mean(np.abs(sorted_rows(a, r) - sorted_rows(b, r)), axis=1) for r in rows]
-        return float(np.max(np.concatenate(d1)))
     rows = zip(a.positions, b.positions)
+    if a.n_particles == b.n_particles and a.uniform_weights() and b.uniform_weights():
+        return float(np.max([np.mean(np.abs(np.sort(xa) - np.sort(xb))) for xa, xb in rows]))
     return float(np.max([_w1_quantile(xa, a.weights, xb, b.weights) for xa, xb in rows]))
 
 
@@ -211,16 +196,14 @@ def _require_assignment_pair(a: ParticleEnsemble, b: ParticleEnsemble):
 
 
 def _ground_cost(a: ParticleEnsemble, b: ParticleEnsemble) -> np.ndarray:
-    # one n*m array: |dv| is added into |dx| a block of rows at a time
+    # one n*m array: |dv| is added into |dx| one row at a time
     c = np.subtract.outer(a.positions, b.positions)
     np.abs(c, out=c)
-    rows = max(1, _COST_BLOCK // b.size)
-    d = np.empty((min(rows, a.size), b.size))
-    for r0 in range(0, a.size, rows):
-        dr = d[: min(rows, a.size - r0)]
-        np.subtract.outer(a.velocities[r0 : r0 + rows], b.velocities, out=dr)
-        np.abs(dr, out=dr)
-        c[r0 : r0 + rows] += dr
+    d = np.empty(b.size)
+    for row, va in zip(c, a.velocities):
+        np.subtract(va, b.velocities, out=d)
+        np.abs(d, out=d)
+        row += d
     return c
 
 
@@ -296,25 +279,18 @@ def linear_binning(flow: MeasureFlow, nodes):
     """
     nodes = _as_1d(nodes, "nodes")
     h = nodes[1] - nodes[0]
-    # in place and one deposit per side: the working set is three arrays of the
-    # positions' size, as in one exact kernel_smooth call on a time row
-    s = flow.positions - nodes[0]
-    s /= h
-    lo = min(0, int(np.floor(s.min())))
-    n = max(nodes.size - 1, int(np.ceil(s.max()))) - lo + 1
-    s -= lo
-    i0 = s.astype(np.int64)  # s >= 0, so truncation is floor
-    np.minimum(i0, n - 2, out=i0)
-    s -= i0  # the fraction past the left node
-    i0 += n * np.arange(flow.n_times)[:, None]
-    size, w = flow.n_times * n, flow.weights
-    left = 1.0 - s
-    left *= w
-    table = np.bincount(i0.ravel(), left.ravel(), minlength=size)
-    s *= w
-    i0 += 1
-    table += np.bincount(i0.ravel(), s.ravel(), minlength=size)
-    return nodes[0] + h * np.arange(lo, lo + n), table.reshape(flow.n_times, n)
+    # rounding is monotone, so the extremes of (x - nodes[0]) / h are those of x
+    lo = min(0, int(np.floor((flow.positions.min() - nodes[0]) / h)))
+    n = max(nodes.size - 1, int(np.ceil((flow.positions.max() - nodes[0]) / h))) - lo + 1
+    table = np.zeros((flow.n_times, n))
+    # one time row at a time: the working set is a few arrays of a row's size
+    for row, x in zip(table, flow.positions):
+        s = (x - nodes[0]) / h - lo
+        i0 = np.minimum(s.astype(np.int64), n - 2)  # s >= 0, so truncation is floor
+        s -= i0  # the fraction past the left node
+        row += np.bincount(i0, (1.0 - s) * flow.weights, minlength=n)
+        row += np.bincount(i0 + 1, s * flow.weights, minlength=n)
+    return nodes[0] + h * np.arange(lo, lo + n), table
 
 
 def _ensemble_bounds(n, box):

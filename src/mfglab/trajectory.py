@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, UnsupportedModelError
+from .errors import InvalidInputError, NumericalError, UnsupportedModelError
 from .measures import MeasureFlow
 from .model import LagrangianSpec, TerminalCost
 
@@ -177,7 +177,8 @@ def _descent(eps, x, v, spec, m_flow, g, M, T):
     the gradient's sup norm is taken instead. Stops once that norm over h is
     below BVP_TOL. Returns the functional, the curve, the history of that norm,
     and whether H factored unshifted at the curve: a zero gradient on a hilltop
-    is a saddle, not a minimizer.
+    is a saddle, not a minimizer. A non-finite gradient or Hessian at a step's
+    curve raises NumericalError carrying that curve.
     """
     if not (np.isfinite(x) and np.isfinite(v)):
         raise InvalidInputError("the start point (x, v) must be finite")
@@ -194,6 +195,8 @@ def _descent(eps, x, v, spec, m_flow, g, M, T):
         H = F.hess(x)
         # upper banded storage of the free block: row 2 - d holds diagonal d
         ab = np.array([np.pad(H.diagonal(d)[first:], (d, 0)) for d in (2, 1, 0)])
+        if not (np.isfinite(ab).all() and np.isfinite(G).all()):
+            raise NumericalError(f"non-finite gradient or Hessian at Newton step {k}", best=x)
         diag, shift = ab[2].copy(), 0.0
         floor = _EPS * np.max(np.abs(diag)) or _EPS  # a zero diagonal still gets shifted
         while True:

@@ -30,7 +30,7 @@ from mfglab import (
     sup_value_gap,
     velocity_oscillation,
 )
-from mfglab import analysis, measures
+from mfglab import analysis
 from mfglab.analysis import REPORT_COLUMNS, ConvergenceReport, energy_constant, holder_constant
 from mfglab.measures import MeasureFlow, ParticleEnsemble, _w1_quantile, wasserstein1_joint
 
@@ -233,36 +233,36 @@ _TIME_AXES = {
 }
 
 
-@pytest.mark.parametrize("block_rows", [1, 3, None])
 @pytest.mark.parametrize("axis", sorted(_TIME_AXES))
-def test_time_block_reductions_equal_numpy(axis, block_rows, monkeypatch):
-    """The audits' time-axis reductions, taken one block of time rows at a time,
-    give np.trapezoid and np.gradient bit for bit, for blocks of one row, of
-    three rows and of the whole axis."""
+def test_time_block_reductions_equal_numpy(axis):
+    """The audits' time-axis reductions, taken one or two time rows at a time,
+    give np.trapezoid and np.gradient bit for bit: the integral over every
+    prefix of the axis, and the gradient at every row, both edges included."""
     t, n = _TIME_AXES[axis], 7
     steps = np.diff(t)
     assert bool(np.all(steps == steps[0])) == (axis == "exact")
-    if block_rows is not None:
-        monkeypatch.setattr(measures, "_ROW_BLOCK_VALUES", block_rows * n)
     rng = np.random.default_rng(5)
     f = rng.normal(size=(t.size, n)) * 10.0 ** rng.uniform(-6, 6, size=(t.size, 1))
-    rows = lambda k0, k1: f[k0:k1]
-    assert np.array_equal(analysis._trapezoid_rows(rows, t, n), np.trapezoid(f, t, axis=0))
+    for k in range(2, t.size + 1):
+        assert np.array_equal(
+            analysis._time_integral(lambda j: f[j], t[:k]), np.trapezoid(f[:k], t[:k], axis=0)
+        )
     grad = np.gradient(f, t, axis=0)
-    for k0, k1 in ((0, t.size), (0, 1), (1, 5), (4, t.size), (t.size - 1, t.size)):
-        assert np.array_equal(analysis._time_gradient(f, t, k0, k1), grad[k0:k1])
+    for k in range(t.size):
+        assert np.array_equal(analysis._gradient_row(f, t, k), grad[k])
 
 
 @pytest.mark.parametrize("block_rows", [1, 3, None])
 def test_flow_audits_equal_the_whole_flow_formulas(block_rows, monkeypatch):
-    """The energy, Hoelder and acceleration margins taken in blocks of time rows
-    are the floats of the whole-flow formulas and of every node pair."""
+    """The energy, Hoelder and acceleration margins, taken one or two time rows
+    at a time (the Hoelder adjacency in blocks of 1, 3 or the default number
+    of rows), are the floats of the whole-flow formulas and of every node pair."""
     spec = make_lagrangian("quadratic")
     g = make_terminal("atan", amplitude=1.0)
     sol = solve_eps_system(spec, g, SMALL, gaussian_ensemble(64, seed=2), 0.1)
     V, t, T = sol.flow.velocities, sol.flow.times, SMALL.T
     if block_rows is not None:
-        monkeypatch.setattr(measures, "_ROW_BLOCK_VALUES", block_rows * V.shape[1])
+        monkeypatch.setattr(analysis, "_ROW_BLOCK_VALUES", block_rows * V.shape[1])
     audit = audit_estimates(sol, spec, g)
     energies = np.trapezoid(V**2, t, axis=0)
     assert audit.cor42_margin == float(np.min(audit.q1 * (1.0 + V[0] ** 2) - energies))
@@ -273,9 +273,10 @@ def test_flow_audits_equal_the_whole_flow_formulas(block_rows, monkeypatch):
 
 
 def test_flow_audits_peak_memory():
-    """The audits reduce the flow's time axis one block of time rows at a time,
-    so besides the Hoelder audit's sorted positions (8 N_t n bytes) they hold
-    blocks of a bounded size. On a 21x17x201 rung with 20,000 particles the
+    """The audits reduce the flow's time axis one or two time rows at a time,
+    and the Hoelder audit's adjacent distances one block of rows at a time, so
+    besides that audit's sorted positions (8 N_t n bytes) they hold arrays of a
+    bounded size. On a 21x17x201 rung with 20,000 particles the
     audit's traced peak is 9.1 N_t n bytes; the whole-flow energies,
     acceleration and adjacent distances peaked at 29.6 N_t n."""
     grid = PhaseGrid.regular(N_x=21, N_v=17)

@@ -14,7 +14,6 @@ from mfglab import (
     wasserstein1_1d,
     wasserstein1_joint,
 )
-from mfglab import measures
 from mfglab.measures import (
     MeasureFlow,
     ParticleEnsemble,
@@ -251,13 +250,10 @@ def _whole_flow_sup_w1(X, Y):
     return float(np.max(np.mean(np.abs(np.sort(X, axis=1) - np.sort(Y, axis=1)), axis=1)))
 
 
-@pytest.mark.parametrize("block_rows", [1, 3, None], ids=["row", "3rows", "default"])
-def test_sup_w1_marginal_blocks_equal_the_whole_flow_formula(block_rows, monkeypatch):
-    """Sorted and paired one block of time rows at a time, the marginal gap is
-    the whole-flow float bit for bit, with 11 time rows (not a multiple of 3)."""
+def test_sup_w1_marginal_blocks_equal_the_whole_flow_formula():
+    """Sorted and paired one time row at a time, the marginal gap is the
+    whole-flow float bit for bit."""
     n_t, n = 11, 257
-    if block_rows is not None:
-        monkeypatch.setattr(measures, "_ROW_BLOCK_VALUES", block_rows * n)
     rng = np.random.default_rng(17)
     t = np.linspace(0.0, 1.0, n_t)
     w = np.full(n, 1.0 / n)
@@ -270,23 +266,41 @@ def test_sup_w1_marginal_blocks_equal_the_whole_flow_formula(block_rows, monkeyp
         sup_w1_marginal(MeasureFlow(t, X, None, w), MeasureFlow(t[1:], Y[1:], None, w))
 
 
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_sup_w1_marginal_peak_memory():
-    """The sorted copies are of one block of time rows, not of the whole flow:
-    at N_t = 201 and 20,000 particles the traced peak is about 1.0 N_t n bytes,
-    where the whole-flow sort and difference peaked at 16.0 N_t n."""
+    """The sorted copies are of one time row, not of the whole flow: at
+    N_t = 201 and 20,000 particles the traced peak is about 0.12 N_t n bytes,
+    where sorting blocks of time rows peaked at 1.04 N_t n and the whole-flow
+    sort and difference at 16.0 N_t n."""
     n_t, n = 201, 20000
     rng = np.random.default_rng(19)
     t = np.linspace(0.0, 1.0, n_t)
     w = np.full(n, 1.0 / n)
     a = MeasureFlow(t, rng.normal(size=(n_t, n)), None, w)
     b = MeasureFlow(t, rng.normal(size=(n_t, n)), None, w)
-    tracemalloc.start()
-    try:
-        sup_w1_marginal(a, b)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * n_t * n, f"traced peak {peak / (n_t * n):.2f} N_t n bytes"
+    peak = _traced_peak(sup_w1_marginal, a, b)
+    assert peak < 0.25 * n_t * n, f"traced peak {peak / (n_t * n):.2f} N_t n bytes"
+
+
+def test_linear_binning_peak_memory():
+    """The deposit takes one time row at a time: at N_t = 201 and 20,000
+    particles the traced peak is about 0.23 N_t n bytes (the weight table and
+    a row's temporaries), where binning the whole flow at once peaked at
+    24.1 N_t n."""
+    n_t, n = 201, 20000
+    rng = np.random.default_rng(23)
+    t, w = np.linspace(0.0, 1.0, n_t), np.full(n, 1.0 / n)
+    flow = MeasureFlow(t, rng.normal(size=(n_t, n)), None, w)
+    peak = _traced_peak(linear_binning, flow, NODES)
+    assert peak < 0.5 * n_t * n, f"traced peak {peak / (n_t * n):.2f} N_t n bytes"
 
 
 def test_duality_lower_bound():

@@ -81,25 +81,21 @@ def test_linear_sum_assignment_equals_scipy_optimize():
     assert np.array_equal(rows, ref_rows) and np.array_equal(cols, ref_cols)
 
 
-_KERNELS = ("scipy.sparse._sparsetools", "scipy.optimize._lsap")
-
-
 @pytest.mark.parametrize("mfglab_first", [True, False])
 def test_kernels_are_shared_with_scipy_in_either_import_order(mfglab_first):
     """In a fresh process, `import scipy.sparse, scipy.optimize` after mfglab
-    works and keeps the kernel modules mfglab loaded; mfglab imported after
-    them takes theirs."""
+    works, binds both kernel modules as attributes of their subpackages and
+    runs the functions mfglab loaded; mfglab imported after them takes theirs."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     imports = ["import mfglab._scipy as k", "import scipy.sparse, scipy.optimize"]
     first, second = imports if mfglab_first else imports[::-1]
     code = "\n".join([
-        "import sys, numpy as np",
+        "import numpy as np",
         first,
-        f"loaded = [sys.modules[m] for m in {_KERNELS!r}]",
         second,
-        f"assert [sys.modules[m] for m in {_KERNELS!r}] == loaded",
-        "assert k.csr_matvec is loaded[0].csr_matvec",
+        "assert k.csr_matvec is scipy.sparse._sparsetools.csr_matvec",
+        "assert k.linear_sum_assignment is scipy.optimize._lsap.linear_sum_assignment",
         "assert k.linear_sum_assignment is scipy.optimize.linear_sum_assignment",
         "assert (scipy.sparse.csr_matrix(np.eye(3)) @ np.arange(3.0)).tolist() == [0, 1, 2]",
         "rows, cols = scipy.optimize.linear_sum_assignment(1.0 - np.eye(3)[::-1])",

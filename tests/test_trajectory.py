@@ -1,11 +1,14 @@
 """Curve costs, direct minimization, the fourth-order BVP, and connecting curves."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mfglab import (
     Curve,
     InvalidInputError,
+    NumericalError,
     UnsupportedModelError,
     accel_energy,
     connecting_curve,
@@ -303,6 +306,20 @@ def test_connecting_curve_trivial_and_validation():
 def test_direct_rejects_non_finite_input(eps, x, v, message):
     with pytest.raises(InvalidInputError, match=message):
         minimize_direct(eps, x, v, QUADRATIC, None, ZERO_G)
+
+
+def test_direct_raises_numerical_error_on_a_non_finite_hessian():
+    """A custom potential whose curvature is NaN off |x| <= 0.5 gives a
+    non-finite Hessian on the first curve, which the descent reports as a
+    NumericalError rather than scipy's untyped ValueError."""
+    cosine = make_lagrangian("cosine", kappa_pot=5.0)
+    dd = cosine.potential_dd
+    spec = dataclasses.replace(
+        cosine, potential_dd=lambda x: np.where(np.abs(x) <= 0.5, dd(x), np.nan)
+    )
+    with pytest.raises(NumericalError, match="non-finite gradient or Hessian") as err:
+        minimize_direct(0.05, 0.7, -0.4, spec, None, ZERO_G)
+    assert err.value.best[0] == 0.7
 
 
 def test_energy_and_accel_energy():
