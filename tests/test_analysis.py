@@ -233,14 +233,19 @@ _TIME_AXES = {
 }
 
 
+@pytest.mark.parametrize("block_rows", [1, 3, None])
 @pytest.mark.parametrize("axis", sorted(_TIME_AXES))
-def test_time_block_reductions_equal_numpy(axis):
-    """The audits' time-axis reductions, taken one or two time rows at a time,
-    give np.trapezoid and np.gradient bit for bit: the integral over every
-    prefix of the axis, and the gradient at every row, both edges included."""
+def test_time_block_reductions_equal_numpy(axis, block_rows, monkeypatch):
+    """The audits' time-axis reductions give np.trapezoid, np.gradient and
+    np.diff bit for bit: the integral over every prefix of the axis and the
+    gradient at every row (both edges included), taken one or two time rows at
+    a time, and the adjacent differences of the Hoelder audit, taken in blocks
+    of one row, of three rows and of the default number of rows."""
     t, n = _TIME_AXES[axis], 7
     steps = np.diff(t)
     assert bool(np.all(steps == steps[0])) == (axis == "exact")
+    if block_rows is not None:
+        monkeypatch.setattr(analysis, "_ROW_BLOCK_VALUES", block_rows * n)
     rng = np.random.default_rng(5)
     f = rng.normal(size=(t.size, n)) * 10.0 ** rng.uniform(-6, 6, size=(t.size, 1))
     for k in range(2, t.size + 1):
@@ -250,6 +255,11 @@ def test_time_block_reductions_equal_numpy(axis):
     grad = np.gradient(f, t, axis=0)
     for k in range(t.size):
         assert np.array_equal(analysis._gradient_row(f, t, k), grad[k])
+    blocks = analysis._row_blocks(t.size - 1, n)
+    assert {ks.size for ks in blocks[:-1]} <= {block_rows or t.size - 1}
+    assert np.array_equal(np.concatenate(blocks), np.arange(t.size - 1))
+    adjacent = np.concatenate([f[ks + 1] - f[ks] for ks in blocks])
+    assert np.array_equal(adjacent, np.diff(f, axis=0))
 
 
 @pytest.mark.parametrize("block_rows", [1, 3, None])

@@ -250,18 +250,24 @@ def _whole_flow_sup_w1(X, Y):
     return float(np.max(np.mean(np.abs(np.sort(X, axis=1) - np.sort(Y, axis=1)), axis=1)))
 
 
-def test_sup_w1_marginal_blocks_equal_the_whole_flow_formula():
+@pytest.mark.parametrize("gap_rows", [1, 3, None], ids=["row", "3rows", "default"])
+def test_sup_w1_marginal_blocks_equal_the_whole_flow_formula(gap_rows):
     """Sorted and paired one time row at a time, the marginal gap is the
-    whole-flow float bit for bit."""
+    whole-flow float bit for bit, whether the flows differ in one time row, in
+    three or in all 11 (elsewhere each row is a permutation of the other's)."""
     n_t, n = 11, 257
     rng = np.random.default_rng(17)
     t = np.linspace(0.0, 1.0, n_t)
     w = np.full(n, 1.0 / n)
     for scale in (1e-8, 1.0, 1e6):
         X = rng.normal(size=(n_t, n)) * scale
-        Y = X[:, rng.permutation(n)] + rng.normal(size=(n_t, n)) * scale * 10.0 ** rng.uniform(-9, 0)
+        noise = rng.normal(size=(n_t, n)) * scale * 10.0 ** rng.uniform(-9, 0)
+        if gap_rows is not None:
+            noise[np.setdiff1d(np.arange(n_t), rng.choice(n_t, gap_rows, replace=False))] = 0.0
+        Y = X[:, rng.permutation(n)] + noise
         gap = sup_w1_marginal(MeasureFlow(t, X, None, w), MeasureFlow(t, Y, None, w))
         assert gap.hex() == _whole_flow_sup_w1(X, Y).hex()
+        assert gap > 0.0
     with pytest.raises(InvalidInputError, match="number of time rows"):
         sup_w1_marginal(MeasureFlow(t, X, None, w), MeasureFlow(t[1:], Y[1:], None, w))
 
