@@ -131,7 +131,10 @@ def cmd_sweep(ctx):
 @click.option("--v", "v0", type=float, required=True, callback=_finite)
 @click.pass_context
 def cmd_traj(ctx, eps, x0, v0):
-    """Emit the direct-minimizer curve and, for eps > 0, the stationarity BVP curve."""
+    """Emit the direct-minimizer curve and, for eps > 0, the stationarity BVP curve.
+
+    Each curve is solved with no measure flow, so model.kappa_c is ignored.
+    """
     cfg, spec, g, grid, controls, mu0 = _build(ctx)
     if abs(x0) > grid.R_x or abs(v0) > grid.R_v:
         _fail(f"start point ({x0}, {v0}) lies outside the grid box")

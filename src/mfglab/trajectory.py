@@ -28,22 +28,39 @@ ROUNDING_ULPS = 8  # cost rises up to this many ulp are rounding, not ascent
 _EPS = np.finfo(float).eps
 
 
-def d1_matrix(n: int, h: float):
-    """First derivative as a CSR matrix: centered interior, one-sided at the ends."""
-    import scipy.sparse as sp
+class _Stencil:
+    """A difference operator D on M >= 3 samples with three weights W[k] per row:
+    row k weighs the samples s_k .. s_k + 2, s_k = clip(k - 1, 0, M - 3). Its
+    products add their terms in the order of the CSR products they replaced."""
 
-    lower, main, upper = np.full(n - 1, -0.5 / h), np.zeros(n), np.full(n - 1, 0.5 / h)
-    main[0], upper[0] = -1.0 / h, 1.0 / h
-    lower[-1], main[-1] = -1.0 / h, 1.0 / h
-    return sp.diags([lower, main, upper], [-1, 0, 1], format="csr")
+    def __init__(self, W):
+        self.W, self.s = W, np.clip(np.arange(len(W)) - 1, 0, len(W) - 3)
+
+    def __matmul__(self, x):  # D @ x
+        W, s = self.W, self.s
+        return W[:, 0] * x[s] + W[:, 1] * x[s + 1] + W[:, 2] * x[s + 2]
+
+    def _scatter(self, n, rows):
+        """out[s_k + a] = the sum of rows[a][k] over k in order (a falls as k rises)."""
+        out = np.zeros(n)
+        for a in reversed(range(len(rows))):
+            np.add.at(out, self.s + a, rows[a])
+        return out
+
+    def rmatvec(self, y):  # D.T @ y
+        return self._scatter(len(y), [self.W[:, a] * y for a in range(3)])
+
+    def gram(self, c):  # diagonals 0, 1 and 2 of D.T diag(c) D
+        rows = [[self.W[:, a] * c * self.W[:, a + d] for a in range(3 - d)] for d in range(3)]
+        return [self._scatter(len(c) - d, r) for d, r in enumerate(rows)]
 
 
-def d2_matrix(n: int, h: float):
-    """Second difference as a CSR matrix: interior stencil, end rows copy the adjacent one."""
-    import scipy.sparse as sp
-
-    inner = sp.diags(np.array([1.0, -2.0, 1.0]) / h**2, [0, 1, 2], shape=(n - 2, n), format="csr")
-    return sp.vstack([inner[:1], inner, inner[-1:]], format="csr")
+def _stencils(M: int, h: float) -> tuple[_Stencil, _Stencil]:
+    """The first derivative (centered, one-sided at the ends) and the second
+    difference (end rows copy the adjacent one) on M samples h apart."""
+    d1 = np.tile([-0.5 / h, 0.0, 0.5 / h], (M, 1))
+    d1[0], d1[-1] = [-1.0 / h, 1.0 / h, 0.0], [0.0, -1.0 / h, 1.0 / h]
+    return _Stencil(d1), _Stencil(np.tile(np.array([1.0, -2.0, 1.0]) / h**2, (M, 1)))
 
 
 @dataclass(frozen=True)
@@ -72,11 +89,11 @@ class Curve:
 
     @property
     def velocity(self) -> np.ndarray:
-        return d1_matrix(self.t.size, self.h) @ self.x
+        return _stencils(self.t.size, self.h)[0] @ self.x
 
     @property
     def acceleration(self) -> np.ndarray:
-        return d2_matrix(self.t.size, self.h) @ self.x
+        return _stencils(self.t.size, self.h)[1] @ self.x
 
 
 @dataclass(frozen=True)
@@ -116,7 +133,7 @@ class _Functional:
         self.t, self.h, self.eps, self.spec, self.g = t, t[1] - t[0], eps, spec, g
         self.w = np.ones(M)
         self.w[0] = self.w[-1] = 0.5
-        self.D1, self.D2 = d1_matrix(M, self.h), d2_matrix(M, self.h)
+        self.D1, self.D2 = _stencils(M, self.h)
         self.m_T = None if m_flow is None else m_flow.marginal(m_flow.n_times - 1)
         self.blocks = []  # (samples, measure) pairs of the coupling lookup
         if m_flow is not None and spec.is_coupled:
@@ -139,24 +156,23 @@ class _Functional:
     def grad(self, x) -> np.ndarray:
         dLdx = self.spec.potential_d(x) + self._coupling(x, 1)
         dLdv = self.spec.kinetic_d(self.D1 @ x)
-        G = self.h * (self.D1.T @ (self.w * dLdv) + self.w * dLdx)
+        G = self.h * (self.D1.rmatvec(self.w * dLdv) + self.w * dLdx)
         if self.eps > 0:
-            G = G + self.h * self.eps * (self.D2.T @ (self.w * (self.D2 @ x)))
+            G = G + self.h * self.eps * self.D2.rmatvec(self.w * (self.D2 @ x))
         G[-1] += float(self.g.dg(x[-1], self.m_T))
         return G
 
     def hess(self, x):
-        """The Hessian as a CSR matrix."""
-        import scipy.sparse as sp
-
+        """The symmetric Hessian's diagonals 0, 1 and 2, all that its bandwidth 2 leaves."""
         kdd = self.spec.kinetic_dd(self.D1 @ x)
         curv = self.spec.potential_dd(x) + self._coupling(x, 2)
-        H = self.h * (self.D1.T @ sp.diags(self.w * kdd) @ self.D1 + sp.diags(self.w * curv))
+        H = self.D1.gram(self.w * kdd)
+        H[0] += self.w * curv
+        H = [self.h * band for band in H]
         if self.eps > 0:
-            H = H + self.h * self.eps * (self.D2.T @ sp.diags(self.w) @ self.D2)
-        M = x.size
-        dgg = float(self.g.dgg(x[-1], self.m_T))
-        return H + sp.csr_matrix(([dgg], ([M - 1], [M - 1])), shape=(M, M))
+            H = [band + self.h * self.eps * e for band, e in zip(H, self.D2.gram(self.w))]
+        H[0][-1] += float(self.g.dgg(x[-1], self.m_T))
+        return H
 
 
 def _descent(eps, x, v, spec, m_flow, g, M, T):
@@ -182,7 +198,7 @@ def _descent(eps, x, v, spec, m_flow, g, M, T):
     """
     if not (np.isfinite(x) and np.isfinite(v)):
         raise InvalidInputError("the start point (x, v) must be finite")
-    from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+    from ._scipy import dpbtrf, dpbtrs
 
     if T is None:
         T = 1.0 if m_flow is None else float(m_flow.times[-1])
@@ -194,21 +210,24 @@ def _descent(eps, x, v, spec, m_flow, g, M, T):
     for k in range(MAX_STEPS + 1):
         H = F.hess(x)
         # upper banded storage of the free block: row 2 - d holds diagonal d
-        ab = np.array([np.pad(H.diagonal(d)[first:], (d, 0)) for d in (2, 1, 0)])
+        ab = np.array([np.pad(H[d][first:], (d, 0)) for d in (2, 1, 0)])
         if not (np.isfinite(ab).all() and np.isfinite(G).all()):
             raise NumericalError(f"non-finite gradient or Hessian at Newton step {k}", best=x)
         diag, shift = ab[2].copy(), 0.0
         floor = _EPS * np.max(np.abs(diag)) or _EPS  # a zero diagonal still gets shifted
         while True:
             ab[2] = diag + shift
-            try:
-                factor = cholesky_banded(ab)
+            factor, info = dpbtrf(ab)
+            if info <= 0:
                 break
-            except LinAlgError:  # not positive definite: shift, then double the shift
-                shift = 2.0 * shift or floor
+            shift = 2.0 * shift or floor  # not positive definite: shift, then double the shift
+        if info < 0:  # an illegal argument: a programming error
+            raise ValueError(f"dpbtrf: illegal value in argument {-info}")
         if history[-1] < BVP_TOL or k == MAX_STEPS:
             break
-        step = cho_solve_banded((factor, False), -G)
+        step, info = dpbtrs(factor, -G)
+        if info < 0:
+            raise ValueError(f"dpbtrs: illegal value in argument {-info}")
         slope = G @ step
         alpha = 1.0
         for _ in range(30):

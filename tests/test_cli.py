@@ -184,6 +184,22 @@ def test_traj_cosine_hilltop_is_not_converged(runner, tmp_path):
     assert not meta["direct_converged"] and not meta["bvp_converged"]
 
 
+def test_traj_ignores_the_coupling_strength(runner, tmp_path):
+    """`traj` solves each curve with no measure flow, so model.kappa_c changes
+    none of its bytes, as its help says."""
+    traj = ["traj", "--eps", "0.1", "--x", "1.0", "--v", "0.5"]
+    outs = []
+    for kappa_c in (0.0, 0.5):
+        cfg = _write_cfg(tmp_path, {"model": {"kappa_c": kappa_c}})
+        outs.append(tmp_path / f"kappa_c-{kappa_c}")
+        res = runner.invoke(main, ["--config", cfg, "--out", str(outs[-1])] + traj)
+        assert res.exit_code == 0, res.output
+    for name in ("direct.csv", "bvp.csv", "traj.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    help_text = " ".join(runner.invoke(main, ["traj", "--help"]).output.split())
+    assert "model.kappa_c is ignored" in help_text
+
+
 def test_traj_start_outside_box(runner, tmp_path):
     res = runner.invoke(
         main,
@@ -486,35 +502,46 @@ def test_control_sweep_over_memory_budget_is_config_error(runner, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_import_leaves_out_scipy_optimize():
-    """scipy.linalg and scipy.sparse are imported where a curve is first solved
-    (`trajectory`), and scipy.optimize never: the HJB step and the exact joint
-    W1 run the two compiled modules that `mfglab._scipy` loads by file and
-    leaves out of sys.modules, so neither a decoupled solve nor an assignment
-    loads a scipy subpackage, scipy's array-API layer or a scipy module name."""
+def test_cli_solves_load_no_scipy_subpackage():
+    """No solve loads a scipy subpackage: the HJB step, the exact joint W1 and
+    the curve solver's banded Cholesky run the compiled modules that
+    `mfglab._scipy` loads by file and leaves out of sys.modules, so neither a
+    decoupled solve, an assignment, a direct minimization, a BVP solve nor a
+    `traj` command loads scipy.sparse, scipy.optimize, scipy.linalg, scipy's
+    array-API layer or a scipy module name."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     code = textwrap.dedent(
         """
-        import sys, mfglab.cli
-        print([m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules])
+        import os, sys, tempfile, mfglab.cli
+        held = ('scipy.sparse', 'scipy.optimize', 'scipy.linalg', 'scipy._lib._array_api')
+        print(sorted(m for m in sys.modules if m.startswith(held)))
         from mfglab import (
-            PhaseGrid, gaussian_ensemble, make_lagrangian, make_terminal, solve_eps_system,
-            wasserstein1_joint,
+            PhaseGrid, gaussian_ensemble, make_lagrangian, make_terminal, minimize_direct,
+            solve_el_bvp, solve_eps_system, wasserstein1_joint,
         )
         grid = PhaseGrid.regular(N_x=21, N_v=17, N_t=21)
         mu = gaussian_ensemble(50, seed=1)
-        sol = solve_eps_system(make_lagrangian('quadratic'), make_terminal('zero'), grid, mu, 0.2)
+        spec, g = make_lagrangian('quadratic'), make_terminal('zero')
+        sol = solve_eps_system(spec, g, grid, mu, 0.2)
         assert wasserstein1_joint(mu, sol.flow.ensemble(sol.flow.n_times - 1)).exact
-        held = ('scipy.sparse', 'scipy.optimize', 'scipy.linalg', 'scipy._lib._array_api')
+        assert minimize_direct(0.0, 1.0, 0.5, spec, None, g).converged
+        assert solve_el_bvp(0.1, 1.0, 0.5, spec, None, g).converged
+        with tempfile.TemporaryDirectory() as out:
+            args = ['--out', os.path.join(out, 'traj'), 'traj', '--eps', '0.1', '--x', '1', '--v', '0.5']
+            try:
+                mfglab.cli.main(args)
+            except SystemExit as exc:
+                assert exc.code in (0, None), exc.code
         print(sorted(m for m in sys.modules if m.startswith(held)))
         """
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    after_import, after_solves = out.stdout.strip().splitlines()
+    lines = out.stdout.strip().splitlines()  # traj echoes its cost gap between the two
+    after_import, after_solves = lines[0], lines[-1]
     assert after_import == "[]"
     assert after_solves == "[]"
 

@@ -1,4 +1,4 @@
-"""The two compiled scipy routines that `mfglab._scipy` loads by file, checked
+"""The compiled scipy routines that `mfglab._scipy` loads by file, checked
 against the public scipy packages that wrap them (imported here freely)."""
 
 import os
@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 import scipy
+import scipy.linalg
 import scipy.optimize
 import scipy.sparse
 
@@ -81,14 +82,50 @@ def test_linear_sum_assignment_equals_scipy_optimize():
     assert np.array_equal(rows, ref_rows) and np.array_equal(cols, ref_cols)
 
 
+def _spd_band(rng, n):
+    """Upper banded storage (bandwidth 2) of a random strictly diagonally dominant
+    matrix, so symmetric positive definite."""
+    ab = rng.normal(size=(3, n))
+    ab[0, :2] = ab[1, :1] = 0.0
+    ab[2] = 4.0 * np.abs(ab[:2]).max() + rng.uniform(0.1, 1.0, n)
+    return ab
+
+
+@pytest.mark.parametrize("n", [3, 10, 401])
+def test_banded_cholesky_equals_scipy_linalg(n):
+    """dpbtrf and dpbtrs loaded by file factor and solve like scipy.linalg's
+    cholesky_banded and cho_solve_banded, bit for bit."""
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        ab, b = _spd_band(rng, n), rng.normal(size=n)
+        c, info = _scipy.dpbtrf(ab)
+        assert info == 0 and np.array_equal(c, scipy.linalg.cholesky_banded(ab))
+        x, info = _scipy.dpbtrs(c, b)
+        assert info == 0 and np.array_equal(x, scipy.linalg.cho_solve_banded((c, False), b))
+
+
+def test_dpbtrf_reports_an_indefinite_band():
+    """The leading minor that is not positive is info's positive value, where
+    scipy.linalg.cholesky_banded raises LinAlgError."""
+    ab = np.array([[0.0, 0.0, 0.5], [0.0, 2.0, 0.5], [1.0, 1.0, 1.0]])  # minor 2: 1 - 4 < 0
+    _, info = _scipy.dpbtrf(ab)
+    assert info == 2
+    with pytest.raises(scipy.linalg.LinAlgError):
+        scipy.linalg.cholesky_banded(ab)
+
+
 @pytest.mark.parametrize("mfglab_first", [True, False])
 def test_kernels_are_shared_with_scipy_in_either_import_order(mfglab_first):
-    """In a fresh process, `import scipy.sparse, scipy.optimize` after mfglab
-    works, binds both kernel modules as attributes of their subpackages and
-    runs the functions mfglab loaded; mfglab imported after them takes theirs."""
+    """In a fresh process, `import scipy.sparse, scipy.optimize, scipy.linalg`
+    after mfglab has loaded its kernels works, binds the three kernel modules as
+    attributes of their subpackages and runs the functions mfglab loaded;
+    mfglab imported after them takes theirs."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    imports = ["import mfglab._scipy as k", "import scipy.sparse, scipy.optimize"]
+    imports = [
+        "import mfglab._scipy as k\nk.dpbtrf",  # _flapack is loaded at first use
+        "import scipy.sparse, scipy.optimize, scipy.linalg",
+    ]
     first, second = imports if mfglab_first else imports[::-1]
     code = "\n".join([
         "import numpy as np",
@@ -100,6 +137,9 @@ def test_kernels_are_shared_with_scipy_in_either_import_order(mfglab_first):
         "assert (scipy.sparse.csr_matrix(np.eye(3)) @ np.arange(3.0)).tolist() == [0, 1, 2]",
         "rows, cols = scipy.optimize.linear_sum_assignment(1.0 - np.eye(3)[::-1])",
         "assert cols.tolist() == [2, 1, 0]",
+        "assert k.dpbtrf is scipy.linalg._flapack.dpbtrf",
+        "assert k.dpbtrs is scipy.linalg.lapack.dpbtrs",
+        "assert scipy.linalg.cholesky_banded(np.array([[0, 1.0], [4, 4]]))[1, 0] == 2",
     ])
     subprocess.run(
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path), check=True

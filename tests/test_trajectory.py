@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mfglab import (
     Curve,
@@ -23,7 +24,7 @@ from mfglab import (
 from mfglab.analysis import energy_constant
 from mfglab.measures import MeasureFlow
 from mfglab.model import LagrangianSpec, TerminalCost
-from mfglab.trajectory import _Functional
+from mfglab.trajectory import _Functional, _stencils
 from oracles import harmonic_minimizer
 
 ZERO_G = make_terminal("zero")
@@ -51,6 +52,63 @@ def test_curve_validation():
 def test_curve_times_must_be_finite_and_strictly_increasing(t):
     with pytest.raises(InvalidInputError, match="strictly increasing"):
         Curve(np.array(t), np.array([0.0, 1.0, 2.0]))
+
+
+def _dense(bands):
+    """The symmetric matrix whose diagonals 0, 1 and 2 are `bands`."""
+    H = np.diag(bands[0])
+    for d in (1, 2):
+        H += np.diag(bands[d], d) + np.diag(bands[d], -d)
+    return H
+
+
+def _csr_d1(n, h):
+    """The first derivative as the CSR matrix the stencils replaced."""
+    lower, main, upper = np.full(n - 1, -0.5 / h), np.zeros(n), np.full(n - 1, 0.5 / h)
+    main[0], upper[0] = -1.0 / h, 1.0 / h
+    lower[-1], main[-1] = -1.0 / h, 1.0 / h
+    return sp.diags([lower, main, upper], [-1, 0, 1], format="csr")
+
+
+def _csr_d2(n, h):
+    """The second difference as the CSR matrix the stencils replaced."""
+    inner = sp.diags(np.array([1.0, -2.0, 1.0]) / h**2, [0, 1, 2], shape=(n - 2, n), format="csr")
+    return sp.vstack([inner[:1], inner, inner[-1:]], format="csr")
+
+
+def _csr_hess_diagonals(F, x):
+    """Diagonals 0, 1 and 2 of the Hessian as sparse triple products, as
+    `_Functional.hess` computed it before its stencil bands."""
+    M = x.size
+    D1, D2 = _csr_d1(M, F.h), _csr_d2(M, F.h)
+    kdd = F.spec.kinetic_dd(D1 @ x)
+    curv = F.spec.potential_dd(x) + F._coupling(x, 2)
+    H = F.h * (D1.T @ sp.diags(F.w * kdd) @ D1 + sp.diags(F.w * curv))
+    if F.eps > 0:
+        H = H + F.h * F.eps * (D2.T @ sp.diags(F.w) @ D2)
+    dgg = float(F.g.dgg(x[-1], F.m_T))
+    H = H + sp.csr_matrix(([dgg], ([M - 1], [M - 1])), shape=(M, M))
+    return [H.diagonal(d) for d in range(3)]
+
+
+@pytest.mark.parametrize("M", [3, 4, 41, 401])
+def test_stencils_equal_the_csr_products(M):
+    """D @ x, D.T @ y and the Hessian's diagonals from the stencils equal the
+    CSR products they replaced, bit for bit."""
+    rng = np.random.default_rng(M)
+    h = 1.0 / (M - 1)
+    for stencil, csr in zip(_stencils(M, h), (_csr_d1(M, h), _csr_d2(M, h))):
+        x, y = rng.normal(size=M), rng.normal(size=M)
+        assert np.array_equal(stencil @ x, csr @ x)
+        assert np.array_equal(stencil.rmatvec(y), csr.T @ y)
+    t = np.linspace(0.0, 1.0, M)
+    g = make_terminal("atan", amplitude=1.5)
+    for model in ("quadratic", "quartic", "cosine"):
+        for eps in (0.0, 0.05):
+            F = _Functional(t, eps, make_lagrangian(model, kappa_c=0.5), _drifting_flow(0.5), g)
+            x = rng.normal(size=M)
+            for band, ref in zip(F.hess(x), _csr_hess_diagonals(F, x), strict=True):
+                assert np.array_equal(band, ref)
 
 
 def test_eval_cost_constant_and_linear():
@@ -153,7 +211,7 @@ def test_descent_safeguards_reach_a_minimizer(terminal, eps, x, v, earlier_cost)
     assert res.converged and bvp.converged
     assert res.cost <= earlier_cost + 1e-10
     # the free-sample Hessian factors unshifted: a minimizer, not a saddle
-    H = _Functional(res.curve.t, eps, spec, None, g).hess(res.curve.x).toarray()
+    H = _dense(_Functional(res.curve.t, eps, spec, None, g).hess(res.curve.x))
     np.linalg.cholesky(H[2:, 2:])
 
 
@@ -269,8 +327,8 @@ def test_coupled_hessian_matches_gradient_differences(model):
         bump = np.zeros_like(x)
         bump[i] = delta
         fd[:, i] = (F.grad(x + bump) - F.grad(x - bump)) / (2.0 * delta)
-    H = F.hess(x).toarray()
-    uncoupled = _Functional(t, 0.05, make_lagrangian(model), None, g).hess(x).toarray()
+    H = _dense(F.hess(x))
+    uncoupled = _dense(_Functional(t, 0.05, make_lagrangian(model), None, g).hess(x))
     assert np.max(np.abs(H - uncoupled)) > 1e-2  # the coupling term is resolved
     assert np.max(np.abs(H - fd)) < 1e-5
 
