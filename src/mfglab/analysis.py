@@ -79,14 +79,14 @@ REPORT_COLUMNS = (
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """The eps ladder of a sweep: positive and strictly decreasing."""
+    """The eps ladder of a sweep: positive, finite and strictly decreasing."""
 
     eps_ladder: tuple = (0.5, 0.2, 0.1, 0.05, 0.02, 0.01)
 
     def __post_init__(self):
         ladder = tuple(float(e) for e in self.eps_ladder)
-        if len(ladder) == 0 or any(e <= 0 for e in ladder):
-            raise InvalidInputError("eps ladder must be positive")
+        if len(ladder) == 0 or not all(0 < e < np.inf for e in ladder):
+            raise InvalidInputError("eps ladder must be positive and finite")
         if any(ladder[i + 1] >= ladder[i] for i in range(len(ladder) - 1)):
             raise InvalidInputError("eps ladder must be strictly decreasing")
         object.__setattr__(self, "eps_ladder", ladder)

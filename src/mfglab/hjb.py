@@ -8,20 +8,20 @@ per eps rung of a coupled Picard loop, as an `AccelerationOperator`), and
 each backward step is a sparse matvec plus a min over controls. An operator
 is kept as its CSR arrays (`CSRStencil`) and applied by scipy's compiled
 `csr_matvec`, the call that `csr_matrix @ u` makes, which `_scipy` loads
-without the rest of `scipy.sparse`. Both
-solvers run one backward sweep (`_backward_sweep`) over blocks of controls.
-The penalized solver makes one contiguous block per CPU of the process's
-affinity mask, and splits each block into chunks of whole controls, each with
-its own operator, allocated whole and filled one control at a time. A chunk
-holds at most `CANDIDATE_CHUNK_BYTES` of float64 candidates (and at least one
-control), so a step holds one chunk's candidates per thread, not a block's.
-The sweep takes the minimum over each block but the first on a worker
-thread, chunk by chunk; the exact `np.minimum` of the chunk and block minima
-makes the values independent of the chunking and of the CPU count. The limit
-solver has one block of one chunk, so it runs on the calling thread. This is
-the only module of the package that starts threads. A coupled running cost
-sees the measure flow through its position marginals, binned once per solve
-on the lattice of the x axis (`measures.linear_binning`).
+without the rest of `scipy.sparse`. Both solvers run one backward sweep
+(`_backward_sweep`) over chunks of controls. The penalized solver splits its
+controls once into contiguous chunks of whole controls, each with its own
+operator, allocated whole and filled one control at a time. A chunk holds at
+most `CANDIDATE_CHUNK_BYTES` of float64 candidates (and at least one
+control), and the chunk count is a multiple of n = min(CPUs, controls), or
+the control count. The sweep deals the chunks to one thread per CPU of the
+process's affinity mask, thread i taking every n-th chunk from the i-th, so
+a step holds one chunk's candidates per thread; the exact `np.minimum` of
+the chunk minima makes the values independent of the chunking and of the
+CPU count. The limit solver has one chunk, so it runs on the calling thread.
+This is the only module of the package that starts threads. A coupled running cost sees the measure flow through its
+position marginals, binned once per solve on the lattice of the x axis
+(`measures.linear_binning`).
 
 Each solver allocates its value field, which outlives the solve, before the
 operator it builds, which dies with it. Once a freed large array has raised
@@ -174,6 +174,8 @@ def acceleration_controls(
     The braking layer uses accelerations of order |v - b| / sqrt(eps), so a
     fixed control box would throttle the layer at small eps.
     """
+    if not 0 < eps < np.inf:
+        raise InvalidInputError("eps must be positive and finite; use a limit solver for eps = 0")
     a_max, n = (BASE_A_MAX, BASE_N_A) if base is None else (base.a_max, base.values.size)
     return ControlSet.symmetric(max(a_max, 0.75 * grid.R_v / np.sqrt(eps)), n)
 
@@ -258,7 +260,7 @@ def _acceleration_block(grid: PhaseGrid, spec: LagrangianSpec, eps: float, a: np
     indices = np.empty((n_a, n_x, n_v, 4), dtype=_index_dtype(4 * n_a * n_x * n_v))
     data = np.empty((n_a, n_x, n_v, 4))
     const = np.empty((n_a, n_x, n_v))
-    foot_v = v[None, :] + dt * a[:, None]  # (n_a, n_v): small, so taken for the whole block
+    foot_v = v[None, :] + dt * a[:, None]  # (n_a, n_v): small, so taken for the whole chunk
     iv0, fv = _stencil_1d(foot_v, v)
     ex_v = _excess(foot_v, v)
     pen_v = m0 * T * ex_v * (ex_v + 2.0 * grid.R_v)
@@ -285,9 +287,9 @@ def _chunk_min(S: CSRStencil, const, u_next):
     return cand.min(axis=0)
 
 
-def _block_min(chunks, u_next):
-    """Smallest candidate of one control block at every node, one chunk
-    `(S, const)` at a time: a chunk's candidates are freed before the next
+def _chunks_min(chunks, u_next):
+    """Smallest candidate of a sequence of chunks `(S, const)` at every node,
+    one chunk at a time: a chunk's candidates are freed before the next
     chunk's are computed."""
     best = _chunk_min(*chunks[0], u_next)
     for S, const in chunks[1:]:
@@ -295,18 +297,20 @@ def _block_min(chunks, u_next):
     return best
 
 
-def _backward_sweep(grid: PhaseGrid, spec: LagrangianSpec, m_flow, g, blocks, node_running, u):
+def _backward_sweep(grid: PhaseGrid, spec: LagrangianSpec, m_flow, g, chunks, node_running, u):
     """Fill `u`, shaped (N_t,) + node_running.shape, with the values on every
     time node.
 
     u(T) is the terminal cost. Each step back takes the smallest candidate of
-    the control blocks at u(t+dt), every block but the first on a worker
-    thread, and adds dt times the running cost at the node: `node_running`,
-    which does not depend on t, plus the binned coupling at t. A block is a
-    sequence of chunks `(S, const)`; its thread evaluates them in turn and
-    reduces their minima into one array, so it holds one chunk's candidates at
-    a time. The workers run only `_block_min`, so `coupling_value` stays on
-    this thread, as perfbench's tracer keeps one span stack for all threads.
+    the chunks `(S, const)` at u(t+dt) and adds dt times the running cost at
+    the node: `node_running`, which does not depend on t, plus the binned
+    coupling at t. The chunks are dealt to n = min(CPUs, chunks) threads,
+    thread i evaluating chunks[i::n] in turn and reducing their minima into
+    one array, so it holds one chunk's candidates at a time; the dealing
+    covers every chunk whatever CPU count the chunks were sized for. The
+    calling thread is thread 0 and the workers run only `_chunks_min`, so
+    `coupling_value` stays on this thread, as perfbench's tracer keeps one
+    span stack for all threads.
     """
     x, n_t, dt = grid.x, grid.t.size, grid.dt
     x_col = (-1,) + (1,) * (node_running.ndim - 1)  # an x vector along the first axis of a slice
@@ -314,11 +318,12 @@ def _backward_sweep(grid: PhaseGrid, spec: LagrangianSpec, m_flow, g, blocks, no
     u[-1] = np.asarray(g.g(x, m_terminal), dtype=float).reshape(x_col)
     binned = linear_binning(m_flow, x) if m_flow is not None and spec.is_coupled else None
     coupling = np.zeros_like(x)
-    with ThreadPoolExecutor(max_workers=max(1, len(blocks) - 1)) as pool:
+    n = min(_n_cpus(), len(chunks))
+    with ThreadPoolExecutor(max_workers=max(1, n - 1)) as pool:
         for k in range(n_t - 2, -1, -1):
             u_next = u[k + 1].ravel()
-            rest = [pool.submit(_block_min, chunks, u_next) for chunks in blocks[1:]]
-            best = _block_min(blocks[0], u_next)
+            rest = [pool.submit(_chunks_min, chunks[i::n], u_next) for i in range(1, n)]
+            best = _chunks_min(chunks[::n], u_next)
             for part in rest:
                 np.minimum(best, part.result(), out=best)
             if binned is not None:
@@ -330,9 +335,8 @@ def _backward_sweep(grid: PhaseGrid, spec: LagrangianSpec, m_flow, g, blocks, no
 @dataclass(frozen=True, eq=False)
 class AccelerationOperator:
     """The part of an acceleration solve that does not depend on the measure flow
-    or the terminal cost: the control blocks, each a tuple of chunks
-    `(S, const)`, and the node half of the running cost, for one grid, spec,
-    eps and control set.
+    or the terminal cost: the control chunks `(S, const)` and the node half of
+    the running cost, for one grid, spec, eps and control set.
 
     A coupled Picard loop re-solves the same HJB against a new flow at every
     iteration, so it builds this once (`acceleration_operator`) and passes it to
@@ -343,7 +347,7 @@ class AccelerationOperator:
     spec: LagrangianSpec
     eps: float
     controls: ControlSet
-    blocks: tuple
+    chunks: tuple
     node_running: np.ndarray
 
     def require(self, grid: PhaseGrid, spec: LagrangianSpec, eps: float, controls: ControlSet | None):
@@ -366,17 +370,17 @@ class AccelerationOperator:
 def acceleration_operator(
     grid: PhaseGrid, spec: LagrangianSpec, eps: float, controls: ControlSet | None = None
 ) -> AccelerationOperator:
-    """Control blocks and node running cost of `solve_hjb_acceleration`.
+    """Control chunks and node running cost of `solve_hjb_acceleration`.
 
-    The controls (default `acceleration_controls(grid, eps)`) are split into
-    min(CPUs, controls) contiguous blocks whose sizes differ by at most one,
-    so `_backward_sweep` minimizes one block per CPU at every step. Each block
-    is split in turn into the fewest contiguous chunks of whole controls, sizes
-    again differing by at most one, whose candidates fit in
-    `CANDIDATE_CHUNK_BYTES` (a chunk holds one control at least). Every chunk
-    has its own operator and constant rows, allocated at their final size; a
-    block below the chunk size is one chunk. The chunks' row pointers are
-    prefixes of one array, sized for the largest chunk, that they all share.
+    The controls (default `acceleration_controls(grid, eps)`) are split once
+    into contiguous chunks of whole controls, sizes differing by at most one.
+    With n = min(CPUs, controls), the count is the fewest multiple of n whose
+    chunks' candidates fit in `CANDIDATE_CHUNK_BYTES`, capped at one chunk per
+    control, so `_backward_sweep` deals every thread the same number of
+    chunks, or one chunk fewer. Every chunk has its own operator and constant
+    rows, allocated at their final size. `np.array_split` puts the largest
+    chunk first, so every chunk's row pointer is a prefix of one array, sized
+    for the first chunk, that they all share.
     """
     if not 0 < eps < np.inf:
         raise InvalidInputError("eps must be positive and finite; use a limit solver for eps = 0")
@@ -388,24 +392,18 @@ def acceleration_operator(
         )
     a = controls.values
     n_nodes = grid.x.size * grid.v.size
+    n = min(_n_cpus(), a.size)
     per_chunk = max(1, CANDIDATE_CHUNK_BYTES // (8 * n_nodes))
-    parts = [
-        np.array_split(block, -(-block.size // per_chunk))
-        for block in np.array_split(a, min(_n_cpus(), a.size))
-    ]
-    built = [[_acceleration_block(grid, spec, eps, a_c) for a_c in chunks] for chunks in parts]
+    parts = np.array_split(a, min(a.size, n * -(-a.size // (n * per_chunk))))
+    built = [_acceleration_block(grid, spec, eps, a_c) for a_c in parts]
     # allocated after the chunks, so it adds nothing to the construction peak
-    indptr = _row_pointer(max(a_c.size for chunks in parts for a_c in chunks) * n_nodes, 4)
-    blocks = tuple(
-        tuple(
-            (_stencil_operator(n_nodes, indices, data, indptr), const)
-            for indices, data, const in chunks
-        )
-        for chunks in built
+    indptr = _row_pointer(parts[0].size * n_nodes, 4)
+    chunks = tuple(
+        (_stencil_operator(n_nodes, indices, data, indptr), const) for indices, data, const in built
     )
     # trapezoid rule: half the running cost at the node, half at the foot point
     node_running = 0.5 * spec.kinetic(grid.v)[None, :] + 0.5 * spec.potential(grid.x)[:, None]
-    return AccelerationOperator(grid, spec, eps, controls, blocks, node_running)
+    return AccelerationOperator(grid, spec, eps, controls, chunks, node_running)
 
 
 def solve_hjb_acceleration(
@@ -437,7 +435,7 @@ def solve_hjb_acceleration(
         operator = acceleration_operator(grid, spec, eps, controls)
     else:
         operator.require(grid, spec, eps, controls)
-    _backward_sweep(grid, spec, m_flow, g, operator.blocks, operator.node_running, u)
+    _backward_sweep(grid, spec, m_flow, g, operator.chunks, operator.node_running, u)
     return ValueField(u, grid, eps)
 
 
@@ -462,7 +460,7 @@ def solve_hjb_limit_classical(
     S = _stencil_operator(x.size, indices, np.stack((1.0 - fx, fx), axis=-1), indptr)
     pen_rate = spec.M0 * (1.0 + grid.T) * (1.0 + grid.R_v**2) + g.dg_bound
     const = dt * spec.kinetic(b)[:, None] + pen_rate * _excess(foot, x)
-    _backward_sweep(grid, spec, m_flow, g, [[(S, const)]], spec.potential(x), u)
+    _backward_sweep(grid, spec, m_flow, g, [(S, const)], spec.potential(x), u)
     return ValueField(u, grid, 0.0)
 
 

@@ -294,10 +294,14 @@ def linear_binning(flow: MeasureFlow, nodes):
 
 
 def _ensemble_bounds(n, box):
-    """x0, x1, v0, v1 of an ensemble's (x, v) box, after checking an integer n >= 1 and lo < hi."""
+    """x0, x1, v0, v1 of an ensemble's (x, v) box, after checking an integer n >= 1,
+    a box of two (lo, hi) pairs and lo < hi."""
     if not as_index(n, "the particle count", InvalidInputError) >= 1:
         raise InvalidInputError(f"an ensemble needs at least one particle, got n = {n}")
-    (x0, x1), (v0, v1) = box
+    try:
+        (x0, x1), (v0, v1) = box
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"the box needs two (lo, hi) pairs, (x, v), got {box}") from None
     if not (x0 < x1 and v0 < v1):
         raise InvalidInputError(f"the box needs lo < hi on both axes, got {box}")
     return x0, x1, v0, v1

@@ -148,7 +148,7 @@ class _Anderson:
 
     Norms and inner products are `_dot`, never BLAS: a threaded BLAS sums in an
     order set by its thread count, and its spinning threads take the core the
-    next HJB solve's block worker needs.
+    next HJB solve's worker threads need.
     """
 
     def __init__(self):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalError, UnsupportedModelError
+from .errors import InvalidInputError, NumericalError, UnsupportedModelError, as_index
 from .measures import MeasureFlow
 from .model import LagrangianSpec, TerminalCost
 
@@ -175,6 +175,14 @@ class _Functional:
         return H
 
 
+def _sample_count(M):
+    """M as an int, or InvalidInputError unless it is an integer >= 3 (before np.linspace)."""
+    M = as_index(M, "the sample count M", InvalidInputError)
+    if M < 3:
+        raise InvalidInputError(f"a curve needs M >= 3 samples, got {M}")
+    return M
+
+
 def _descent(eps, x, v, spec, m_flow, g, M, T):
     """Safeguarded Newton descent of the discrete cost on M uniform samples of
     [0, T] (default: the flow's last time, or 1) (Nocedal & Wright, Numerical
@@ -202,6 +210,9 @@ def _descent(eps, x, v, spec, m_flow, g, M, T):
 
     if T is None:
         T = 1.0 if m_flow is None else float(m_flow.times[-1])
+    if not 0 < T < np.inf:  # before np.linspace
+        raise InvalidInputError(f"the horizon T must be positive and finite, got {T}")
+    M = _sample_count(M)
     F = _Functional(np.linspace(0.0, T, M), eps, spec, m_flow, g)
     first = 2 if eps > 0 else 1
     x = x + v * F.t if eps > 0 else np.full(M, float(x))
@@ -343,7 +354,7 @@ def connecting_curve(x: float, v0: float, v1: float, eps: float, M: int = 101) -
         raise InvalidInputError("eps must be positive and finite")
     B = -(2.0 * v0 + v1) / np.sqrt(eps)
     A = (v1 + v0) / eps
-    t = np.linspace(0.0, np.sqrt(eps), M)
+    t = np.linspace(0.0, np.sqrt(eps), _sample_count(M))
     return Curve(t, x + v0 * t + B * t**2 + A * t**3)
 
 

@@ -86,6 +86,18 @@ def test_sweep_plan_validation():
         SweepPlan(eps_ladder=(0.1, 0.2))
 
 
+@pytest.mark.parametrize(
+    "ladder",
+    [(0.5, np.nan, 0.1), (np.inf, 0.5, 0.1), (0.5, 0.2, -np.inf), (np.nan,)],
+    ids=["nan", "inf", "neg-inf", "nan-alone"],
+)
+def test_sweep_plan_refuses_non_finite_rungs(ladder):
+    """NaN passes the decreasing check, so a NaN or infinite rung is refused
+    up front instead of at its solve, after the rungs before it."""
+    with pytest.raises(InvalidInputError, match="positive and finite"):
+        SweepPlan(eps_ladder=ladder)
+
+
 def test_constant_assembly():
     spec = make_lagrangian("quadratic", M0=60.0)
     g = make_terminal("atan", amplitude=1.0)

@@ -185,6 +185,11 @@ TYPED_ERRORS = {
         lambda: gaussian_ensemble(10, seed=1.5), InvalidInputError, "seed must be an int"
     ),
     "lattice-frac": (lambda: lattice_ensemble(10.5), InvalidInputError, "count must be an int"),
+    # boxes that are not two (lo, hi) pairs
+    "lattice-box-one-pair": (lambda: lattice_ensemble(10, ((0, 1),)), InvalidInputError, "pairs"),
+    "gaussian-box-three-pairs": (
+        lambda: gaussian_ensemble(10, ((0, 1), (0, 1), (0, 1))), InvalidInputError, "pairs"
+    ),
 }
 
 

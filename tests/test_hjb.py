@@ -125,6 +125,16 @@ def test_acceleration_requires_positive_eps_and_cfl():
         )
 
 
+@pytest.mark.parametrize("eps", [-1.0, 0.0, np.nan, np.inf])
+def test_acceleration_controls_require_positive_finite_eps(eps):
+    """The widened set is 0.75 R_v / sqrt(eps): a negative, NaN or infinite eps
+    would give the base set silently, and eps 0 would divide by zero first."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="eps must be positive and finite"):
+            acceleration_controls(SMALL, eps)
+
+
 def test_one_step_constant_lagrangian():
     spec = _const_spec(2.5)
     u = solve_hjb_acceleration(SMALL, spec, None, ZERO_G, 0.1).values
@@ -466,27 +476,40 @@ def _chunk_controls(monkeypatch, grid, per_chunk):
 @pytest.mark.parametrize("n_cpus", [1, 2, 3])
 def test_chunked_blocks_bit_identical_to_one_chunk(n_cpus, coupled, per_chunk, monkeypatch):
     """With the chunk size cut to one or two controls, the 7 controls split into
-    blocks of 7, 4/3 or 3/2/2 and those into chunks of at most `per_chunk`
-    controls, so blocks hold uneven chunk counts; the min over chunks and
-    blocks is exact, so the values equal the one-chunk solve bit for bit."""
+    the fewest chunks of at most `per_chunk` controls whose count is a multiple
+    of n = min(n_cpus, 7), or 7: 7 chunks of one control, or 4, 4 and 6
+    chunks of two controls or one (2/2/2/1 and 2/1/1/1/1/1). Dealt every n-th
+    chunk, the threads get control counts differing by at most one, some from
+    uneven chunk counts; the min over chunks is exact, so the values equal the
+    one-chunk solve bit for bit."""
     grid, spec, m_flow, g, controls = _gather_case("cosine", coupled)
     monkeypatch.setattr(hjb, "_n_cpus", lambda: 1)
     ref = solve_hjb_acceleration(grid, spec, m_flow, g, 0.05, controls).values
-    chunks = []
-    build_chunk = hjb._acceleration_block
+    chunks, shares = [], []  # the controls of each chunk built, of each thread's share evaluated
+    build_chunk, chunks_min = hjb._acceleration_block, hjb._chunks_min
 
     def recording_chunk(grid, spec, eps, a):
         chunks.append(a.copy())
         return build_chunk(grid, spec, eps, a)
 
+    def recording_min(share, u_next):
+        shares.append(sum(const.shape[0] for _, const in share))
+        return chunks_min(share, u_next)
+
     monkeypatch.setattr(hjb, "_n_cpus", lambda: n_cpus)
     monkeypatch.setattr(hjb, "_acceleration_block", recording_chunk)
+    monkeypatch.setattr(hjb, "_chunks_min", recording_min)
     _chunk_controls(monkeypatch, grid, per_chunk)
     u = solve_hjb_acceleration(grid, spec, m_flow, g, 0.05, controls).values
     assert np.array_equal(u, ref)
-    blocks = np.array_split(controls.values, n_cpus)
-    assert len(chunks) == sum(-(-b.size // per_chunk) for b in blocks) > n_cpus
+    n_a = controls.values.size
+    n = min(n_cpus, n_a)
+    assert len(chunks) == min(n_a, n * -(-n_a // (n * per_chunk))) > n_cpus
     assert max(c.size for c in chunks) == per_chunk
+    assert len(chunks) % n == 0 or len(chunks) == n_a
+    n_steps = grid.t.size - 1
+    assert len(shares) == n * n_steps and sum(shares) == n_a * n_steps
+    assert max(shares) - min(shares) <= 1
     assert np.array_equal(np.concatenate(chunks), controls.values)
 
 
@@ -495,29 +518,26 @@ def test_chunked_blocks_bit_identical_to_one_chunk(n_cpus, coupled, per_chunk, m
 def test_control_blocks_store_the_one_shot_construction(name, n_cpus, monkeypatch):
     """Each chunk, filled one control at a time, stores the CSR entries and
     constant rows of the reference built for all of its controls at once, bit
-    for bit, with foot points that clamp on both axes. A block is one chunk at
-    the default chunk size and splits into the fewest chunks of at most two
-    controls, sizes differing by at most one, at a size of two controls.
+    for bit, with foot points that clamp on both axes. The controls split
+    into one chunk per CPU at the default chunk size, and at a size of two
+    controls into the fewest chunks of at most two, sizes differing by at
+    most one, whose count is a multiple of the CPU count (4, 4 and 6 chunks).
     Every chunk's row pointer is a view of the first chunk's."""
     grid, spec, _, _, controls = _gather_case(name, False)
     monkeypatch.setattr(hjb, "_n_cpus", lambda: n_cpus)
-    parts = np.array_split(controls.values, n_cpus)
-    for per_chunk in (None, 2):
+    for per_chunk, n_chunks in ((None, n_cpus), (2, (4, 4, 6)[n_cpus - 1])):
         if per_chunk is not None:
             _chunk_controls(monkeypatch, grid, per_chunk)
         op = hjb.acceleration_operator(grid, spec, 0.05, controls)
-        assert len(op.blocks) == len(parts)
-        first_indptr = op.blocks[0][0][0].indptr
-        for chunks, block in zip(op.blocks, parts):
-            n_chunks = 1 if per_chunk is None else -(-block.size // per_chunk)
-            assert len(chunks) == n_chunks
-            for (S, const), a in zip(chunks, np.array_split(block, n_chunks), strict=True):
-                lin, wgt, ref_const = _ref_block(grid, spec, 0.05, a)
-                assert np.shares_memory(S.indptr, first_indptr)
-                assert np.array_equal(S.indptr, np.arange(0, lin.size + 1, 4))
-                assert np.array_equal(S.indices, lin.transpose(0, 2, 1).ravel())
-                assert np.array_equal(S.data, wgt.transpose(0, 2, 1).ravel())
-                assert np.array_equal(const, ref_const)
+        assert len(op.chunks) == n_chunks
+        first_indptr = op.chunks[0][0].indptr
+        for (S, const), a in zip(op.chunks, np.array_split(controls.values, n_chunks), strict=True):
+            lin, wgt, ref_const = _ref_block(grid, spec, 0.05, a)
+            assert np.shares_memory(S.indptr, first_indptr)
+            assert np.array_equal(S.indptr, np.arange(0, lin.size + 1, 4))
+            assert np.array_equal(S.indices, lin.transpose(0, 2, 1).ravel())
+            assert np.array_equal(S.data, wgt.transpose(0, 2, 1).ravel())
+            assert np.array_equal(const, ref_const)
 
 
 def test_acceleration_operator_must_match_the_solve():
@@ -552,11 +572,11 @@ def test_control_block_workers_are_joined(monkeypatch):
 @pytest.mark.parametrize("n_cpus", [1, 2])
 def test_acceleration_solve_peak_memory(n_cpus, monkeypatch):
     """The construction arrays are freed before the backward loop: on the coupled
-    sweep's grid one solve peaks at 31.90 MB of traced allocations with one
-    control block and 31.22 MB with two, with either allocation order of u and
-    the operator (u alone is 6.6 MB, the operators 20.1 and 19.5 MB); keeping
-    the construction arrays through the loop peaked at 49.8 MB. The CPU count
-    is set, so both block counts are checked on any machine."""
+    sweep's grid one solve peaks at 27.75 MB of traced allocations on one CPU
+    and 27.88 MB on two (29.0 MB in some runs, as the threads' candidates
+    overlap in time); u alone is 6.6 MB and the operator 19.5 MB. Keeping the
+    construction arrays through the loop peaked at 49.8 MB. The CPU count is
+    set, so both thread counts are checked on any machine."""
     monkeypatch.setattr(hjb, "_n_cpus", lambda: n_cpus)
     grid = PhaseGrid.regular(N_x=101, N_v=81, N_t=101)
     spec = make_lagrangian("quadratic", kappa_c=0.5)
@@ -600,22 +620,22 @@ def _operator_bytes(op):
     """Bytes of the chunks' arrays, a buffer that several chunks share (the row
     pointer) counted once."""
     buffers = {}  # owning array of each chunk array
-    for chunks in op.blocks:
-        for S, const in chunks:
-            for arr in (S.data, S.indices, S.indptr, const):
-                owner = arr if arr.base is None else arr.base
-                buffers[id(owner)] = owner.nbytes
+    for S, const in op.chunks:
+        for arr in (S.data, S.indices, S.indptr, const):
+            owner = arr if arr.base is None else arr.base
+            buffers[id(owner)] = owner.nbytes
     return sum(buffers.values())
 
 
 @pytest.mark.parametrize("n_cpus", [1, 2])
 def test_acceleration_operator_peak_memory(n_cpus, monkeypatch):
-    """The blocks are allocated first and filled one control at a time, so the
-    build peaks within 1.1x the bytes of the blocks it returns, a buffer that
-    several blocks share (the row pointer) counted once. On the coupled
-    sweep's grid at eps 0.01: 20.34 MB of traced allocations for 20.13 MB of
-    blocks (one block) and 19.67 MB for 19.47 MB (two); building each block's
-    foot points and stencils whole first peaked at 37.77 and 28.77 MB."""
+    """The chunks are allocated first and filled one control at a time, so the
+    build peaks within 1.1x the bytes of the chunks it returns, a buffer that
+    several chunks share (the row pointer) counted once. On the coupled
+    sweep's grid at eps 0.01 the controls are two chunks of 21 and 20 on one
+    CPU and on two: 19.68 MB of traced allocations for 19.47 MB of chunks.
+    Building each CPU's block of foot points and stencils whole, before the
+    chunks, peaked at 37.77 MB on one CPU and 28.77 MB on two."""
     monkeypatch.setattr(hjb, "_n_cpus", lambda: n_cpus)
     grid = PhaseGrid.regular(N_x=101, N_v=81, N_t=101)
     spec = make_lagrangian("quadratic", kappa_c=0.5)
@@ -627,25 +647,26 @@ def test_acceleration_operator_peak_memory(n_cpus, monkeypatch):
     finally:
         tracemalloc.stop()
     held = _operator_bytes(op)
-    assert peak <= 1.1 * held, f"traced peak {peak / 1e6:.2f} MB for {held / 1e6:.2f} MB of blocks"
+    assert peak <= 1.1 * held, f"traced peak {peak / 1e6:.2f} MB for {held / 1e6:.2f} MB of chunks"
 
 
 def test_chunked_solve_peak_memory(monkeypatch):
-    """A step holds one chunk's candidates per thread, not a block's. On a
-    161x121x11 grid with 41 controls and two CPUs the blocks of 21 and 20
-    controls split into chunks of 11/10 and 10/10 controls (13 fit in
-    `CANDIDATE_CHUNK_BYTES`), and one solve's traced peak is within u, the
-    operator, two chunks' candidates and eight node arrays (the threads' minima
-    and the step's running cost): 51.55 MB, 5.3 node arrays above the first
-    three. Materializing each block's 21 or 20 controls of candidates at once
-    peaked at 55.29 MB, with a larger row pointer, 24.2 node arrays above."""
+    """A step holds one chunk's candidates per thread, not a thread's share.
+    On a 161x121x11 grid with 41 controls and two CPUs the controls split into
+    chunks of 11/10/10/10 controls (13 fit in `CANDIDATE_CHUNK_BYTES`), the
+    threads taking 11 + 10 and 10 + 10, and one solve's traced peak is within
+    u, the operator, two chunks' candidates and eight node arrays (the threads'
+    minima and the step's running cost): 51.55 MB, 5.3 node arrays above the
+    first three. Materializing each thread's 21 or 20 controls of candidates
+    at once peaked at 55.29 MB, with a larger row pointer, 24.2 node arrays
+    above."""
     monkeypatch.setattr(hjb, "_n_cpus", lambda: 2)
     grid = PhaseGrid.regular(N_x=161, N_v=121, N_t=11)
     controls = ControlSet.symmetric(6.0, 41)
     spec = make_lagrangian("quadratic")
     op = hjb.acceleration_operator(grid, spec, 0.2, controls)
-    assert [[const.shape[0] for _, const in chunks] for chunks in op.blocks] == [[11, 10], [10, 10]]
-    held, chunk = _operator_bytes(op), op.blocks[0][0][1].nbytes
+    assert [const.shape[0] for _, const in op.chunks] == [11, 10, 10, 10]
+    held, chunk = _operator_bytes(op), op.chunks[0][1].nbytes
     del op
     tracemalloc.start()
     try:
@@ -656,3 +677,30 @@ def test_chunked_solve_peak_memory(monkeypatch):
     node_bytes = 8 * grid.x.size * grid.v.size
     bound = grid.t.size * node_bytes + held + 2 * chunk + 8 * node_bytes
     assert peak <= bound, f"traced peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+@pytest.mark.parametrize(
+    "N_x, N_v, sizes",
+    [(101, 81, [21, 20]), (161, 121, [11, 10, 10, 10]), (321, 251, [3] * 13 + [2])],
+    ids=["default", "ci", "lq"],
+)
+def test_benchmark_grids_keep_their_control_partition(N_x, N_v, sizes, n_cpus, monkeypatch):
+    """41 controls split into chunks of 21/20 on the default grid, 11/10/10/10
+    on 161x121 and thirteen of 3 then one of 2 on the LQ benchmark's 321x251
+    grid, built in that order on one CPU and on two. The recorder builds a
+    one-row stand-in for each chunk, so no operator of those grids is
+    allocated."""
+    grid = PhaseGrid.regular(N_x=N_x, N_v=N_v)
+    built = []
+
+    def recording_block(grid, spec, eps, a):
+        built.append(a.size)
+        return np.zeros((1, 1, 1, 4), dtype=np.int32), np.zeros((1, 1, 1, 4)), np.zeros((1, 1))
+
+    monkeypatch.setattr(hjb, "_n_cpus", lambda: n_cpus)
+    monkeypatch.setattr(hjb, "_acceleration_block", recording_block)
+    controls = acceleration_controls(grid, 0.01)
+    op = hjb.acceleration_operator(grid, make_lagrangian("quadratic"), 0.01, controls)
+    assert controls.values.size == 41 and len(op.chunks) == len(sizes)
+    assert built == sizes

@@ -39,9 +39,8 @@ def test_chunk_min_equals_the_csr_matrix_product_on_the_default_grid():
     spec = make_lagrangian("quartic")
     op = hjb.acceleration_operator(grid, spec, 0.01, acceleration_controls(grid, 0.01))
     u = np.random.default_rng(0).normal(size=grid.x.size * grid.v.size)
-    for chunks in op.blocks:
-        for S, const in chunks:
-            assert np.array_equal(hjb._chunk_min(S, const, u), _csr_matrix_min(S, const, u))
+    for S, const in op.chunks:
+        assert np.array_equal(hjb._chunk_min(S, const, u), _csr_matrix_min(S, const, u))
 
 
 def test_chunk_min_equals_the_csr_matrix_product_on_a_limit_operator(monkeypatch):
@@ -50,9 +49,9 @@ def test_chunk_min_equals_the_csr_matrix_product_on_a_limit_operator(monkeypatch
     grid = PhaseGrid.regular()
     sweep, seen = hjb._backward_sweep, []
 
-    def recording_sweep(grid, spec, m_flow, g, blocks, node_running, u):
-        seen.extend(chunk for chunks in blocks for chunk in chunks)
-        return sweep(grid, spec, m_flow, g, blocks, node_running, u)
+    def recording_sweep(grid, spec, m_flow, g, chunks, node_running, u):
+        seen.extend(chunks)
+        return sweep(grid, spec, m_flow, g, chunks, node_running, u)
 
     monkeypatch.setattr(hjb, "_backward_sweep", recording_sweep)
     hjb.solve_hjb_limit_classical(grid, make_lagrangian("quartic"), None, make_terminal("zero"))

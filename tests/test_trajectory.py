@@ -1,6 +1,7 @@
 """Curve costs, direct minimization, the fourth-order BVP, and connecting curves."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -364,6 +365,25 @@ def test_connecting_curve_trivial_and_validation():
 def test_direct_rejects_non_finite_input(eps, x, v, message):
     with pytest.raises(InvalidInputError, match=message):
         minimize_direct(eps, x, v, QUADRATIC, None, ZERO_G)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: minimize_direct(0.1, 0.0, 0.0, QUADRATIC, None, ZERO_G, M=401.5), "M must be an int"),
+        (lambda: solve_el_bvp(0.1, 0.0, 0.0, QUADRATIC, None, ZERO_G, M=1.5), "M must be an int"),
+        (lambda: connecting_curve(0.0, 1.0, 0.0, 0.1, M=2.5), "M must be an int"),
+        (lambda: minimize_direct(0.1, 0.0, 0.0, QUADRATIC, None, ZERO_G, T=np.inf), "horizon T"),
+    ],
+    ids=["direct-M", "bvp-M", "connecting-M", "direct-T"],
+)
+def test_curve_api_raises_typed_errors_without_numpy_warnings(call, message):
+    """A non-integer sample count and an infinite horizon are the package's
+    errors, raised before np.linspace sees them."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match=message):
+            call()
 
 
 def test_direct_raises_numerical_error_on_a_non_finite_hessian():
